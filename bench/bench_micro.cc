@@ -207,10 +207,13 @@ void BM_SimulatedSecondOfRpc(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedSecondOfRpc)->Unit(benchmark::kMillisecond);
 
-// Guard for the EventQueue dispatch fix: Step() must move each scheduled
-// callback out of the heap, not copy it.  The probe's copy-constructor bumps
-// a counter that is reported per event; the CI gate asserts it stays 0.
+// Guard for the EventQueue dispatch path: Step() must move each scheduled
+// callback out of its slot once, never copy it, and the heap must sift keys
+// rather than callbacks.  The probe's copy and move constructors bump
+// counters that are reported per event; the CI gate asserts 0 copies and at
+// most 2 moves (a heap of callbacks moves each about 2*log2(n) times).
 std::uint64_t g_probe_copies = 0;
+std::uint64_t g_probe_moves = 0;
 
 struct CallbackCopyProbe {
   CallbackCopyProbe() = default;
@@ -219,36 +222,53 @@ struct CallbackCopyProbe {
     ++g_probe_copies;
     return *this;
   }
-  CallbackCopyProbe(CallbackCopyProbe&&) = default;
-  CallbackCopyProbe& operator=(CallbackCopyProbe&&) = default;
+  CallbackCopyProbe(CallbackCopyProbe&&) noexcept { ++g_probe_moves; }
+  CallbackCopyProbe& operator=(CallbackCopyProbe&&) noexcept {
+    ++g_probe_moves;
+    return *this;
+  }
 };
 
 void BM_EventQueueStep(benchmark::State& state) {
   constexpr std::size_t kBatch = 1024;
+  // Shuffled schedule times, so both sift directions do real work.
+  std::vector<SimTime> times(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    times[i] = static_cast<SimTime>(i);
+  }
+  Rng rng(7);
+  for (std::size_t i = kBatch - 1; i > 0; --i) {
+    std::swap(times[i], times[rng.Below(i + 1)]);
+  }
   std::uint64_t dispatch_copies = 0;
+  std::uint64_t dispatch_moves = 0;
   std::uint64_t sink = 0;
   std::uint64_t events = 0;
   for (auto _ : state) {
     state.PauseTiming();
     EventQueue queue;
     CallbackCopyProbe probe;
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      queue.At(static_cast<SimTime>(i), [probe, &sink] { ++sink; });
+    for (const SimTime t : times) {
+      queue.At(t, [probe, &sink] { ++sink; });
     }
-    // Copies made while scheduling (lambda capture, lambda -> std::function)
-    // are expected; only copies made by the dispatch loop itself count.
-    const std::uint64_t before = g_probe_copies;
+    // Copies and moves made while scheduling (lambda capture, lambda ->
+    // Callback, into the slot) are expected; only the dispatch loop counts.
+    const std::uint64_t copies_before = g_probe_copies;
+    const std::uint64_t moves_before = g_probe_moves;
     state.ResumeTiming();
     while (queue.Step()) {
     }
     state.PauseTiming();
-    dispatch_copies += g_probe_copies - before;
+    dispatch_copies += g_probe_copies - copies_before;
+    dispatch_moves += g_probe_moves - moves_before;
     events += kBatch;
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(sink);
   state.counters["callback_copies_per_event"] = benchmark::Counter(
       static_cast<double>(dispatch_copies) / static_cast<double>(events));
+  state.counters["callback_moves_per_event"] = benchmark::Counter(
+      static_cast<double>(dispatch_moves) / static_cast<double>(events));
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueStep);

@@ -8,14 +8,17 @@
 #define DEMOS_BASE_STATS_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace demos {
@@ -83,13 +86,102 @@ class Distribution {
   mutable bool sorted_valid_ = false;
 };
 
+// The counter catalog: every statically named counter, listed once with its
+// export name.  StatId indexes a fixed slot array, so the hot-path Add() takes
+// no string and no lock; names are used only at the edges (Get/TotalStat by
+// name, counters(), Merge, Dump).  The stat::k* string constants below are
+// generated from the same list for readers that key on names.
+#define DEMOS_STAT_CATALOG(X)                                     \
+  /* Kernel message system and migration (Sec. 2-6). */           \
+  X(kMsgsSent, "msgs_sent")                                       \
+  X(kMsgsDelivered, "msgs_delivered")                             \
+  X(kMsgsForwarded, "msgs_forwarded")                             \
+  X(kMsgsBounced, "msgs_bounced")                                 \
+  X(kLinkUpdateMsgs, "link_update_msgs")                          \
+  X(kLinksPatched, "links_patched")                               \
+  X(kAdminMsgs, "admin_msgs")                                     \
+  X(kAdminBytes, "admin_bytes")                                   \
+  X(kDataPackets, "data_packets")                                 \
+  X(kDataBytes, "data_bytes")                                     \
+  X(kDataAcks, "data_acks")                                       \
+  X(kMigrations, "migrations")                                    \
+  X(kMigrationsOut, "migrations_out")                             \
+  X(kMigrationsNoop, "migrations_noop")                           \
+  X(kMigrationsRefused, "migrations_refused")                     \
+  X(kMigrationsTimedOut, "migrations_timed_out")                  \
+  X(kMigrationsReaped, "migrations_reaped")                       \
+  X(kMigrationsAdopted, "migrations_adopted")                     \
+  X(kMigrationsRefusedSuspect, "migrations_refused_suspect")      \
+  X(kPeersSuspected, "peers_suspected")                           \
+  X(kStaleMigrationMsgs, "migrations_stale_msgs")                 \
+  X(kPendingForwarded, "pending_forwarded")                       \
+  X(kForwardingAddresses, "forwarding_addresses")                 \
+  X(kForwardingSuperseded, "forwarding_superseded")               \
+  X(kForwardingExpired, "forwarding_expired")                     \
+  X(kForwardingCleared, "forwarding_cleared")                     \
+  X(kWireBytesSent, "wire_bytes_sent")                            \
+  X(kDeliverToKernelMsgs, "deliver_to_kernel_msgs")               \
+  /* Churn-proof addressing: GC, chain collapse, gossip. */       \
+  X(kFwdRecordsLive, "fwd_records_live")                          \
+  X(kFwdReclaimed, "fwd_reclaimed")                               \
+  X(kGcRerouted, "gc_rerouted")                                   \
+  X(kChainCollapses, "chain_collapses")                           \
+  X(kChainCollapseApplied, "chain_collapse_applied")              \
+  X(kLinkUpdateAcks, "link_update_acks")                          \
+  X(kGossipRounds, "gossip_rounds")                               \
+  X(kGossipRumors, "gossip_rumors")                               \
+  X(kGossipAdvanced, "gossip_advanced")                           \
+  X(kTombstonesReclaimed, "tombstones_reclaimed")                 \
+  X(kLocateRetries, "locate_retries")                             \
+  X(kLocateGaveUp, "locate_gave_up")                              \
+  X(kGossipReroutes, "gossip_reroutes")                           \
+  X(kSendsRefused, "sends_refused")                               \
+  /* SimNetwork (src/net/sim_network.h). */                       \
+  X(kNetPacketsSent, "net_packets_sent")                          \
+  X(kNetPacketsDropped, "net_packets_dropped")                    \
+  X(kNetPacketsDuplicated, "net_packets_duplicated")              \
+  X(kNetBytesSent, "net_bytes_sent")                              \
+  X(kNetLocalDeliveries, "net_local_deliveries")                  \
+  /* ReliableTransport (src/net/reliable_channel.h). */           \
+  X(kRelRetransmits, "rel_retransmits")                           \
+  X(kRelAcksSent, "rel_acks_sent")                                \
+  X(kRelDuplicatesDropped, "rel_duplicates_dropped")              \
+  X(kRelGiveUps, "rel_give_ups")
+
+enum class StatId : std::uint8_t {
+#define DEMOS_STAT_ENUMERATOR(id, name) id,
+  DEMOS_STAT_CATALOG(DEMOS_STAT_ENUMERATOR)
+#undef DEMOS_STAT_ENUMERATOR
+  kNumStats,
+};
+
+inline constexpr std::size_t kNumStatIds = static_cast<std::size_t>(StatId::kNumStats);
+
+inline constexpr std::array<const char*, kNumStatIds> kStatNames = {
+#define DEMOS_STAT_EXPORT_NAME(id, name) name,
+    DEMOS_STAT_CATALOG(DEMOS_STAT_EXPORT_NAME)
+#undef DEMOS_STAT_EXPORT_NAME
+};
+
+// Catalog entry for an export name, or nullopt for a run-time name.
+inline std::optional<StatId> FindStat(std::string_view name) {
+  for (std::size_t i = 0; i < kNumStatIds; ++i) {
+    if (name == kStatNames[i]) {
+      return static_cast<StatId>(i);
+    }
+  }
+  return std::nullopt;
+}
+
 // Thread-safety: each kernel owns one registry, but in the parallel engine
 // (src/run) shard threads increment their own registries while the coordinator
 // aggregates at quiescence, and cross-cutting code (benches, invariants) may
-// read any registry.  Counter increments are relaxed atomic fetch_adds on
-// stable map nodes; the map structure itself is guarded by a shared_mutex
-// taken exclusively only when a new counter name first appears.  Distribution
-// recording stays behind a plain mutex (it is off the per-message hot path).
+// read any registry.  A catalog counter is a fixed slot: Add() is one relaxed
+// fetch_add plus a relaxed "touched" flag, lock-free from any thread.  Only the
+// run-time-named family (AddNamed, e.g. rel_give_ups_m<a>_to_m<b>) lives in a
+// map, guarded by a shared_mutex taken exclusively when a new name first
+// appears.  Distribution recording stays behind a plain mutex (it is off the
+// per-message hot path).
 class StatsRegistry {
  public:
   StatsRegistry() = default;
@@ -102,14 +194,35 @@ class StatsRegistry {
     return *this;
   }
 
-  void Add(const std::string& name, std::int64_t delta = 1) {
-    FindOrCreateCounter(name)->fetch_add(delta, std::memory_order_relaxed);
+  void Add(StatId id, std::int64_t delta = 1) {
+    Slot& slot = slots_[static_cast<std::size_t>(id)];
+    slot.value.fetch_add(delta, std::memory_order_relaxed);
+    if (!slot.touched.load(std::memory_order_relaxed)) {
+      slot.touched.store(true, std::memory_order_relaxed);
+    }
   }
 
-  std::int64_t Get(const std::string& name) const {
-    std::shared_lock lock(counters_mu_);
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.load(std::memory_order_relaxed);
+  // Counter whose name is only known at run time.  A catalog name is routed
+  // to its slot, so each name has exactly one home.
+  void AddNamed(std::string_view name, std::int64_t delta = 1) {
+    if (const std::optional<StatId> id = FindStat(name)) {
+      Add(*id, delta);
+      return;
+    }
+    FindOrCreateNamed(name)->fetch_add(delta, std::memory_order_relaxed);
+  }
+
+  std::int64_t Get(StatId id) const {
+    return slots_[static_cast<std::size_t>(id)].value.load(std::memory_order_relaxed);
+  }
+
+  std::int64_t Get(std::string_view name) const {
+    if (const std::optional<StatId> id = FindStat(name)) {
+      return Get(*id);
+    }
+    std::shared_lock lock(named_mu_);
+    auto it = named_.find(name);
+    return it == named_.end() ? 0 : it->second.load(std::memory_order_relaxed);
   }
 
   void Record(const std::string& name, double value) {
@@ -125,20 +238,30 @@ class StatsRegistry {
     return it == distributions_.end() ? nullptr : &it->second;
   }
 
-  // Point-in-time snapshot of every counter.
+  // Point-in-time snapshot of every counter touched so far, including ones
+  // whose value is (or went back to) 0.
   std::map<std::string, std::int64_t> counters() const {
-    std::shared_lock lock(counters_mu_);
     std::map<std::string, std::int64_t> out;
-    for (const auto& [name, value] : counters_) {
+    for (std::size_t i = 0; i < kNumStatIds; ++i) {
+      if (slots_[i].touched.load(std::memory_order_relaxed)) {
+        out[kStatNames[i]] = slots_[i].value.load(std::memory_order_relaxed);
+      }
+    }
+    std::shared_lock lock(named_mu_);
+    for (const auto& [name, value] : named_) {
       out[name] = value.load(std::memory_order_relaxed);
     }
     return out;
   }
 
   void Reset() {
+    for (Slot& slot : slots_) {
+      slot.value.store(0, std::memory_order_relaxed);
+      slot.touched.store(false, std::memory_order_relaxed);
+    }
     {
-      std::unique_lock lock(counters_mu_);
-      counters_.clear();
+      std::unique_lock lock(named_mu_);
+      named_.clear();
     }
     std::lock_guard lock(distributions_mu_);
     distributions_.clear();
@@ -147,8 +270,20 @@ class StatsRegistry {
   // Fold another registry into this one (used to aggregate per-kernel stats
   // into cluster-wide totals).
   void Merge(const StatsRegistry& other) {
-    for (const auto& [name, value] : other.counters()) {
-      Add(name, value);
+    for (std::size_t i = 0; i < kNumStatIds; ++i) {
+      if (other.slots_[i].touched.load(std::memory_order_relaxed)) {
+        Add(static_cast<StatId>(i), other.slots_[i].value.load(std::memory_order_relaxed));
+      }
+    }
+    std::map<std::string, std::int64_t> named;
+    {
+      std::shared_lock lock(other.named_mu_);
+      for (const auto& [name, value] : other.named_) {
+        named[name] = value.load(std::memory_order_relaxed);
+      }
+    }
+    for (const auto& [name, value] : named) {
+      FindOrCreateNamed(name)->fetch_add(value, std::memory_order_relaxed);
     }
     std::map<std::string, std::vector<double>> samples;
     {
@@ -182,65 +317,36 @@ class StatsRegistry {
   }
 
  private:
-  std::atomic<std::int64_t>* FindOrCreateCounter(const std::string& name) {
+  struct Slot {
+    std::atomic<std::int64_t> value{0};
+    std::atomic<bool> touched{false};
+  };
+
+  std::atomic<std::int64_t>* FindOrCreateNamed(std::string_view name) {
     {
-      std::shared_lock lock(counters_mu_);
-      auto it = counters_.find(name);
-      if (it != counters_.end()) {
+      std::shared_lock lock(named_mu_);
+      auto it = named_.find(name);
+      if (it != named_.end()) {
         return &it->second;
       }
     }
-    std::unique_lock lock(counters_mu_);
-    return &counters_[name];  // value-initialized to 0 on first touch
+    std::unique_lock lock(named_mu_);
+    return &named_[std::string(name)];  // value-initialized to 0 on first touch
   }
 
-  mutable std::shared_mutex counters_mu_;
-  std::map<std::string, std::atomic<std::int64_t>> counters_;
+  std::array<Slot, kNumStatIds> slots_{};
+  mutable std::shared_mutex named_mu_;
+  std::map<std::string, std::atomic<std::int64_t>, std::less<>> named_;
   mutable std::mutex distributions_mu_;
   std::map<std::string, Distribution> distributions_;
 };
 
-// Counter names used by the kernel.  Centralized so tests and benches cannot
-// drift from the implementation.
+// Counter export names, for readers that key on names (tests, benches,
+// Engine::TotalStat).
 namespace stat {
-inline constexpr const char* kMsgsSent = "msgs_sent";
-inline constexpr const char* kMsgsDelivered = "msgs_delivered";
-inline constexpr const char* kMsgsForwarded = "msgs_forwarded";
-inline constexpr const char* kMsgsBounced = "msgs_bounced";
-inline constexpr const char* kLinkUpdateMsgs = "link_update_msgs";
-inline constexpr const char* kLinksPatched = "links_patched";
-inline constexpr const char* kAdminMsgs = "admin_msgs";
-inline constexpr const char* kAdminBytes = "admin_bytes";
-inline constexpr const char* kDataPackets = "data_packets";
-inline constexpr const char* kDataBytes = "data_bytes";
-inline constexpr const char* kDataAcks = "data_acks";
-inline constexpr const char* kMigrations = "migrations";
-inline constexpr const char* kMigrationsRefused = "migrations_refused";
-inline constexpr const char* kMigrationsTimedOut = "migrations_timed_out";
-inline constexpr const char* kMigrationsReaped = "migrations_reaped";
-inline constexpr const char* kMigrationsAdopted = "migrations_adopted";
-inline constexpr const char* kMigrationsRefusedSuspect = "migrations_refused_suspect";
-inline constexpr const char* kPeersSuspected = "peers_suspected";
-inline constexpr const char* kStaleMigrationMsgs = "migrations_stale_msgs";
-inline constexpr const char* kPendingForwarded = "pending_forwarded";
-inline constexpr const char* kForwardingAddresses = "forwarding_addresses";
-inline constexpr const char* kWireBytesSent = "wire_bytes_sent";
-inline constexpr const char* kDeliverToKernelMsgs = "deliver_to_kernel_msgs";
-
-// Churn-proof addressing: forwarding-record GC, chain collapse, gossip.
-inline constexpr const char* kFwdRecordsLive = "fwd_records_live";
-inline constexpr const char* kFwdReclaimed = "fwd_reclaimed";
-inline constexpr const char* kChainCollapses = "chain_collapses";
-inline constexpr const char* kChainCollapseApplied = "chain_collapse_applied";
-inline constexpr const char* kLinkUpdateAcks = "link_update_acks";
-inline constexpr const char* kGossipRounds = "gossip_rounds";
-inline constexpr const char* kGossipRumors = "gossip_rumors";
-inline constexpr const char* kGossipAdvanced = "gossip_advanced";
-inline constexpr const char* kTombstonesReclaimed = "tombstones_reclaimed";
-inline constexpr const char* kLocateRetries = "locate_retries";
-inline constexpr const char* kLocateGaveUp = "locate_gave_up";
-inline constexpr const char* kGossipReroutes = "gossip_reroutes";
-inline constexpr const char* kSendsRefused = "sends_refused";
+#define DEMOS_STAT_NAME_CONSTANT(id, name) inline constexpr const char* id = name;
+DEMOS_STAT_CATALOG(DEMOS_STAT_NAME_CONSTANT)
+#undef DEMOS_STAT_NAME_CONSTANT
 
 // Distributions derived from the src/obs tracer (BuildTraceStats): per-phase
 // migration latency breakdown, forwarding-chain lengths, and lazy link-update

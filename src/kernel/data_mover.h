@@ -225,7 +225,6 @@ struct OutgoingTransfer {
   std::uint32_t acked_packets = 0;
   std::uint64_t acked_bytes = 0;
   std::size_t total_bytes = 0;
-  SimTime started_at = 0;
   StatusCode first_error = StatusCode::kOk;
   // For kAreaWrite: who gets the kDataMoveDone.
   ProcessAddress instigator;

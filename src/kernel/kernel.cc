@@ -147,11 +147,11 @@ void Kernel::FinalizeExit(const ProcessId& pid) {
 // ---------------------------------------------------------------------------
 
 void Kernel::Transmit(Message msg) {
-  stats_.Add(stat::kMsgsSent);
-  stats_.Add(stat::kWireBytesSent, static_cast<std::int64_t>(msg.WireSize()));
+  stats_.Add(StatId::kMsgsSent);
+  stats_.Add(StatId::kWireBytesSent, static_cast<std::int64_t>(msg.WireSize()));
   if (IsMigrationAdminType(msg.type)) {
-    stats_.Add(stat::kAdminMsgs);
-    stats_.Add(stat::kAdminBytes, static_cast<std::int64_t>(msg.payload.size()));
+    stats_.Add(StatId::kAdminMsgs);
+    stats_.Add(StatId::kAdminBytes, static_cast<std::int64_t>(msg.payload.size()));
     stats_.Record("admin_payload_bytes", static_cast<double>(msg.payload.size()));
   }
   if (tracer_.enabled()) {
@@ -275,7 +275,7 @@ void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
         queue_.Now() - entry->installed_at > config_.forwarding_ttl_us) {
       // TTL garbage collection (Sec. 4 future work): drop the aged address
       // and let the locate fallback below find the process.
-      stats_.Add("forwarding_expired");
+      stats_.Add(StatId::kForwardingExpired);
       DropForwardingMeta(msg.receiver.pid);
       processes_.Erase(msg.receiver.pid);
       HandleAbsentReceiver(std::move(msg), wire_src);
@@ -299,7 +299,7 @@ void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
   }
 
   if (msg.deliver_to_kernel()) {
-    stats_.Add(stat::kDeliverToKernelMsgs);
+    stats_.Add(StatId::kDeliverToKernelMsgs);
     HandleControlMessage(record, std::move(msg));
     return;
   }
@@ -335,10 +335,7 @@ void Kernel::DeliverToProcess(ProcessRecord& record, Message msg) {
       entry.updated_at = queue_.Now();
     }
   }
-  stats_.Add(stat::kMsgsDelivered);
-  if (msg.hop_count > 0) {
-    stats_.Record(stat::kForwardHops, static_cast<double>(msg.hop_count));
-  }
+  stats_.Add(StatId::kMsgsDelivered);
   if (msg.via_count >= 2) {
     // The message crossed two or more forwarding records to get here: tell
     // every intermediate machine to re-point straight at us (Sec. 4 chains
@@ -522,7 +519,7 @@ void Kernel::RunDispatch(ProcessId pid) {
   if (msg.deliver_to_kernel()) {
     // A control message that was held in the queue (e.g. during migration)
     // and is executed now that normal receiving has resumed.
-    stats_.Add(stat::kDeliverToKernelMsgs);
+    stats_.Add(StatId::kDeliverToKernelMsgs);
     HandleControlMessage(*record, std::move(msg));
     record = processes_.Find(pid);  // control may have frozen/killed it
   } else {
@@ -650,8 +647,8 @@ std::uint32_t Kernel::StreamBytes(const PayloadRef& data, DataPacket prototype,
     msg.type = MsgType::kMoveDataPacket;
     msg.flags = msg_flags;
     msg.payload = packet.Encode();
-    stats_.Add(stat::kDataPackets);
-    stats_.Add(stat::kDataBytes, static_cast<std::int64_t>(len));
+    stats_.Add(StatId::kDataPackets);
+    stats_.Add(StatId::kDataBytes, static_cast<std::int64_t>(len));
     Transmit(std::move(msg));
     offset += len;
     ++packets;
@@ -660,7 +657,6 @@ std::uint32_t Kernel::StreamBytes(const PayloadRef& data, DataPacket prototype,
   OutgoingTransfer& out = outgoing_transfers_[prototype.transfer_id];
   out.packet_count = packets;
   out.total_bytes = data.size();
-  out.started_at = queue_.Now();
   return packets;
 }
 
@@ -725,7 +721,7 @@ void Kernel::FlushPullAck(std::uint32_t transfer_id, IncomingPull& pull, Machine
   ack.packets = pull.unacked_packets;
   pull.unacked_bytes = 0;
   pull.unacked_packets = 0;
-  stats_.Add(stat::kDataAcks);
+  stats_.Add(StatId::kDataAcks);
   SendFromKernel(KernelAddress(streamer), MsgType::kMoveDataAck, ack.Encode());
 }
 
@@ -790,7 +786,7 @@ void Kernel::FlushPushAck(std::uint64_t key) {
   ack.covered_bytes = batch.covered_bytes;
   ack.packets = batch.packets;
   ack.status = batch.first_error;
-  stats_.Add(stat::kDataAcks);
+  stats_.Add(StatId::kDataAcks);
   SendFromKernel(KernelAddress(batch.streamer), MsgType::kMoveDataAck, ack.Encode());
 }
 
@@ -833,7 +829,6 @@ void Kernel::HandleDataAck(const Message& msg) {
     return;  // not every byte accounted for yet
   }
   // Stream fully acknowledged.
-  stats_.Record("transfer_us", static_cast<double>(queue_.Now() - out.started_at));
   if (out.purpose == OutgoingTransfer::Purpose::kAreaWrite) {
     Status status = out.first_error == StatusCode::kOk
                         ? OkStatus()

@@ -71,7 +71,7 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
     return;
   }
   if (destination == machine_) {
-    stats_.Add("migrations_noop");
+    stats_.Add(StatId::kMigrationsNoop);
     SendMigrateDone(requester, pid, machine_, StatusCode::kOk);
     return;
   }
@@ -80,7 +80,7 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
     // watchdog timeout).  Refuse without freezing rather than strand the
     // process waiting on a dead machine; the backoff expires on its own and
     // any delivery from the peer clears it early.
-    stats_.Add(stat::kMigrationsRefusedSuspect);
+    stats_.Add(StatId::kMigrationsRefusedSuspect);
     SendMigrateDone(requester, pid, machine_, StatusCode::kUnavailable);
     return;
   }
@@ -163,7 +163,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
     if (dit->second.source == offer.source && dit->second.attempt == attempt) {
       // Duplicate of the offer this kernel is already assembling; the pulls
       // are in flight, nothing to redo.
-      stats_.Add(stat::kStaleMigrationMsgs);
+      stats_.Add(StatId::kStaleMigrationMsgs);
       return;
     }
     // A fresh attempt after the source rolled back: the stale partial image
@@ -194,7 +194,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
   }
 
   if (existing != nullptr) {
-    stats_.Add("forwarding_superseded");
+    stats_.Add(StatId::kForwardingSuperseded);
     DropForwardingMeta(offer.pid);  // the Insert below replaces the record
   }
 
@@ -251,7 +251,7 @@ void Kernel::HandleMigrateAccept(const Message& msg) {
   const std::uint32_t attempt = r.U32();
   auto it = migration_sources_.find(pid);
   if (it == migration_sources_.end() || it->second.attempt != attempt) {
-    stats_.Add(stat::kStaleMigrationMsgs);
+    stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
   it->second.accepted = true;
@@ -274,7 +274,7 @@ void Kernel::HandleMigrateReject(const Message& msg) {
     // A refusal for an attempt this kernel already rolled back (duplicate
     // delivery, or the reply raced a watchdog abort).  Acting on it would
     // abort a *newer* attempt of the same process; drop it instead.
-    stats_.Add(stat::kStaleMigrationMsgs);
+    stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
   AbortMigrationAtSource(pid, Status(code, "destination refused migration"));
@@ -299,7 +299,7 @@ void Kernel::AbortMigrationAtSource(const ProcessId& pid, Status why) {
     }
     MaybeScheduleDispatch(*record);
   }
-  stats_.Add(stat::kMigrationsRefused);
+  stats_.Add(StatId::kMigrationsRefused);
   TraceMigration(trace::kMigrationAborted, pid, static_cast<std::uint64_t>(why.code()));
   FlightMigration(FrMigrationEdge::kAborted, pid);
   if (observer_ != nullptr) {
@@ -328,7 +328,7 @@ void Kernel::HandleMoveDataReq(const Message& msg) {
     return;
   }
   if (it->second.attempt != attempt) {
-    stats_.Add(stat::kStaleMigrationMsgs);
+    stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
   it->second.last_progress = queue_.Now();
@@ -462,7 +462,7 @@ void Kernel::HandleTransferComplete(const Message& msg) {
   if (it == migration_sources_.end() || it->second.attempt != attempt) {
     // Completion of an attempt already rolled back by the watchdog; the
     // destination's copy will be cancelled (or reaped by its own deadline).
-    stats_.Add(stat::kStaleMigrationMsgs);
+    stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
   FinishMigrationAtSource(pid);
@@ -508,7 +508,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
     Message pending = std::move(record->queue.front());
     record->queue.pop_front();
     pending.receiver.last_known_machine = source.destination;
-    stats_.Add(stat::kPendingForwarded);
+    stats_.Add(StatId::kPendingForwarded);
     ++pending_count;
     if (observer_ != nullptr && pending.trace_id != 0) {
       observer_->OnPendingResend(machine_, pending);
@@ -542,7 +542,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   record = nullptr;
   if (config_.delivery_mode == KernelConfig::DeliveryMode::kForwarding) {
     InstallForwardingRecord(pid, source.destination, next_version, std::move(stale_peers));
-    stats_.Add(stat::kForwardingAddresses);
+    stats_.Add(StatId::kForwardingAddresses);
     TraceMigration(trace::kForwardingInstalled, pid, source.destination);
   } else {
     processes_.Erase(pid);
@@ -551,7 +551,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   // local registry and rumor the move (NoteLocationAdvance is a no-op beyond
   // the registry write when gossip is disabled).
   NoteLocationAdvance(pid, source.destination, next_version);
-  stats_.Add("migrations_out");
+  stats_.Add(StatId::kMigrationsOut);
 
   ByteWriter done;
   done.Pid(pid);
@@ -590,7 +590,7 @@ void Kernel::HandleCleanupDone(const Message& msg) {
   const std::uint32_t attempt = r.U32();
   auto it = migration_dests_.find(pid);
   if (it == migration_dests_.end() || it->second.attempt != attempt) {
-    stats_.Add(stat::kStaleMigrationMsgs);
+    stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
   FlightMigration(FrMigrationEdge::kCleanupDone, pid);
@@ -632,7 +632,7 @@ void Kernel::RestartMigratedProcess(const ProcessId& pid) {
     w.U64(record->migration_history.size());
     SendFromKernel(KernelAddress(pid.creating_machine), MsgType::kLocationRegister, w.Take());
   }
-  stats_.Add(stat::kMigrations);
+  stats_.Add(StatId::kMigrations);
   TraceMigration(trace::kRestarted, pid, static_cast<std::uint64_t>(record->state));
   FlightMigration(FrMigrationEdge::kRestarted, pid);
   if (observer_ != nullptr) {
@@ -716,7 +716,7 @@ void Kernel::ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDur
       // kMigrateCancel within a round trip, so the source is dead and this
       // kernel holds the only complete copy.  Adopt it: restart locally.
       // (Sec. 1's crash-migration scenario, driven by the watchdog.)
-      stats_.Add(stat::kMigrationsAdopted);
+      stats_.Add(StatId::kMigrationsAdopted);
       TraceMigration(trace::kDestAdopted, pid, source_machine);
       FlightRecord(FrEvent::kAdopt, source_machine, MigrationSpanId(pid));
       if (flight_ != nullptr) {
@@ -739,7 +739,7 @@ void Kernel::TimeoutMigrationAtSource(const ProcessId& pid) {
   }
   const MachineId destination = it->second.destination;
   const std::uint32_t attempt = it->second.attempt;
-  stats_.Add(stat::kMigrationsTimedOut);
+  stats_.Add(StatId::kMigrationsTimedOut);
   TraceMigration(trace::kWatchdogTimeout, pid, destination);
   FlightRecord(FrEvent::kWatchdogFired, 0, MigrationSpanId(pid));
   SuspectPeer(destination);
@@ -764,7 +764,7 @@ void Kernel::HandleMigrateCancel(const Message& msg) {
   const std::uint32_t attempt = r.U32();
   auto it = migration_dests_.find(pid);
   if (it == migration_dests_.end() || it->second.attempt != attempt) {
-    stats_.Add(stat::kStaleMigrationMsgs);
+    stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
   TraceMigration(trace::kCancelReceived, pid, it->second.source);
@@ -800,7 +800,7 @@ void Kernel::ReapMigrationDest(const ProcessId& pid, const char* why) {
       Message pending = std::move(record->queue.front());
       record->queue.pop_front();
       pending.receiver.last_known_machine = dest.source;
-      stats_.Add(stat::kPendingForwarded);
+      stats_.Add(StatId::kPendingForwarded);
       if (observer_ != nullptr && pending.trace_id != 0) {
         observer_->OnPendingResend(machine_, pending);
       }
@@ -811,7 +811,7 @@ void Kernel::ReapMigrationDest(const ProcessId& pid, const char* why) {
     memory_used_ -= std::min<std::uint64_t>(memory_used_, footprint);
     processes_.Erase(pid);
   }
-  stats_.Add(stat::kMigrationsReaped);
+  stats_.Add(StatId::kMigrationsReaped);
   TraceMigration(trace::kDestReaped, pid, dest.source);
   FlightRecord(FrEvent::kReap, dest.source, MigrationSpanId(pid));
   if (flight_ != nullptr) {
@@ -854,7 +854,7 @@ void Kernel::SuspectPeer(MachineId peer) {
   const std::uint32_t shift = std::min<std::uint32_t>(suspicion.strikes - 1, 6);
   const SimTime until = queue_.Now() + (config_.suspect_backoff_us << shift);
   suspicion.until = std::max(suspicion.until, until);
-  stats_.Add(stat::kPeersSuspected);
+  stats_.Add(StatId::kPeersSuspected);
   FlightRecord(FrEvent::kSuspect, peer, suspicion.strikes);
   if (tracer_.enabled()) {
     tracer_.Instant(queue_.Now(), trace::kMigration, trace::kPeerSuspected, peer, ProcessId{},
@@ -874,7 +874,7 @@ void Kernel::ForwardThroughAddress(Message msg, MachineId next_machine) {
                                  << " after " << int{msg.hop_count} << " hops";
     return;
   }
-  stats_.Add(stat::kMsgsForwarded);
+  stats_.Add(StatId::kMsgsForwarded);
   msg.hop_count++;
   msg.RecordVia(machine_);  // the collapse trail: every record this crossed
   TraceMessage(trace::kMsgForward, msg, msg.hop_count, next_machine);
@@ -924,7 +924,7 @@ void Kernel::SendLinkUpdate(const ProcessAddress& original_sender, const Process
     tracer_.Instant(queue_.Now(), trace::kMessage, trace::kLinkUpdateSent, update.trace_id,
                     migrated, 0, new_machine);
   }
-  stats_.Add(stat::kLinkUpdateMsgs);
+  stats_.Add(StatId::kLinkUpdateMsgs);
   Transmit(std::move(update));
 }
 
@@ -934,7 +934,7 @@ void Kernel::HandleLinkUpdate(ProcessRecord& record, const Message& msg) {
   const MachineId new_machine = r.U16();
   const int patched = record.links.UpdateAddresses(migrated, new_machine);
   if (patched > 0) {
-    stats_.Add(stat::kLinksPatched, patched);
+    stats_.Add(StatId::kLinksPatched, patched);
   }
   TraceMessage(trace::kLinkUpdateApplied, msg, static_cast<std::uint64_t>(patched));
   // Ack the forwarder so it can retire this machine from the record's
@@ -945,7 +945,7 @@ void Kernel::HandleLinkUpdate(ProcessRecord& record, const Message& msg) {
       IsKernelPid(msg.sender.pid) && forwarder != machine_ && forwarder != kNoMachine) {
     ByteWriter w;
     w.Pid(migrated);
-    stats_.Add(stat::kLinkUpdateAcks);
+    stats_.Add(StatId::kLinkUpdateAcks);
     SendFromKernel(KernelAddress(forwarder), MsgType::kLinkUpdateAck, w.Take());
   }
 }
@@ -968,7 +968,7 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
       break;
   }
   if (config_.delivery_mode == KernelConfig::DeliveryMode::kReturnToSender) {
-    stats_.Add(stat::kMsgsBounced);
+    stats_.Add(StatId::kMsgsBounced);
     TraceMessage(trace::kMsgBounce, msg, static_cast<std::uint64_t>(msg.type));
     if (observer_ != nullptr) {
       observer_->OnMessageBounce(machine_, msg);
@@ -1003,10 +1003,10 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
         // registry stands in for the reclaimed forwarding address, so this
         // counts (and link-updates) as a forward, not a bounce -- senders
         // converge onto the live host exactly as with a real record.
-        stats_.Add("gc_rerouted");
-        stats_.Add(stat::kMsgsForwarded);
+        stats_.Add(StatId::kGcRerouted);
+        stats_.Add(StatId::kMsgsForwarded);
         if (pid.creating_machine != machine_) {
-          stats_.Add(stat::kGossipReroutes);  // knowledge arrived by gossip
+          stats_.Add(StatId::kGossipReroutes);  // knowledge arrived by gossip
         }
         const ProcessAddress original_sender = msg.sender;
         const MachineId where = it->second.where;
@@ -1033,7 +1033,7 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
     }
   }
 
-  stats_.Add(stat::kMsgsBounced);
+  stats_.Add(StatId::kMsgsBounced);
   TraceMessage(trace::kMsgBounce, msg, static_cast<std::uint64_t>(msg.type));
   if (observer_ != nullptr) {
     observer_->OnMessageBounce(machine_, msg);
@@ -1076,7 +1076,7 @@ void Kernel::HandleNotDeliverable(Message msg, MachineId wire_src) {
       resident != nullptr && resident->state != ExecState::kExited) {
     ProcessRecord* sender = processes_.Find(original.sender.pid);
     if (sender != nullptr && config_.link_update_enabled) {
-      stats_.Add(stat::kLinksPatched, sender->links.UpdateAddresses(pid, machine_));
+      stats_.Add(StatId::kLinksPatched, sender->links.UpdateAddresses(pid, machine_));
     }
     original.receiver.last_known_machine = machine_;
     RouteIncoming(std::move(original), machine_);
@@ -1091,10 +1091,10 @@ void Kernel::HandleNotDeliverable(Message msg, MachineId wire_src) {
       rit->second.where != wire_src) {
     ProcessRecord* sender = processes_.Find(original.sender.pid);
     if (sender != nullptr && config_.link_update_enabled) {
-      stats_.Add(stat::kLinksPatched,
+      stats_.Add(StatId::kLinksPatched,
                  sender->links.UpdateAddresses(pid, rit->second.where));
     }
-    stats_.Add(stat::kGossipReroutes);
+    stats_.Add(StatId::kGossipReroutes);
     original.receiver.last_known_machine = rit->second.where;
     Transmit(std::move(original));
     return;
@@ -1204,13 +1204,13 @@ void Kernel::LocateRetryFired(const ProcessId& pid, std::uint32_t generation) {
   }
   ParkedLocate& parked = it->second;
   if (parked.attempts >= config_.locate_max_attempts) {
-    stats_.Add(stat::kLocateGaveUp);
+    stats_.Add(StatId::kLocateGaveUp);
     BounceParkedLocate(pid);
     return;
   }
   parked.attempts++;
   const MachineId target = PickLocateTarget(parked.attempts, pid);
-  stats_.Add(stat::kLocateRetries);
+  stats_.Add(StatId::kLocateRetries);
   FlightRecord(FrEvent::kLocateRetry, target, parked.attempts);
   ByteWriter w;
   w.Pid(pid);
@@ -1229,7 +1229,7 @@ void Kernel::ReprobeParkedLocates() {
       parked.attempts = 1;
     }
     const MachineId target = PickLocateTarget(parked.attempts, pid);
-    stats_.Add(stat::kLocateRetries);
+    stats_.Add(StatId::kLocateRetries);
     FlightRecord(FrEvent::kLocateRetry, target, parked.attempts);
     ByteWriter w;
     w.Pid(pid);
@@ -1250,7 +1250,7 @@ void Kernel::ResolveParkedLocate(const ProcessId& pid, MachineId where) {
     // lazy-update benefit the forwarding scheme enjoys.
     ProcessRecord* sender = processes_.Find(original.sender.pid);
     if (sender != nullptr && config_.link_update_enabled) {
-      stats_.Add(stat::kLinksPatched, sender->links.UpdateAddresses(pid, where));
+      stats_.Add(StatId::kLinksPatched, sender->links.UpdateAddresses(pid, where));
     }
     original.receiver.last_known_machine = where;
     if (observer_ != nullptr) {
@@ -1268,7 +1268,7 @@ void Kernel::BounceParkedLocate(const ProcessId& pid) {
   std::vector<Message> msgs = std::move(it->second.msgs);
   parked_for_locate_.erase(it);
   for (Message& original : msgs) {
-    stats_.Add(stat::kMsgsBounced);
+    stats_.Add(StatId::kMsgsBounced);
     TraceMessage(trace::kMsgBounce, original, static_cast<std::uint64_t>(original.type));
     if (observer_ != nullptr) {
       observer_->OnMessageBounce(machine_, original);
@@ -1370,7 +1370,7 @@ bool Kernel::RefuseSendToDead(const ProcessAddress& sender, const ProcessAddress
       it->second.version != 0) {
     return false;
   }
-  stats_.Add(stat::kSendsRefused);
+  stats_.Add(StatId::kSendsRefused);
   ByteWriter w;
   w.U16(static_cast<std::uint16_t>(type));
   w.Pid(to.pid);
@@ -1385,7 +1385,7 @@ void Kernel::HandleForwardingClear(const Message& msg) {
   if (entry != nullptr && entry->IsForwarding()) {
     DropForwardingMeta(pid);
     processes_.Erase(pid);
-    stats_.Add("forwarding_cleared");
+    stats_.Add(StatId::kForwardingCleared);
   }
 }
 
@@ -1406,7 +1406,7 @@ void Kernel::EmitChainCollapse(const Message& msg) {
     return;
   }
   const std::uint64_t version = record->migration_history.size();
-  stats_.Add(stat::kChainCollapses);
+  stats_.Add(StatId::kChainCollapses);
   for (std::uint8_t i = 0; i < msg.via_count && i < Message::kMaxViaSlots; ++i) {
     const MachineId via = msg.via[i];
     if (via == machine_ || via == kNoMachine) {
@@ -1445,7 +1445,7 @@ void Kernel::HandleChainCollapse(const Message& msg) {
   it->second.version = version;
   // installed_at is deliberately NOT refreshed: the epoch watermark measures
   // the record's age, and a re-point does not make the record younger.
-  stats_.Add(stat::kChainCollapseApplied);
+  stats_.Add(StatId::kChainCollapseApplied);
 }
 
 void Kernel::HandleLinkUpdateAck(const Message& msg) {
@@ -1473,13 +1473,13 @@ void Kernel::InstallForwardingRecord(const ProcessId& pid, MachineId machine,
   it->second.last_used = queue_.Now();
   it->second.peers_emptied_at = it->second.peers.empty() ? queue_.Now() : 0;
   if (inserted) {
-    stats_.Add(stat::kFwdRecordsLive);
+    stats_.Add(StatId::kFwdRecordsLive);
   }
 }
 
 void Kernel::DropForwardingMeta(const ProcessId& pid) {
   if (fwd_meta_.erase(pid) != 0) {
-    stats_.Add(stat::kFwdRecordsLive, -1);
+    stats_.Add(StatId::kFwdRecordsLive, -1);
   }
 }
 
@@ -1489,7 +1489,7 @@ void Kernel::ReclaimForwardingRecord(const ProcessId& pid) {
     processes_.Erase(pid);
   }
   DropForwardingMeta(pid);
-  stats_.Add(stat::kFwdReclaimed);
+  stats_.Add(StatId::kFwdReclaimed);
 }
 
 void Kernel::NoteForwardingPeer(const ProcessId& pid, MachineId peer) {
@@ -1512,7 +1512,7 @@ void Kernel::SweepAddressingState() {
     auto& entries = processes_.mutable_entries();
     for (auto it = entries.begin(); it != entries.end();) {
       if (it->second.IsForwarding() && now - it->second.installed_at > config_.forwarding_ttl_us) {
-        stats_.Add("forwarding_expired");
+        stats_.Add(StatId::kForwardingExpired);
         DropForwardingMeta(it->first);
         it = entries.erase(it);
       } else {
@@ -1599,7 +1599,7 @@ void Kernel::SweepAddressingState() {
       ++tombstones_reclaimed;
     }
     if (tombstones_reclaimed != 0) {
-      stats_.Add(stat::kTombstonesReclaimed, static_cast<std::int64_t>(tombstones_reclaimed));
+      stats_.Add(StatId::kTombstonesReclaimed, static_cast<std::int64_t>(tombstones_reclaimed));
     }
   }
 
@@ -1711,9 +1711,9 @@ void Kernel::FlushGossip() {
   if (targets.empty()) {
     targets.push_back(known_peers_[start]);  // all suspect: gossip anyway
   }
-  stats_.Add(stat::kGossipRounds);
+  stats_.Add(StatId::kGossipRounds);
   for (MachineId peer : targets) {
-    stats_.Add(stat::kGossipRumors, static_cast<std::int64_t>(triples.size()));
+    stats_.Add(StatId::kGossipRumors, static_cast<std::int64_t>(triples.size()));
     FlightRecord(FrEvent::kGossip, peer, triples.size());
     SendFromKernel(KernelAddress(peer), MsgType::kGossip, payload);
   }
@@ -1733,7 +1733,7 @@ void Kernel::HandleGossip(const Message& msg) {
       continue;
     }
     if (NoteLocationAdvance(pid, where, version)) {
-      stats_.Add(stat::kGossipAdvanced);
+      stats_.Add(StatId::kGossipAdvanced);
       // Fresh news can resolve messages parked on a locate probe.
       if (parked_for_locate_.count(pid) != 0) {
         if (where != kNoMachine && where != machine_) {

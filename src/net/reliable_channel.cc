@@ -54,8 +54,8 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
     }
     if (config_.max_retries != 0 && attempt > config_.max_retries) {
       DEMOS_LOG(kWarn, "rel") << "giving up on frame m" << src << "->m" << dst << " seq " << seq;
-      stats_.Add(stat::kRelGiveUps);
-      stats_.Add("rel_give_ups_m" + std::to_string(src) + "_to_m" + std::to_string(dst));
+      stats_.Add(StatId::kRelGiveUps);
+      stats_.AddNamed("rel_give_ups_m" + std::to_string(src) + "_to_m" + std::to_string(dst));
       TraceFrame(trace::kGiveUp, src, seq, attempt);
       if (metrics_ != nullptr) {
         metrics_->Inc(CounterId::kRelGiveUps);
@@ -69,7 +69,7 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
       }
       return;
     }
-    stats_.Add(stat::kRelRetransmits);
+    stats_.Add(StatId::kRelRetransmits);
     TraceFrame(trace::kRetransmit, src, seq, attempt);
     if (metrics_ != nullptr) {
       metrics_->Inc(CounterId::kRelRetransmits);
@@ -104,7 +104,7 @@ void ReliableTransport::OnLowerDelivery(MachineId dst, MachineId src, PayloadRef
 
   ReceiverState& recv = receivers_[PairKey{src, dst}];
   if (seq < recv.next_expected) {
-    stats_.Add(stat::kRelDuplicatesDropped);
+    stats_.Add(StatId::kRelDuplicatesDropped);
     if (metrics_ != nullptr) {
       metrics_->Inc(CounterId::kRelDuplicatesDropped);
     }
@@ -126,14 +126,14 @@ void ReliableTransport::OnLowerDelivery(MachineId dst, MachineId src, PayloadRef
   } else {
     // Out of order: buffer unless duplicate.
     if (!recv.out_of_order.emplace(seq, std::move(payload)).second) {
-      stats_.Add(stat::kRelDuplicatesDropped);
+      stats_.Add(StatId::kRelDuplicatesDropped);
       if (metrics_ != nullptr) {
         metrics_->Inc(CounterId::kRelDuplicatesDropped);
       }
     }
   }
 
-  stats_.Add(stat::kRelAcksSent);
+  stats_.Add(StatId::kRelAcksSent);
   if (metrics_ != nullptr) {
     metrics_->Inc(CounterId::kRelAcksSent);
   }

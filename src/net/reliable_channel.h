@@ -118,13 +118,6 @@ class ReliableTransport final : public Transport {
   FlightRecorder* flight_ = nullptr;
 };
 
-namespace stat {
-inline constexpr const char* kRelRetransmits = "rel_retransmits";
-inline constexpr const char* kRelAcksSent = "rel_acks_sent";
-inline constexpr const char* kRelDuplicatesDropped = "rel_duplicates_dropped";
-inline constexpr const char* kRelGiveUps = "rel_give_ups";
-}  // namespace stat
-
 }  // namespace demos
 
 #endif  // DEMOS_NET_RELIABLE_CHANNEL_H_

@@ -7,32 +7,32 @@
 namespace demos {
 
 void SimNetwork::Send(MachineId src, MachineId dst, PayloadRef payload) {
-  stats_.Add(stat::kNetPacketsSent);
-  stats_.Add(stat::kNetBytesSent,
+  stats_.Add(StatId::kNetPacketsSent);
+  stats_.Add(StatId::kNetBytesSent,
              static_cast<std::int64_t>(payload.size() + config_.frame_overhead_bytes));
 
   if (src == dst) {
     // Intra-machine kernel traffic does not touch the wire; deliver on the
     // next event-loop turn to preserve asynchronous semantics.
-    stats_.Add(stat::kNetLocalDeliveries);
+    stats_.Add(StatId::kNetLocalDeliveries);
     Deliver(src, dst, std::move(payload), 0);
     return;
   }
 
   if (!IsNodeUp(src) || !IsNodeUp(dst)) {
-    stats_.Add(stat::kNetPacketsDropped);
+    stats_.Add(StatId::kNetPacketsDropped);
     TraceWire(trace::kPacketDropped, src, dst);
     return;
   }
   if (config_.drop_probability > 0 && rng_.Chance(config_.drop_probability)) {
-    stats_.Add(stat::kNetPacketsDropped);
+    stats_.Add(StatId::kNetPacketsDropped);
     TraceWire(trace::kPacketDropped, src, dst);
     return;
   }
 
   SimDuration delay = TransmitDelay(payload.size(), src);
   if (config_.duplicate_probability > 0 && rng_.Chance(config_.duplicate_probability)) {
-    stats_.Add(stat::kNetPacketsDuplicated);
+    stats_.Add(StatId::kNetPacketsDuplicated);
     TraceWire(trace::kPacketDuplicated, src, dst);
     Deliver(src, dst, payload, delay + 1);  // refcount bump, not a byte copy
   }
@@ -45,14 +45,14 @@ void SimNetwork::Deliver(MachineId src, MachineId dst, PayloadRef payload, SimDu
     // busy output port dies with its sender (crash semantics), and a crashed
     // receiver hears nothing.
     if ((src != dst && !IsNodeUp(src)) || !IsNodeUp(dst)) {
-      stats_.Add(stat::kNetPacketsDropped);
+      stats_.Add(StatId::kNetPacketsDropped);
       TraceWire(trace::kPacketDropped, src, dst);
       return;
     }
     auto it = handlers_.find(dst);
     if (it == handlers_.end()) {
       DEMOS_LOG(kWarn, "net") << "packet for unattached machine m" << dst << " discarded";
-      stats_.Add(stat::kNetPacketsDropped);
+      stats_.Add(StatId::kNetPacketsDropped);
       return;
     }
     // Move our ref out: with the default exactly-once delivery the handler

@@ -92,14 +92,6 @@ class SimNetwork final : public Transport {
   Tracer tracer_;
 };
 
-namespace stat {
-inline constexpr const char* kNetPacketsSent = "net_packets_sent";
-inline constexpr const char* kNetPacketsDropped = "net_packets_dropped";
-inline constexpr const char* kNetPacketsDuplicated = "net_packets_duplicated";
-inline constexpr const char* kNetBytesSent = "net_bytes_sent";
-inline constexpr const char* kNetLocalDeliveries = "net_local_deliveries";
-}  // namespace stat
-
 }  // namespace demos
 
 #endif  // DEMOS_NET_SIM_NETWORK_H_

@@ -217,20 +217,9 @@ MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
 const std::map<std::string, std::string>& LegacyAliases() {
   static const std::map<std::string, std::string>* aliases = [] {
     auto* m = new std::map<std::string, std::string>;
-    // StatsRegistry::Dump names -> their demos-metrics-v1 home.
-    for (const char* name :
-         {stat::kMsgsSent,           stat::kMsgsDelivered,
-          stat::kMsgsForwarded,      stat::kMsgsBounced,
-          stat::kLinkUpdateMsgs,     stat::kLinksPatched,
-          stat::kAdminMsgs,          stat::kAdminBytes,
-          stat::kDataPackets,        stat::kDataBytes,
-          stat::kDataAcks,           stat::kMigrations,
-          stat::kMigrationsRefused,  stat::kMigrationsTimedOut,
-          stat::kMigrationsReaped,   stat::kMigrationsAdopted,
-          stat::kMigrationsRefusedSuspect, stat::kPeersSuspected,
-          stat::kStaleMigrationMsgs, stat::kPendingForwarded,
-          stat::kForwardingAddresses, stat::kWireBytesSent,
-          stat::kDeliverToKernelMsgs}) {
+    // StatsRegistry::Dump names -> their demos-metrics-v1 home: the whole
+    // counter catalog.
+    for (const char* name : kStatNames) {
       (*m)[name] = std::string("kernel.") + name;
     }
     // PayloadCounters statics.

@@ -11,9 +11,8 @@
 //     a single lock anywhere.
 //   - No string lookups on the hot path.  The metric catalog is a fixed enum
 //     (CounterId/GaugeId/HistogramId); names exist only at export time.
-//     (Contrast StatsRegistry, whose map-by-name Add() is fine for the
-//     kernel's per-event accounting but too heavy for per-message runtime
-//     counters.)
+//     (The kernels' StatsRegistry follows the same rule with its own StatId
+//     catalog, folded in below under a "kernel." prefix.)
 //   - One snapshot API.  BuildSnapshot() folds the legacy sources -- the
 //     kernels' StatsRegistry counters and the process-wide PayloadCounters --
 //     into the same MetricsSnapshot, so exporters emit one coherent view and
@@ -260,8 +259,8 @@ MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
                               const std::vector<const StatsRegistry*>& kernel_stats = {});
 
 // Old dump name -> canonical demos-metrics-v1 name, for every legacy counter
-// that the fold renames (StatsRegistry names gain a "kernel." prefix, payload
-// counters a "payload." prefix).  Kept for one release so dashboards keyed on
+// that the fold renames (every StatId catalog name gains a "kernel." prefix,
+// payload counters a "payload." prefix).  Kept for one release so dashboards keyed on
 // the old StatsRegistry::Dump names can migrate.
 const std::map<std::string, std::string>& LegacyAliases();
 

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -47,11 +48,21 @@ class EventQueue {
   void SetMetrics(MetricShard* metrics) { metrics_ = metrics; }
 
   // Schedule `fn` to run at absolute virtual time `when` (clamped to Now()).
+  // The callback is moved into a slot once; only its 24-byte key sifts.
   void At(SimTime when, Callback fn) {
     if (when < now_) {
       when = now_;
     }
-    heap_.push_back(Event{when, next_seq_++, std::move(fn)});
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(std::move(fn));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(fn);
+    }
+    heap_.push_back(Key{when, next_seq_++, slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
@@ -70,18 +81,19 @@ class EventQueue {
     if (heap_.empty()) {
       return false;
     }
-    // The callback may schedule more events, so pop before invoking.  The
-    // heap is a raw vector (not std::priority_queue, whose const top() would
-    // force a std::function copy per event): sift the next event to the back,
-    // then move it out.
+    // Pop the key, move the callback out of its slot and free the slot, then
+    // invoke: the callback may schedule more events, which can reuse the slot
+    // or grow (and relocate) the slot vector.
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
+    const Key key = heap_.back();
     heap_.pop_back();
-    now_ = ev.when;
+    Callback fn = std::move(slots_[key.slot]);
+    free_slots_.push_back(key.slot);
+    now_ = key.when;
     if (metrics_ != nullptr) {
       metrics_->Inc(CounterId::kEventsExecuted);
     }
-    ev.fn();
+    fn();
     return true;
   }
 
@@ -132,14 +144,17 @@ class EventQueue {
   }
 
  private:
-  struct Event {
+  // Heap entry: trivially copyable, so a sift step moves 24 bytes and never
+  // touches the callback it names.
+  struct Key {
     SimTime when;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;  // index into slots_
   };
+  static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
 
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
@@ -148,8 +163,11 @@ class EventQueue {
   };
 
   // Min-heap on (when, seq) maintained with std::push_heap/pop_heap;
-  // heap_.front() is always the next event.
-  std::vector<Event> heap_;
+  // heap_.front() is always the next event.  Callbacks stay put in slots_
+  // (free slots listed in free_slots_) until Step() moves them out.
+  std::vector<Key> heap_;
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   MetricShard* metrics_ = nullptr;

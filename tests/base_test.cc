@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -189,10 +192,65 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 TEST(StatsTest, CountersAccumulate) {
   StatsRegistry stats;
-  stats.Add("x");
-  stats.Add("x", 4);
+  stats.Add(StatId::kMsgsSent);
+  stats.Add(StatId::kMsgsSent, 4);
+  EXPECT_EQ(stats.Get(StatId::kMsgsSent), 5);
+  EXPECT_EQ(stats.Get(stat::kMsgsSent), 5);
+  stats.AddNamed("x");
+  stats.AddNamed("x", 4);
   EXPECT_EQ(stats.Get("x"), 5);
   EXPECT_EQ(stats.Get("missing"), 0);
+  EXPECT_EQ(stats.Get(StatId::kMsgsBounced), 0);
+}
+
+// counters() lists exactly the touched names: a name touched only with 0, or
+// whose value went back to 0 (fwd_records_live takes negative deltas), stays;
+// an untouched catalog entry does not appear.
+TEST(StatsTest, CountersKeepTouchedNamesAtZero) {
+  StatsRegistry stats;
+  stats.Add(StatId::kMsgsBounced, 0);
+  stats.Add(StatId::kFwdRecordsLive);
+  stats.Add(StatId::kFwdRecordsLive, -1);
+  stats.AddNamed("rel_give_ups_m0_to_m1", 0);
+  const std::map<std::string, std::int64_t> want = {
+      {stat::kMsgsBounced, 0}, {stat::kFwdRecordsLive, 0}, {"rel_give_ups_m0_to_m1", 0}};
+  EXPECT_EQ(stats.counters(), want);
+  // The touched set survives a copy and a merge.
+  EXPECT_EQ(StatsRegistry(stats).counters(), want);
+  StatsRegistry merged;
+  merged.Merge(stats);
+  EXPECT_EQ(merged.counters(), want);
+}
+
+TEST(StatsTest, GetByNameMatchesAddByIdForEveryCatalogEntry) {
+  StatsRegistry stats;
+  for (std::size_t i = 0; i < kNumStatIds; ++i) {
+    stats.Add(static_cast<StatId>(i), static_cast<std::int64_t>(i) + 1);
+  }
+  const std::map<std::string, std::int64_t> counters = stats.counters();
+  EXPECT_EQ(counters.size(), kNumStatIds) << "duplicate export name in the catalog";
+  for (std::size_t i = 0; i < kNumStatIds; ++i) {
+    const auto id = static_cast<StatId>(i);
+    const std::string name = kStatNames[i];
+    EXPECT_EQ(FindStat(name), id) << name;
+    EXPECT_EQ(stats.Get(name), static_cast<std::int64_t>(i) + 1) << name;
+    EXPECT_EQ(counters.at(name), static_cast<std::int64_t>(i) + 1) << name;
+  }
+  EXPECT_EQ(FindStat("rel_give_ups_m0_to_m1"), std::nullopt);
+}
+
+// The one run-time-named family keeps reading by name, and a catalog name
+// handed to AddNamed lands in its slot, so a name never has two homes.
+TEST(StatsTest, RunTimeNamedFamilyReadsByName) {
+  StatsRegistry stats;
+  stats.AddNamed("rel_give_ups_m0_to_m1");
+  stats.AddNamed("rel_give_ups_m0_to_m1");
+  stats.AddNamed("rel_give_ups_m2_to_m1");
+  EXPECT_EQ(stats.Get("rel_give_ups_m0_to_m1"), 2);
+  EXPECT_EQ(stats.Get("rel_give_ups_m2_to_m1"), 1);
+  stats.AddNamed(stat::kRelGiveUps, 3);
+  EXPECT_EQ(stats.Get(StatId::kRelGiveUps), 3);
+  EXPECT_EQ(stats.counters().size(), 3u);
 }
 
 TEST(StatsTest, DistributionSummary) {
@@ -213,10 +271,15 @@ TEST(StatsTest, DistributionSummary) {
 TEST(StatsTest, MergeCombines) {
   StatsRegistry a;
   StatsRegistry b;
-  a.Add("n", 2);
-  b.Add("n", 3);
+  a.Add(StatId::kMsgsSent, 2);
+  b.Add(StatId::kMsgsSent, 3);
+  b.Add(StatId::kMsgsBounced);
+  a.AddNamed("n", 2);
+  b.AddNamed("n", 3);
   b.Record("d", 7.0);
   a.Merge(b);
+  EXPECT_EQ(a.Get(StatId::kMsgsSent), 5);
+  EXPECT_EQ(a.Get(StatId::kMsgsBounced), 1);
   EXPECT_EQ(a.Get("n"), 5);
   ASSERT_NE(a.GetDistribution("d"), nullptr);
   EXPECT_EQ(a.GetDistribution("d")->count(), 1u);
@@ -224,20 +287,30 @@ TEST(StatsTest, MergeCombines) {
 
 TEST(StatsTest, ResetClears) {
   StatsRegistry stats;
-  stats.Add("n");
+  stats.Add(StatId::kMsgsSent);
+  stats.AddNamed("n");
   stats.Record("d", 1.0);
   stats.Reset();
+  EXPECT_EQ(stats.Get(StatId::kMsgsSent), 0);
   EXPECT_EQ(stats.Get("n"), 0);
+  EXPECT_TRUE(stats.counters().empty());
   EXPECT_EQ(stats.GetDistribution("d"), nullptr);
 }
 
 TEST(StatsTest, CopyTakesSnapshot) {
   StatsRegistry a;
-  a.Add("n", 7);
+  a.Add(StatId::kMsgsSent, 7);
+  a.AddNamed("n", 7);
   a.Record("d", 1.0);
   StatsRegistry b = a;
-  a.Add("n", 1);
+  a.Add(StatId::kMsgsSent, 1);
+  a.AddNamed("n", 1);
+  EXPECT_EQ(b.Get(StatId::kMsgsSent), 7);
   EXPECT_EQ(b.Get("n"), 7);
+  StatsRegistry c;
+  c.Add(StatId::kMsgsBounced);
+  c = b;  // assignment replaces, it does not merge
+  EXPECT_EQ(c.counters(), b.counters());
   ASSERT_NE(b.GetDistribution("d"), nullptr);
   EXPECT_EQ(b.GetDistribution("d")->count(), 1u);
 }
@@ -253,8 +326,8 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&stats, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        stats.Add("shared");
-        stats.Add("per_thread_" + std::to_string(t));
+        stats.Add(StatId::kMsgsSent);
+        stats.AddNamed("per_thread_" + std::to_string(t));
         if (i % 64 == 0) {
           stats.Record("dist", static_cast<double>(i));
         }
@@ -264,13 +337,44 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_EQ(stats.Get("shared"), kThreads * kPerThread);
+  EXPECT_EQ(stats.Get(StatId::kMsgsSent), kThreads * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(stats.Get("per_thread_" + std::to_string(t)), kPerThread);
   }
   ASSERT_NE(stats.GetDistribution("dist"), nullptr);
   EXPECT_EQ(stats.GetDistribution("dist")->count(),
             static_cast<std::size_t>(kThreads) * ((kPerThread + 63) / 64));
+}
+
+// A shard thread adds while another thread snapshots the registry (the
+// metrics sampler's view); TSan must see no race, and every snapshot must be
+// a plausible point in time: a monotone counter never goes backwards.
+TEST(StatsTest, SnapshotWhileOneWriterAdds) {
+  constexpr int kAdds = 50000;
+  StatsRegistry stats;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kAdds; ++i) {
+      stats.Add(StatId::kMsgsSent);
+      stats.Add(StatId::kFwdRecordsLive, (i % 2 == 0) ? 1 : -1);
+      if (i % 1000 == 0) {
+        stats.AddNamed("rel_give_ups_m0_to_m1");
+      }
+    }
+    done.store(true);
+  });
+  std::int64_t last = 0;
+  while (!done.load()) {
+    const std::map<std::string, std::int64_t> snap = stats.counters();
+    auto it = snap.find(stat::kMsgsSent);
+    const std::int64_t now = it == snap.end() ? 0 : it->second;
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  writer.join();
+  EXPECT_EQ(stats.Get(StatId::kMsgsSent), kAdds);
+  EXPECT_EQ(stats.Get(StatId::kFwdRecordsLive), 0);
+  EXPECT_EQ(stats.Get("rel_give_ups_m0_to_m1"), kAdds / 1000);
 }
 
 TEST(PayloadCountersTest, ConcurrentCountsDoNotTear) {

@@ -25,6 +25,7 @@
 #include "src/run/parallel_cluster.h"
 #include "src/workload/programs.h"
 #include "src/workload/token_ring_harness.h"
+#include "tests/test_util.h"
 
 namespace demos {
 namespace {
@@ -268,9 +269,9 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
 TEST(BuildSnapshot, FoldsLegacyRegistriesWithoutDoubleCounting) {
   StatsRegistry kernel0;
   StatsRegistry kernel1;
-  kernel0.Add("msgs_sent", 7);
-  kernel1.Add("msgs_sent", 5);
-  kernel1.Add("msgs_forwarded", 2);
+  kernel0.Add(StatId::kMsgsSent, 7);
+  kernel1.Add(StatId::kMsgsSent, 5);
+  kernel1.Add(StatId::kMsgsForwarded, 2);
 
   const MetricsSnapshot snap = BuildSnapshot(nullptr, {&kernel0, &kernel1});
   ASSERT_EQ(snap.kernel_counters.size(), 2u);
@@ -297,6 +298,47 @@ TEST(BuildSnapshot, LegacyAliasTableCoversRenames) {
     has_payload = has_payload || new_name.rfind("payload.", 0) == 0;
   }
   EXPECT_TRUE(has_payload);
+  // Built from the counter catalog: every catalog name has its entry.
+  for (const char* name : kStatNames) {
+    ASSERT_EQ(aliases.count(name), 1u) << name;
+    EXPECT_EQ(aliases.at(name), std::string("kernel.") + name);
+  }
+}
+
+// Every name a real run folds into kernel_total -- kernels, network and
+// reliable channel, through a migration with forwarding and link update --
+// has an alias entry.  The per-pair give-up family is run-time named and is
+// the one exception.
+TEST(BuildSnapshot, EveryFoldedKernelNameHasAnAlias) {
+  testutil::RegisterPrograms();
+  ClusterConfig config;
+  config.machines = 3;
+  config.reliable_layer = true;
+  Cluster cluster(config);
+  auto counter = cluster.kernel(0).SpawnProcess("counter");
+  ASSERT_TRUE(counter.ok());
+  cluster.RunUntilIdle();
+  testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
+  cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
+  cluster.RunUntilIdle();
+
+  std::vector<const StatsRegistry*> registries = cluster.KernelStats();
+  registries.push_back(&cluster.network().stats());
+  registries.push_back(&cluster.reliable()->stats());
+  const MetricsSnapshot snap = BuildSnapshot(nullptr, registries);
+  ASSERT_GT(snap.kernel_total.at("kernel.msgs_forwarded"), 0);
+  ASSERT_GT(snap.kernel_total.at("kernel.net_packets_sent"), 0);
+  ASSERT_GT(snap.kernel_total.at("kernel.rel_acks_sent"), 0);
+  const auto& aliases = LegacyAliases();
+  for (const auto& [canonical, value] : snap.kernel_total) {
+    const std::string old_name = canonical.substr(std::string("kernel.").size());
+    if (old_name.rfind("rel_give_ups_m", 0) == 0) {
+      continue;
+    }
+    auto it = aliases.find(old_name);
+    ASSERT_NE(it, aliases.end()) << canonical << " has no alias";
+    EXPECT_EQ(it->second, canonical);
+  }
 }
 
 // ---------------------------------------------------------------------------

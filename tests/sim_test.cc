@@ -212,5 +212,85 @@ TEST(EventQueueTest, StepMovesCallbacksWithoutCopying) {
   EXPECT_EQ(copies, after_scheduling) << "Step() copied a callback";
 }
 
+// Callbacks live in recycled slots; the order must still come from (when,
+// seq) alone.  Reused slots are handed out in LIFO order, so a slot index says
+// nothing about scheduling order.
+TEST(EventQueueTest, SameTimeFifoSurvivesSlotReuse) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) {
+    q.At(1, [&order, i] { order.push_back(i); });
+  }
+  q.RunUntilIdle();  // frees all eight slots
+  order.clear();
+  for (int i = 0; i < 8; ++i) {
+    q.At(10, [&order, i] { order.push_back(i); });
+    q.At(5, [&order, i] { order.push_back(100 + i); });
+  }
+  q.RunUntilIdle();
+  std::vector<int> want;
+  for (int i = 0; i < 8; ++i) {
+    want.push_back(100 + i);
+  }
+  for (int i = 0; i < 8; ++i) {
+    want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
+}
+
+// A running callback schedules enough events to force the slot vector to
+// grow (and relocate) underneath it; it must keep running off its own copy.
+TEST(EventQueueTest, CallbackMayGrowTheSlotVectorWhileRunning) {
+  EventQueue q;
+  std::vector<int> order;
+  auto owned = std::make_unique<int>(7);
+  int seen = 0;
+  q.At(1, [&q, &order, &seen, owned = std::move(owned)] {
+    for (int i = 0; i < 1000; ++i) {
+      q.At(2, [&order, i] { order.push_back(i); });
+    }
+    seen = *owned;  // captures still alive after the growth
+  });
+  q.RunUntilIdle();
+  EXPECT_EQ(seen, 7);
+  ASSERT_EQ(order.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+}
+
+// Pending callbacks are destroyed exactly once with the queue, inline and
+// heap-fallback (oversized) captures alike; ASan flags a leak or a double
+// free.
+TEST(EventQueueTest, DestroysPendingCallbacksExactlyOnce) {
+  struct Probe {
+    int* live;
+    explicit Probe(int* l) : live(l) { ++*live; }
+    Probe(Probe&& o) noexcept : live(o.live) { ++*live; }
+    Probe(const Probe&) = delete;
+    ~Probe() { --*live; }
+  };
+  struct Oversized {
+    Probe probe;
+    unsigned char padding[128];
+  };
+  int live = 0;
+  int runs = 0;
+  {
+    EventQueue q;
+    for (int i = 0; i < 6; ++i) {
+      q.At(static_cast<SimTime>(i), [p = Probe(&live), &runs] { ++runs; });
+      q.At(static_cast<SimTime>(i), [big = Oversized{Probe(&live), {}}, &runs] { ++runs; });
+    }
+    EXPECT_EQ(live, 12);
+    q.RunUntil(2);  // runs (and destroys) the six events at t <= 2
+    EXPECT_EQ(runs, 6);
+    EXPECT_EQ(live, 6);
+    q.At(9, [p = Probe(&live)] {});  // reuses a freed slot
+    EXPECT_EQ(live, 7);
+  }
+  EXPECT_EQ(live, 0);
+}
+
 }  // namespace
 }  // namespace demos
