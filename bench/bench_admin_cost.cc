@@ -38,11 +38,11 @@ void Run(bench::TraceSink& trace) {
     bench::MigrateNow(cluster, addr->pid, 0, 1);
 
     StatsRegistry total = cluster.TotalStats();
-    const Distribution* sizes = total.GetDistribution("admin_payload_bytes");
+    const HistogramSnapshot* sizes = total.GetDistribution("admin_payload_bytes");
     std::string size_summary = "-";
     if (sizes != nullptr) {
-      size_summary = bench::Num(sizes->Min(), 0) + "/" + bench::Num(sizes->Mean(), 1) + "/" +
-                     bench::Num(sizes->Max(), 0);
+      size_summary = bench::Num(sizes->min) + "/" + bench::Num(sizes->Mean(), 1) + "/" +
+                     bench::Num(sizes->max);
     }
     table.Row({bench::Num(kib), bench::Num(admin.Get()), size_summary,
                bench::Num(admin_bytes.Get()), bench::Num(packets.Get()),

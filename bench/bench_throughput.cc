@@ -152,7 +152,7 @@ bool RunSequentialPhase(int machines, const TokenRingSpec& spec, const std::stri
 
 // One phase on the parallel engine: M shards, one worker thread each.
 // `series_out` non-null attaches the periodic sampler and hands back the
-// demos-metrics-v1 time series for this phase.  `sync_on` runs the phase
+// demos-metrics-v2 time series for this phase.  `sync_on` runs the phase
 // under conservative virtual-time sync (adaptive lookahead on by default);
 // the row is labelled "parallel_sync" so sync-off baselines stay comparable.
 bool RunParallelPhase(int machines, const TokenRingSpec& spec, const std::string& phase,
@@ -217,7 +217,7 @@ bool RunParallelPhase(int machines, const TokenRingSpec& spec, const std::string
       out.sync.wide_windows = coord.Counter(CounterId::kWideWindowsOpened);
       const HistogramSnapshot spans = coord.Histogram(HistogramId::kLbtsWindowSpanUs);
       out.sync.span_mean_us = spans.Mean();
-      out.sync.span_p99_us = spans.QuantileBound(0.99);
+      out.sync.span_p99_us = spans.Percentile(99);
     }
   }
   cluster.Stop();
@@ -335,7 +335,7 @@ bool WriteJson(const std::string& path, const std::vector<PhaseResult>& results,
 
 int Main(int argc, char** argv) {
   std::string json_path;
-  std::string metrics_path;  // demos-metrics-v1 series from the 4-shard run
+  std::string metrics_path;  // demos-metrics-v2 series from the 4-shard run
   bool metrics_on = true;    // --metrics=off measures the instrumentation cost
   // Conservative-sync axis: "off" = free-running parallel only (the pre-sync
   // bench), "on" = sync-enabled parallel only, "both" (default) = run both

@@ -19,7 +19,7 @@
 // Observability: every acquire is a pool_hit (served from a free-list) or a
 // pool_miss (fell back to the heap).  Stats are per-thread; the shard loop
 // folds them into its MetricShard slab (pool_hits / pool_misses) at each
-// park, so exhaustion is visible per shard in demos-metrics-v1.
+// park, so exhaustion is visible per shard in demos-metrics-v2.
 
 #ifndef DEMOS_BASE_POOL_H_
 #define DEMOS_BASE_POOL_H_
@@ -180,10 +180,19 @@ class PayloadBufferPool {
     }
   };
 
+  // Owns its cached nodes: static teardown frees them (the main thread's
+  // LocalCache donates here first, since thread-local destructors run
+  // before static ones).
   struct GlobalCache {
     std::mutex mu;
     std::vector<Node*> nodes;
     std::vector<Bytes> buffers;
+
+    ~GlobalCache() {
+      for (Node* node : nodes) {
+        delete node;
+      }
+    }
   };
 
   // Tombstone for this thread's cache.  False until ~LocalCache runs, so a

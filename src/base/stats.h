@@ -1,4 +1,4 @@
-// Named counters and distributions used for the paper's cost accounting.
+// Named counters and histograms used for the paper's cost accounting.
 //
 // Each kernel owns a StatsRegistry; benches read the counters after a run to
 // regenerate the Section 6 tables (administrative message counts, forwarded
@@ -7,10 +7,8 @@
 #ifndef DEMOS_BASE_STATS_H_
 #define DEMOS_BASE_STATS_H_
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -19,72 +17,10 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "src/base/histogram.h"
 
 namespace demos {
-
-// A recorded sample distribution with the handful of summary statistics the
-// benches print.
-class Distribution {
- public:
-  void Record(double value) {
-    samples_.push_back(value);
-    sorted_valid_ = false;
-  }
-
-  std::size_t count() const { return samples_.size(); }
-
-  double Sum() const {
-    double s = 0;
-    for (double v : samples_) {
-      s += v;
-    }
-    return s;
-  }
-
-  double Mean() const { return samples_.empty() ? 0.0 : Sum() / static_cast<double>(count()); }
-
-  double Min() const {
-    return samples_.empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-  }
-
-  double Max() const {
-    return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  // Linearly interpolated percentile; p in [0, 100].  The sorted view is
-  // cached across calls and invalidated by Record, so summarizing one
-  // distribution at many percentiles sorts once, not per call.
-  double Percentile(double p) const {
-    if (samples_.empty()) {
-      return 0.0;
-    }
-    EnsureSorted();
-    p = std::clamp(p, 0.0, 100.0);
-    const double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    if (lo + 1 >= sorted_.size()) {
-      return sorted_.back();
-    }
-    const double frac = rank - std::floor(rank);
-    return sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
-  }
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  void EnsureSorted() const {
-    if (!sorted_valid_) {
-      sorted_ = samples_;
-      std::sort(sorted_.begin(), sorted_.end());
-      sorted_valid_ = true;
-    }
-  }
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-};
 
 // The counter catalog: every statically named counter, listed once with its
 // export name.  StatId indexes a fixed slot array, so the hot-path Add() takes
@@ -180,8 +116,9 @@ inline std::optional<StatId> FindStat(std::string_view name) {
 // fetch_add plus a relaxed "touched" flag, lock-free from any thread.  Only the
 // run-time-named family (AddNamed, e.g. rel_give_ups_m<a>_to_m<b>) lives in a
 // map, guarded by a shared_mutex taken exclusively when a new name first
-// appears.  Distribution recording stays behind a plain mutex (it is off the
-// per-message hot path).
+// appears.  Named histograms (Record) are fixed-size HistogramSnapshots in a
+// name-keyed map behind a plain mutex; recording never allocates after a
+// name's first sample.
 class StatsRegistry {
  public:
   StatsRegistry() = default;
@@ -225,14 +162,18 @@ class StatsRegistry {
     return it == named_.end() ? 0 : it->second.load(std::memory_order_relaxed);
   }
 
-  void Record(const std::string& name, double value) {
+  void Record(std::string_view name, std::uint64_t value) {
     std::lock_guard lock(distributions_mu_);
-    distributions_[name].Record(value);
+    auto it = distributions_.find(name);
+    if (it == distributions_.end()) {
+      it = distributions_.try_emplace(std::string(name)).first;
+    }
+    it->second.Record(value);
   }
 
   // Pointer into the registry; stable (map nodes never move) but only safe to
   // use once the recording threads are quiescent.
-  const Distribution* GetDistribution(const std::string& name) const {
+  const HistogramSnapshot* GetDistribution(std::string_view name) const {
     std::lock_guard lock(distributions_mu_);
     auto it = distributions_.find(name);
     return it == distributions_.end() ? nullptr : &it->second;
@@ -285,22 +226,18 @@ class StatsRegistry {
     for (const auto& [name, value] : named) {
       FindOrCreateNamed(name)->fetch_add(value, std::memory_order_relaxed);
     }
-    std::map<std::string, std::vector<double>> samples;
+    std::map<std::string, HistogramSnapshot, std::less<>> histograms;
     {
       std::lock_guard lock(other.distributions_mu_);
-      for (const auto& [name, dist] : other.distributions_) {
-        samples[name] = dist.samples();
-      }
+      histograms = other.distributions_;
     }
     std::lock_guard lock(distributions_mu_);
-    for (const auto& [name, values] : samples) {
-      for (double v : values) {
-        distributions_[name].Record(v);
-      }
+    for (const auto& [name, histogram] : histograms) {
+      distributions_[name].Merge(histogram);
     }
   }
 
-  // Human-readable report: sorted counters, then distribution summaries.
+  // Human-readable report: sorted counters, then histogram summaries.
   // Shared by benches, examples, and debugging sessions so the format cannot
   // drift between them.
   void Dump(std::ostream& os) const {
@@ -308,11 +245,10 @@ class StatsRegistry {
       os << "  " << name << " = " << value << "\n";
     }
     std::lock_guard lock(distributions_mu_);
-    for (const auto& [name, dist] : distributions_) {
-      os << "  " << name << ": n=" << dist.count() << " mean=" << dist.Mean()
-         << " min=" << dist.Min() << " p50=" << dist.Percentile(50)
-         << " p95=" << dist.Percentile(95) << " p99=" << dist.Percentile(99)
-         << " max=" << dist.Max() << "\n";
+    for (const auto& [name, h] : distributions_) {
+      os << "  " << name << ": n=" << h.count << " mean=" << h.Mean() << " min=" << h.min
+         << " p50=" << h.Percentile(50) << " p95=" << h.Percentile(95)
+         << " p99=" << h.Percentile(99) << " max=" << h.max << "\n";
     }
   }
 
@@ -338,7 +274,7 @@ class StatsRegistry {
   mutable std::shared_mutex named_mu_;
   std::map<std::string, std::atomic<std::int64_t>, std::less<>> named_;
   mutable std::mutex distributions_mu_;
-  std::map<std::string, Distribution> distributions_;
+  std::map<std::string, HistogramSnapshot, std::less<>> distributions_;
 };
 
 // Counter export names, for readers that key on names (tests, benches,
@@ -348,9 +284,9 @@ namespace stat {
 DEMOS_STAT_CATALOG(DEMOS_STAT_NAME_CONSTANT)
 #undef DEMOS_STAT_NAME_CONSTANT
 
-// Distributions derived from the src/obs tracer (BuildTraceStats): per-phase
+// Histograms derived from the src/obs tracer (BuildTraceStats): per-phase
 // migration latency breakdown, forwarding-chain lengths, and lazy link-update
-// lag.  Phase distributions are named "phase_<name>_us" per
+// lag.  Phase histograms are named "phase_<name>_us" per
 // MigrationPhaseName() in src/obs/trace_export.h.
 inline constexpr const char* kMigrationTotalUs = "migration_total_us";
 inline constexpr const char* kForwardHops = "forward_hops";

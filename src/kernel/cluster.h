@@ -80,9 +80,7 @@ class Cluster final : public Engine {
       if (config.trace_enabled) {
         reliable_->tracer().Enable();
       }
-      reliable_->SetObservability(
-          metrics_ ? &metrics_->shard(config.machines) : nullptr,
-          flight_ ? &flight_->recorder(config.machines) : nullptr);
+      reliable_->SetFlightRecorder(flight_ ? &flight_->recorder(config.machines) : nullptr);
     }
     kernels_.reserve(static_cast<std::size_t>(config.machines));
     for (int i = 0; i < config.machines; ++i) {
@@ -136,6 +134,16 @@ class Cluster final : public Engine {
     return queue_.RunUntilIdle(max_events);
   }
   std::size_t RunFor(SimDuration duration) { return queue_.RunFor(duration); }
+
+  // The reliable transport's rel_* counters follow the kernels' registries;
+  // they are counted nowhere else.
+  MetricsSnapshot BuildSnapshot() const override {
+    std::vector<const StatsRegistry*> stats = KernelStats();
+    if (reliable_) {
+      stats.push_back(&reliable_->stats());
+    }
+    return demos::BuildSnapshot(metrics(), stats);
+  }
 
   // Extends the kernel-tracer merge with the layers only this engine has.
   Tracer TotalTrace() const override {

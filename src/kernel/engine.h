@@ -123,8 +123,10 @@ class Engine {
   // BuildSnapshot / MetricsSampler::TakeSeries).
   std::vector<const StatsRegistry*> KernelStats() const;
 
-  // One demos-metrics-v1 snapshot: engine metrics + kernel counters.
-  MetricsSnapshot BuildSnapshot() const;
+  // One demos-metrics-v2 snapshot: engine metrics + kernel counters.  Engines
+  // with more counted layers (the sequential reliable transport) override
+  // and append their registries.
+  virtual MetricsSnapshot BuildSnapshot() const;
 
   // Merge every layer's trace events into one time-sorted cluster timeline.
   // The default merges the kernel tracers; engines with more traced layers

@@ -152,7 +152,7 @@ void Kernel::Transmit(Message msg) {
   if (IsMigrationAdminType(msg.type)) {
     stats_.Add(StatId::kAdminMsgs);
     stats_.Add(StatId::kAdminBytes, static_cast<std::int64_t>(msg.payload.size()));
-    stats_.Record("admin_payload_bytes", static_cast<double>(msg.payload.size()));
+    stats_.Record("admin_payload_bytes", msg.payload.size());
   }
   if (tracer_.enabled()) {
     // First transmission stamps the lifecycle id; forwarded and bounced

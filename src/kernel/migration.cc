@@ -110,9 +110,9 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
   source.swappable = record.SerializeSwappableState(queue_.Now());
   source.image = record.memory.Serialize();
 
-  stats_.Record("resident_state_bytes", static_cast<double>(source.resident.size()));
-  stats_.Record("swappable_state_bytes", static_cast<double>(source.swappable.size()));
-  stats_.Record("memory_image_bytes", static_cast<double>(source.image.size()));
+  stats_.Record("resident_state_bytes", source.resident.size());
+  stats_.Record("swappable_state_bytes", source.swappable.size());
+  stats_.Record("memory_image_bytes", source.image.size());
 
   if (observer_ != nullptr) {
     observer_->OnMigrationFrozen(machine_, destination, record, source.resident,

@@ -57,9 +57,6 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
       stats_.Add(StatId::kRelGiveUps);
       stats_.AddNamed("rel_give_ups_m" + std::to_string(src) + "_to_m" + std::to_string(dst));
       TraceFrame(trace::kGiveUp, src, seq, attempt);
-      if (metrics_ != nullptr) {
-        metrics_->Inc(CounterId::kRelGiveUps);
-      }
       if (flight_ != nullptr) {
         flight_->Record(FrEvent::kGiveUp, dst, seq);
       }
@@ -71,9 +68,6 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
     }
     stats_.Add(StatId::kRelRetransmits);
     TraceFrame(trace::kRetransmit, src, seq, attempt);
-    if (metrics_ != nullptr) {
-      metrics_->Inc(CounterId::kRelRetransmits);
-    }
     if (flight_ != nullptr) {
       flight_->Record(FrEvent::kRetransmit, dst, seq);
     }
@@ -105,9 +99,6 @@ void ReliableTransport::OnLowerDelivery(MachineId dst, MachineId src, PayloadRef
   ReceiverState& recv = receivers_[PairKey{src, dst}];
   if (seq < recv.next_expected) {
     stats_.Add(StatId::kRelDuplicatesDropped);
-    if (metrics_ != nullptr) {
-      metrics_->Inc(CounterId::kRelDuplicatesDropped);
-    }
   } else if (seq == recv.next_expected) {
     recv.next_expected++;
     auto hit = handlers_.find(dst);
@@ -127,16 +118,10 @@ void ReliableTransport::OnLowerDelivery(MachineId dst, MachineId src, PayloadRef
     // Out of order: buffer unless duplicate.
     if (!recv.out_of_order.emplace(seq, std::move(payload)).second) {
       stats_.Add(StatId::kRelDuplicatesDropped);
-      if (metrics_ != nullptr) {
-        metrics_->Inc(CounterId::kRelDuplicatesDropped);
-      }
     }
   }
 
   stats_.Add(StatId::kRelAcksSent);
-  if (metrics_ != nullptr) {
-    metrics_->Inc(CounterId::kRelAcksSent);
-  }
   lower_.Send(dst, src, EncodeAck(recv.next_expected));
 }
 

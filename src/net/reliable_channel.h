@@ -20,7 +20,6 @@
 #include "src/base/stats.h"
 #include "src/net/transport.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
@@ -54,13 +53,11 @@ class ReliableTransport final : public Transport {
   using GiveUpHandler = std::function<void(MachineId src, MachineId dst, std::uint64_t seq)>;
   void set_on_give_up(GiveUpHandler handler) { on_give_up_ = std::move(handler); }
 
-  // Optional observability sinks (src/obs).  The channel runs single-threaded
-  // on one EventQueue, so one slab/recorder covers every machine pair; the
-  // chaos harness hands it the hub's harness slot.  Null detaches (default).
-  void SetObservability(MetricShard* metrics, FlightRecorder* flight) {
-    metrics_ = metrics;
-    flight_ = flight;
-  }
+  // Optional flight recorder (src/obs).  The channel runs single-threaded on
+  // one EventQueue, so one recorder covers every machine pair; the engine
+  // hands it the hub's harness slot.  Null detaches (default).  Its counters
+  // live only in stats(), which the engine's BuildSnapshot exports.
+  void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
 
  private:
   struct PairKey {
@@ -114,7 +111,6 @@ class ReliableTransport final : public Transport {
   StatsRegistry stats_;
   Tracer tracer_;
   GiveUpHandler on_give_up_;
-  MetricShard* metrics_ = nullptr;
   FlightRecorder* flight_ = nullptr;
 };
 

@@ -8,145 +8,6 @@
 namespace demos {
 
 // ---------------------------------------------------------------------------
-// Catalog names.
-// ---------------------------------------------------------------------------
-
-const char* CounterName(CounterId id) {
-  switch (id) {
-    case CounterId::kMailboxPushes:
-      return "mailbox_pushes";
-    case CounterId::kBackpressureStalls:
-      return "backpressure_stalls";
-    case CounterId::kSpillRescued:
-      return "spill_rescued";
-    case CounterId::kSpillDrained:
-      return "spill_drained";
-    case CounterId::kMsgsDrained:
-      return "msgs_drained";
-    case CounterId::kDrainBatches:
-      return "drain_batches";
-    case CounterId::kCondvarParks:
-      return "condvar_parks";
-    case CounterId::kCondvarNotifies:
-      return "condvar_notifies";
-    case CounterId::kPostedTasks:
-      return "posted_tasks";
-    case CounterId::kEventsExecuted:
-      return "events_executed";
-    case CounterId::kSchedulerRounds:
-      return "scheduler_rounds";
-    case CounterId::kQuiescencePolls:
-      return "quiescence_polls";
-    case CounterId::kQuiescenceVotes:
-      return "quiescence_votes";
-    case CounterId::kRelRetransmits:
-      return "rel_retransmits";
-    case CounterId::kRelAcksSent:
-      return "rel_acks_sent";
-    case CounterId::kRelDuplicatesDropped:
-      return "rel_duplicates_dropped";
-    case CounterId::kRelGiveUps:
-      return "rel_give_ups";
-    case CounterId::kLbtsWindows:
-      return "lbts_windows";
-    case CounterId::kSyncFramesClamped:
-      return "sync_frames_clamped";
-    case CounterId::kSpinIters:
-      return "spin_iters";
-    case CounterId::kParksAvoided:
-      return "parks_avoided";
-    case CounterId::kNotifiesElided:
-      return "notifies_elided";
-    case CounterId::kPoolHits:
-      return "pool_hits";
-    case CounterId::kPoolMisses:
-      return "pool_misses";
-    case CounterId::kWideWindowsOpened:
-      return "wide_windows_opened";
-    case CounterId::kLookaheadShrinks:
-      return "lookahead_shrinks";
-    case CounterId::kWideFramesClamped:
-      return "wide_frames_clamped";
-    case CounterId::kNumCounters:
-      break;
-  }
-  return "unknown_counter";
-}
-
-const char* GaugeName(GaugeId id) {
-  switch (id) {
-    case GaugeId::kMailboxDepth:
-      return "mailbox_depth";
-    case GaugeId::kSpillDepth:
-      return "spill_depth";
-    case GaugeId::kEventQueueDepth:
-      return "event_queue_depth";
-    case GaugeId::kLbtsBoundUs:
-      return "lbts_bound_us";
-    case GaugeId::kNumGauges:
-      break;
-  }
-  return "unknown_gauge";
-}
-
-const char* HistogramName(HistogramId id) {
-  switch (id) {
-    case HistogramId::kDrainBatchSize:
-      return "drain_batch_size";
-    case HistogramId::kEventsPerRound:
-      return "events_per_round";
-    case HistogramId::kPushStallSpins:
-      return "push_stall_spins";
-    case HistogramId::kParkWaitUs:
-      return "park_wait_us";
-    case HistogramId::kLbtsWindowSpanUs:
-      return "lbts_window_span_us";
-    case HistogramId::kBatchSize:
-      return "batch_size";
-    case HistogramId::kNumHistograms:
-      break;
-  }
-  return "unknown_histogram";
-}
-
-// ---------------------------------------------------------------------------
-// Histograms.
-// ---------------------------------------------------------------------------
-
-std::uint64_t HistogramSnapshot::QuantileBound(double q) const {
-  if (count == 0) {
-    return 0;
-  }
-  if (q < 0) {
-    q = 0;
-  }
-  if (q > 1) {
-    q = 1;
-  }
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1)) + 1;
-  std::uint64_t seen = 0;
-  for (int b = 0; b < kHistogramBuckets; ++b) {
-    seen += buckets[static_cast<std::size_t>(b)];
-    if (seen >= target) {
-      return HistogramBucketUpperBound(b);
-    }
-  }
-  return HistogramBucketUpperBound(kHistogramBuckets - 1);
-}
-
-HistogramSnapshot MetricShard::Histogram(HistogramId id) const {
-  const Hist& h = histograms_[static_cast<std::size_t>(id)];
-  HistogramSnapshot out;
-  for (int b = 0; b < kHistogramBuckets; ++b) {
-    const std::uint64_t n = h.buckets[static_cast<std::size_t>(b)].load(std::memory_order_relaxed);
-    out.buckets[static_cast<std::size_t>(b)] = n;
-    out.count += n;
-  }
-  out.sum = h.sum.load(std::memory_order_relaxed);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Snapshots.
 // ---------------------------------------------------------------------------
 
@@ -159,8 +20,8 @@ void ShardSnapshot::Merge(const ShardSnapshot& other) {
   for (int i = 0; i < kNumGaugeIds; ++i) {
     gauges[static_cast<std::size_t>(i)] += other.gauges[static_cast<std::size_t>(i)];
   }
-  for (int i = 0; i < kNumHistogramIds; ++i) {
-    histograms[static_cast<std::size_t>(i)].Merge(other.histograms[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < histograms.size(); ++i) {
+    histograms[i].Merge(other.histograms[i]);
   }
 }
 
@@ -171,20 +32,29 @@ MetricsEngine::MetricsEngine(int shards) {
   }
 }
 
+std::vector<ShardLevels> MetricsEngine::Levels() const {
+  std::vector<ShardLevels> out(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (int i = 0; i < kNumCounterIds; ++i) {
+      out[s].counters[static_cast<std::size_t>(i)] = shards_[s]->Counter(static_cast<CounterId>(i));
+    }
+    for (int i = 0; i < kNumGaugeIds; ++i) {
+      out[s].gauges[static_cast<std::size_t>(i)] = shards_[s]->Gauge(static_cast<GaugeId>(i));
+    }
+  }
+  return out;
+}
+
 MetricsSnapshot MetricsEngine::Snapshot() const {
   MetricsSnapshot snap;
+  const std::vector<ShardLevels> levels = Levels();
   snap.shards.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardSnapshot& dst = snap.shards[s];
-    const MetricShard& src = *shards_[s];
-    for (int i = 0; i < kNumCounterIds; ++i) {
-      dst.counters[static_cast<std::size_t>(i)] = src.Counter(static_cast<CounterId>(i));
-    }
-    for (int i = 0; i < kNumGaugeIds; ++i) {
-      dst.gauges[static_cast<std::size_t>(i)] = src.Gauge(static_cast<GaugeId>(i));
-    }
+    static_cast<ShardLevels&>(dst) = levels[s];
     for (int i = 0; i < kNumHistogramIds; ++i) {
-      dst.histograms[static_cast<std::size_t>(i)] = src.Histogram(static_cast<HistogramId>(i));
+      dst.histograms[static_cast<std::size_t>(i)] =
+          shards_[s]->Histogram(static_cast<HistogramId>(i));
     }
     snap.total.Merge(dst);
   }
@@ -202,7 +72,6 @@ MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
     if (kernel_stats[i] == nullptr) {
       continue;
     }
-    // Canonical v1 names carry the "kernel." prefix (see LegacyAliases).
     for (const auto& [name, value] : kernel_stats[i]->counters()) {
       const std::string canonical = "kernel." + name;
       snap.kernel_counters[i][canonical] = value;
@@ -212,22 +81,6 @@ MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
   snap.payload_allocations = PayloadCounters::allocations.load(std::memory_order_relaxed);
   snap.payload_copied_bytes = PayloadCounters::copied_bytes.load(std::memory_order_relaxed);
   return snap;
-}
-
-const std::map<std::string, std::string>& LegacyAliases() {
-  static const std::map<std::string, std::string>* aliases = [] {
-    auto* m = new std::map<std::string, std::string>;
-    // StatsRegistry::Dump names -> their demos-metrics-v1 home: the whole
-    // counter catalog.
-    for (const char* name : kStatNames) {
-      (*m)[name] = std::string("kernel.") + name;
-    }
-    // PayloadCounters statics.
-    (*m)["payload_allocations"] = "payload.allocations";
-    (*m)["payload_copied_bytes"] = "payload.copied_bytes";
-    return m;
-  }();
-  return *aliases;
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +110,7 @@ std::string JsonEscape(const std::string& in) {
   return out;
 }
 
-void WriteShardCounters(const ShardSnapshot& s, std::ostream& os) {
+void WriteShardCounters(const ShardLevels& s, std::ostream& os) {
   os << "{";
   for (int i = 0; i < kNumCounterIds; ++i) {
     os << (i == 0 ? "" : ",") << "\"" << CounterName(static_cast<CounterId>(i))
@@ -266,7 +119,7 @@ void WriteShardCounters(const ShardSnapshot& s, std::ostream& os) {
   os << "}";
 }
 
-void WriteShardGauges(const ShardSnapshot& s, std::ostream& os) {
+void WriteShardGauges(const ShardLevels& s, std::ostream& os) {
   os << "{";
   for (int i = 0; i < kNumGaugeIds; ++i) {
     os << (i == 0 ? "" : ",") << "\"" << GaugeName(static_cast<GaugeId>(i))
@@ -275,10 +128,16 @@ void WriteShardGauges(const ShardSnapshot& s, std::ostream& os) {
   os << "}";
 }
 
+// Non-empty buckets only, as [bucket index, count] pairs in index order.
 void WriteHistogram(const HistogramSnapshot& h, std::ostream& os) {
-  os << "{\"count\":" << h.count << ",\"sum\":" << h.sum << ",\"buckets\":[";
+  os << "{\"count\":" << h.count << ",\"sum\":" << h.sum << ",\"min\":"
+     << (h.count == 0 ? 0 : h.min) << ",\"max\":" << h.max << ",\"buckets\":[";
+  const char* sep = "";
   for (int b = 0; b < kHistogramBuckets; ++b) {
-    os << (b == 0 ? "" : ",") << h.buckets[static_cast<std::size_t>(b)];
+    if (const std::uint64_t n = h.buckets[static_cast<std::size_t>(b)]; n != 0) {
+      os << sep << "[" << b << "," << n << "]";
+      sep = ",";
+    }
   }
   os << "]}";
 }
@@ -339,22 +198,12 @@ void WriteSnapshotObject(const MetricsSnapshot& snap, std::ostream& os) {
 }  // namespace
 
 void WriteMetricsJson(const MetricsTimeSeries& series, std::ostream& os) {
-  os << "{\"schema\":\"" << kMetricsSchemaV1 << "\",";
+  os << "{\"schema\":\"" << kMetricsSchema << "\",";
   os << "\"histogram_buckets\":[";
   for (int b = 0; b < kHistogramBuckets; ++b) {
     os << (b == 0 ? "" : ",") << HistogramBucketLowerBound(b);
   }
   os << "],";
-  os << "\"aliases\":{";
-  {
-    bool first = true;
-    for (const auto& [old_name, new_name] : LegacyAliases()) {
-      os << (first ? "" : ",") << "\"" << JsonEscape(old_name) << "\":\"" << JsonEscape(new_name)
-         << "\"";
-      first = false;
-    }
-  }
-  os << "},";
   os << "\"interval_seconds\":" << series.interval_seconds << ",";
   // Sampled time series: counters + gauges only (histograms are final-only;
   // per-sample bucket arrays would dominate the file for no analytic gain).
@@ -362,11 +211,11 @@ void WriteMetricsJson(const MetricsTimeSeries& series, std::ostream& os) {
   for (std::size_t i = 0; i < series.samples.size(); ++i) {
     const MetricsSample& sample = series.samples[i];
     os << (i == 0 ? "" : ",") << "{\"t\":" << sample.t_seconds << ",\"per_shard\":[";
-    for (std::size_t s = 0; s < sample.snapshot.shards.size(); ++s) {
+    for (std::size_t s = 0; s < sample.shards.size(); ++s) {
       os << (s == 0 ? "" : ",") << "{\"counters\":";
-      WriteShardCounters(sample.snapshot.shards[s], os);
+      WriteShardCounters(sample.shards[s], os);
       os << ",\"gauges\":";
-      WriteShardGauges(sample.snapshot.shards[s], os);
+      WriteShardGauges(sample.shards[s], os);
       os << "}";
     }
     os << "]}";
@@ -407,17 +256,17 @@ void WritePrometheusText(const MetricsSnapshot& snapshot, std::ostream& os) {
     const char* name = HistogramName(static_cast<HistogramId>(i));
     const HistogramSnapshot& h = snapshot.total.histograms[static_cast<std::size_t>(i)];
     os << "# TYPE demos_" << name << " histogram\n";
+    // Cumulative counts at the upper bound of each non-empty bucket.
     std::uint64_t cumulative = 0;
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      cumulative += h.buckets[static_cast<std::size_t>(b)];
-      os << "demos_" << name << "_bucket{le=\"";
-      if (b >= kHistogramBuckets - 1) {
-        os << "+Inf";
-      } else {
-        os << HistogramBucketUpperBound(b);
+    for (int b = 0; b < kHistogramBuckets - 1; ++b) {
+      if (const std::uint64_t n = h.buckets[static_cast<std::size_t>(b)]; n != 0) {
+        cumulative += n;
+        os << "demos_" << name << "_bucket{le=\""
+           << HistogramBucketLowerBound(b) + HistogramBucketWidth(b) - 1 << "\"} " << cumulative
+           << "\n";
       }
-      os << "\"} " << cumulative << "\n";
     }
+    os << "demos_" << name << "_bucket{le=\"+Inf\"} " << h.count << "\n";
     os << "demos_" << name << "_sum " << h.sum << "\n";
     os << "demos_" << name << "_count " << h.count << "\n";
   }
@@ -480,7 +329,7 @@ void MetricsSampler::Loop() {
     MetricsSample sample;
     sample.t_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-    sample.snapshot = engine_->Snapshot();
+    sample.shards = engine_->Levels();
     lock.lock();
     samples_.push_back(std::move(sample));
   }

@@ -1,34 +1,35 @@
-// Shard-local runtime metrics engine (counters, gauges, fixed-bucket
-// histograms) for the parallel execution engine and the chaos harness.
+// Shard-local runtime metrics engine (counters, gauges, histograms) for the
+// parallel execution engine and the chaos harness.
 //
 // Design rules, in order:
 //   - No shared cache lines on the hot path.  Each shard owns one
 //     cache-line-aligned MetricShard slab; the owning thread is the only
-//     writer (relaxed atomic add/store, which on x86 compiles to a plain
-//     locked add on memory no other core touches).  Readers -- the periodic
-//     sampler and end-of-run snapshots -- do relaxed loads at any time, so a
-//     snapshot taken mid-run is a coherent-enough point-in-time view without
-//     a single lock anywhere.
-//   - No string lookups on the hot path.  The metric catalog is a fixed enum
-//     (CounterId/GaugeId/HistogramId); names exist only at export time.
-//     (The kernels' StatsRegistry follows the same rule with its own StatId
-//     catalog, folded in below under a "kernel." prefix.)
-//   - One snapshot API.  BuildSnapshot() folds the legacy sources -- the
-//     kernels' StatsRegistry counters and the process-wide PayloadCounters --
-//     into the same MetricsSnapshot, so exporters emit one coherent view and
-//     nothing is double-counted.  The legacy dump entry points remain as
-//     aliases for one release (see LegacyAliases()).
+//     writer (relaxed atomic adds on memory no other core touches).
+//     Readers -- the periodic sampler and end-of-run snapshots -- do relaxed
+//     loads at any time, so a snapshot taken mid-run is a coherent-enough
+//     point-in-time view without a single lock anywhere.
+//   - No string lookups on the hot path.  The metric catalogs below are
+//     X-macro lists, one entry per metric with its export name; the enums
+//     and the name tables are generated from them, as StatId is from
+//     DEMOS_STAT_CATALOG.
+//   - One histogram type.  Slab histograms are the log-linear
+//     HistogramSnapshot of src/base/histogram.h, the same type StatsRegistry
+//     and BuildTraceStats record into.
+//   - One home per counter.  BuildSnapshot() puts the kernels'
+//     StatsRegistry counters (and, for the sequential engine, the reliable
+//     transport's rel_* counters) under a "kernel." prefix and the
+//     process-wide PayloadCounters under "payload."; no catalog name below
+//     repeats a StatsRegistry name, so nothing is counted twice.
 //
-// Exports: demos-metrics-v1 JSON (final snapshot + optional sampled time
+// Exports: demos-metrics-v2 JSON (final snapshot + optional sampled time
 // series) and a Prometheus-style text exposition.  docs/OBSERVABILITY.md is
-// the metric catalog; keep it in sync with the enums below.
+// the metric catalog; keep it in sync with the catalogs below.
 
 #ifndef DEMOS_OBS_METRICS_H_
 #define DEMOS_OBS_METRICS_H_
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -41,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/histogram.h"
 #include "src/base/stats.h"
 
 namespace demos {
@@ -50,121 +52,80 @@ namespace demos {
 // docs/OBSERVABILITY.md key off these enums and their names.
 // ---------------------------------------------------------------------------
 
-enum class CounterId : int {
-  // ShardRouter / mailbox hot path.
-  kMailboxPushes = 0,     // messages pushed toward this shard's peers
-  kBackpressureStalls,    // pushes that found the destination ring full
-  kSpillRescued,          // messages moved from the own ring into the spill queue
-  kSpillDrained,          // messages consumed out of the spill queue
-  kMsgsDrained,           // mailbox messages handled by this shard
-  kDrainBatches,          // Drain() calls that handled at least one message
-  kCondvarParks,          // times the shard parked on its condvar
-  kCondvarNotifies,       // notify_one calls aimed at this shard
-  // ParallelCluster scheduling loop.
-  kPostedTasks,           // Post() closures executed on this shard
-  kEventsExecuted,        // EventQueue events dispatched on this shard
-  kSchedulerRounds,       // drain+posted+events rounds that did any work
-  // Quiescence detection (coordinator shard slot only).
-  kQuiescencePolls,       // snapshots taken by RunUntilQuiescent
-  kQuiescenceVotes,       // snapshots that looked quiet
-  // ReliableChannel (sequential/lossy engine).
-  kRelRetransmits,
-  kRelAcksSent,
-  kRelDuplicatesDropped,
-  kRelGiveUps,
-  // Conservative virtual-time sync (src/run/virtual_time.h).
-  kLbtsWindows,        // windows opened by the coordinator (coordinator slot)
-  kSyncFramesClamped,  // cross-shard frames whose arrival was clamped to the
-                       // receiver's clock (0 in a correctly bounded run)
-  // Idle protocol (adaptive spin-then-park) and allocation pools.
-  kSpinIters,          // poll iterations spent in IdleWait spin windows
-  kParksAvoided,       // spin windows that found work before parking
-  kNotifiesElided,     // publishes that skipped notify: consumer already awake
-  kPoolHits,           // pooled allocations served from a free-list
-  kPoolMisses,         // pooled allocations that fell back to the heap
-  // Adaptive lookahead (relaxed LBTS windows; src/run/virtual_time.h).
-  kWideWindowsOpened,  // windows opened wider than the static bound (coordinator slot)
-  kLookaheadShrinks,   // learned-lookahead walk-backs: a shorter send gap or a
-                       // tight collapse shrank the published estimate
-  kWideFramesClamped,  // arrivals clamped to the receiver's clock after a wide
-                       // window opened -- the bounded, expected residue of
-                       // relaxed timing (sync_frames_clamped stays the strict
-                       // zero-invariant for never-widened runs)
-  kNumCounters,
-};
+#define DEMOS_COUNTER_CATALOG(X)                                                           \
+  /* ShardRouter / mailbox hot path. */                                                    \
+  X(kMailboxPushes, "mailbox_pushes")           /* messages pushed toward peers */         \
+  X(kBackpressureStalls, "backpressure_stalls") /* pushes that found a full ring */        \
+  X(kSpillRescued, "spill_rescued")             /* own-ring messages moved to the spill */ \
+  X(kSpillDrained, "spill_drained")             /* messages consumed out of the spill */   \
+  X(kMsgsDrained, "msgs_drained")               /* mailbox messages handled */             \
+  X(kDrainBatches, "drain_batches")             /* Drain() calls that handled >= 1 */      \
+  X(kCondvarParks, "condvar_parks")             /* times the shard parked */               \
+  X(kCondvarNotifies, "condvar_notifies")       /* notify_one calls aimed at it */         \
+  /* ParallelCluster scheduling loop. */                                                   \
+  X(kPostedTasks, "posted_tasks")               /* Post() closures executed */             \
+  X(kEventsExecuted, "events_executed")         /* EventQueue events dispatched */         \
+  X(kSchedulerRounds, "scheduler_rounds")       /* rounds that did any work */             \
+  /* Quiescence detection (coordinator slot only). */                                      \
+  X(kQuiescencePolls, "quiescence_polls")       /* snapshots by RunUntilQuiescent */       \
+  X(kQuiescenceVotes, "quiescence_votes")       /* snapshots that looked quiet */          \
+  /* Conservative virtual-time sync (src/run/virtual_time.h). */                           \
+  X(kLbtsWindows, "lbts_windows")               /* windows opened (coordinator slot) */    \
+  /* Cross-shard frames clamped to the receiver's clock (0 when bounded). */               \
+  X(kSyncFramesClamped, "sync_frames_clamped")                                             \
+  /* Idle protocol (adaptive spin-then-park) and allocation pools. */                      \
+  X(kSpinIters, "spin_iters")                   /* IdleWait spin poll iterations */        \
+  X(kParksAvoided, "parks_avoided")             /* spin windows that found work */         \
+  X(kNotifiesElided, "notifies_elided")         /* publishes to an awake consumer */       \
+  X(kPoolHits, "pool_hits")                     /* pooled allocations from a free-list */  \
+  X(kPoolMisses, "pool_misses")                 /* pooled allocations from the heap */     \
+  /* Adaptive lookahead (relaxed LBTS windows; src/run/virtual_time.h). */                 \
+  X(kWideWindowsOpened, "wide_windows_opened")  /* wider than the static bound */          \
+  X(kLookaheadShrinks, "lookahead_shrinks")     /* learned-lookahead walk-backs */         \
+  /* Clamped arrivals after a wide window: the expected residue of relaxed */              \
+  /* timing (sync_frames_clamped stays the zero-invariant otherwise). */                   \
+  X(kWideFramesClamped, "wide_frames_clamped")
 
-enum class GaugeId : int {
-  kMailboxDepth = 0,  // items sitting in this shard's mailbox ring
-  kSpillDepth,        // items sitting in this shard's spill queue
-  kEventQueueDepth,   // pending events on this shard's virtual clock
-  kLbtsBoundUs,       // current window bound in virtual us (coordinator slot)
-  kNumGauges,
-};
+#define DEMOS_GAUGE_CATALOG(X)                                                       \
+  X(kMailboxDepth, "mailbox_depth")             /* items in the mailbox ring */      \
+  X(kSpillDepth, "spill_depth")                 /* items in the spill queue */       \
+  X(kEventQueueDepth, "event_queue_depth")      /* pending virtual-clock events */   \
+  X(kLbtsBoundUs, "lbts_bound_us")              /* window bound, coordinator slot */
 
-enum class HistogramId : int {
-  kDrainBatchSize = 0,  // messages handled per non-empty Drain()
-  kEventsPerRound,      // event-queue steps per scheduling round
-  kPushStallSpins,      // producer spin laps per backpressured push
-  kParkWaitUs,          // real microseconds spent parked per park
-  kLbtsWindowSpanUs,    // virtual us a sync window advanced the bound by
-  kBatchSize,           // frames per published destination batch
-  kNumHistograms,
-};
+#define DEMOS_HISTOGRAM_CATALOG(X)                                                     \
+  X(kDrainBatchSize, "drain_batch_size")        /* messages per non-empty Drain() */   \
+  X(kEventsPerRound, "events_per_round")        /* event steps per scheduling round */ \
+  X(kPushStallSpins, "push_stall_spins")        /* spin laps per backpressured push */ \
+  X(kParkWaitUs, "park_wait_us")                /* real us parked per park */          \
+  X(kLbtsWindowSpanUs, "lbts_window_span_us")   /* virtual us a window advanced */     \
+  X(kBatchSize, "batch_size")                   /* frames per published batch */
+
+#define DEMOS_METRIC_ENUMERATOR(id, name) id,
+enum class CounterId : int { DEMOS_COUNTER_CATALOG(DEMOS_METRIC_ENUMERATOR) kNumCounters };
+enum class GaugeId : int { DEMOS_GAUGE_CATALOG(DEMOS_METRIC_ENUMERATOR) kNumGauges };
+enum class HistogramId : int { DEMOS_HISTOGRAM_CATALOG(DEMOS_METRIC_ENUMERATOR) kNumHistograms };
+#undef DEMOS_METRIC_ENUMERATOR
 
 inline constexpr int kNumCounterIds = static_cast<int>(CounterId::kNumCounters);
 inline constexpr int kNumGaugeIds = static_cast<int>(GaugeId::kNumGauges);
 inline constexpr int kNumHistogramIds = static_cast<int>(HistogramId::kNumHistograms);
 
-const char* CounterName(CounterId id);
-const char* GaugeName(GaugeId id);
-const char* HistogramName(HistogramId id);
+#define DEMOS_METRIC_NAME(id, name) name,
+inline constexpr std::array<const char*, kNumCounterIds> kCounterNames = {
+    DEMOS_COUNTER_CATALOG(DEMOS_METRIC_NAME)};
+inline constexpr std::array<const char*, kNumGaugeIds> kGaugeNames = {
+    DEMOS_GAUGE_CATALOG(DEMOS_METRIC_NAME)};
+inline constexpr std::array<const char*, kNumHistogramIds> kHistogramNames = {
+    DEMOS_HISTOGRAM_CATALOG(DEMOS_METRIC_NAME)};
+#undef DEMOS_METRIC_NAME
 
-// ---------------------------------------------------------------------------
-// Fixed-bucket histograms: power-of-two buckets so Observe() is a bit_width
-// and one relaxed add.  Bucket 0 holds value 0, bucket i (i >= 1) holds
-// values in [2^(i-1), 2^i - 1], and the last bucket absorbs the tail.
-// ---------------------------------------------------------------------------
-
-inline constexpr int kHistogramBuckets = 20;
-
-inline int HistogramBucketOf(std::uint64_t value) {
-  const int b = static_cast<int>(std::bit_width(value));
-  return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
+inline const char* CounterName(CounterId id) {
+  return kCounterNames[static_cast<std::size_t>(id)];
 }
-
-// Inclusive lower bound of bucket `b` (0, 1, 2, 4, 8, ...).
-inline std::uint64_t HistogramBucketLowerBound(int b) {
-  return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+inline const char* GaugeName(GaugeId id) { return kGaugeNames[static_cast<std::size_t>(id)]; }
+inline const char* HistogramName(HistogramId id) {
+  return kHistogramNames[static_cast<std::size_t>(id)];
 }
-
-// Inclusive upper bound of bucket `b`; the last bucket is unbounded
-// (UINT64_MAX stands in for +inf in exports).
-inline std::uint64_t HistogramBucketUpperBound(int b) {
-  if (b == 0) {
-    return 0;
-  }
-  if (b >= kHistogramBuckets - 1) {
-    return ~std::uint64_t{0};
-  }
-  return (std::uint64_t{1} << b) - 1;
-}
-
-struct HistogramSnapshot {
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-
-  void Merge(const HistogramSnapshot& other) {
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      buckets[static_cast<std::size_t>(i)] += other.buckets[static_cast<std::size_t>(i)];
-    }
-    count += other.count;
-    sum += other.sum;
-  }
-  double Mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
-  // Upper bound of the bucket containing the q-th quantile (q in [0,1]).
-  std::uint64_t QuantileBound(double q) const;
-};
 
 // ---------------------------------------------------------------------------
 // Per-shard slab.  Single writer (the owning shard thread), any reader.
@@ -179,10 +140,7 @@ class alignas(64) MetricShard {
     gauges_[static_cast<std::size_t>(id)].store(value, std::memory_order_relaxed);
   }
   void Observe(HistogramId id, std::uint64_t value) {
-    Hist& h = histograms_[static_cast<std::size_t>(id)];
-    h.buckets[static_cast<std::size_t>(HistogramBucketOf(value))].fetch_add(
-        1, std::memory_order_relaxed);
-    h.sum.fetch_add(value, std::memory_order_relaxed);
+    histograms_[static_cast<std::size_t>(id)].AtomicRecord(value);
   }
 
   std::uint64_t Counter(CounterId id) const {
@@ -191,26 +149,27 @@ class alignas(64) MetricShard {
   std::int64_t Gauge(GaugeId id) const {
     return gauges_[static_cast<std::size_t>(id)].load(std::memory_order_relaxed);
   }
-  HistogramSnapshot Histogram(HistogramId id) const;
+  HistogramSnapshot Histogram(HistogramId id) const {
+    return histograms_[static_cast<std::size_t>(id)].AtomicLoad();
+  }
 
  private:
-  struct Hist {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-    std::atomic<std::uint64_t> sum{0};
-  };
-
   std::array<std::atomic<std::uint64_t>, kNumCounterIds> counters_{};
   std::array<std::atomic<std::int64_t>, kNumGaugeIds> gauges_{};
-  std::array<Hist, kNumHistogramIds> histograms_{};
+  std::array<HistogramSnapshot, kNumHistogramIds> histograms_{};  // atomic access only
 };
 
 // ---------------------------------------------------------------------------
 // Snapshots.
 // ---------------------------------------------------------------------------
 
-struct ShardSnapshot {
+// Counters and gauges of one slab: all a sampled time-series point carries.
+struct ShardLevels {
   std::array<std::uint64_t, kNumCounterIds> counters{};
   std::array<std::int64_t, kNumGaugeIds> gauges{};
+};
+
+struct ShardSnapshot : ShardLevels {
   std::array<HistogramSnapshot, kNumHistogramIds> histograms{};
 
   void Merge(const ShardSnapshot& other);
@@ -221,8 +180,8 @@ struct MetricsSnapshot {
   std::vector<ShardSnapshot> shards;
   ShardSnapshot total;
 
-  // Folded legacy sources: the kernels' StatsRegistry counters (index =
-  // shard; totals merged) and the process-wide payload-pipeline counters.
+  // StatsRegistry counters under a "kernel." prefix (index = registry;
+  // totals merged) and the process-wide payload-pipeline counters.
   std::vector<std::map<std::string, std::int64_t>> kernel_counters;
   std::map<std::string, std::int64_t> kernel_total;
   std::uint64_t payload_allocations = 0;
@@ -241,8 +200,10 @@ class MetricsEngine {
   const MetricShard& shard(int i) const { return *shards_[static_cast<std::size_t>(i)]; }
   int shards() const { return static_cast<int>(shards_.size()); }
 
-  // Runtime metrics only (no legacy folding); safe while writers run.
+  // Runtime metrics only (no StatsRegistry counters); safe while writers run.
   MetricsSnapshot Snapshot() const;
+  // Counters and gauges of every slab, for the sampled time series.
+  std::vector<ShardLevels> Levels() const;
 
  private:
   // unique_ptr per slab keeps each MetricShard on its own cache lines even if
@@ -250,29 +211,23 @@ class MetricsEngine {
   std::vector<std::unique_ptr<MetricShard>> shards_;
 };
 
-// The one snapshot API: runtime metrics plus the folded legacy sources.
-// `kernel_stats[i]` is shard i's StatsRegistry (null entries skipped); extra
-// registries (network, reliable channel) can be appended past the shard
-// count and land in the totals only.  `engine` may be null (legacy-only
-// snapshot, used by benches that have no parallel runtime).
+// The one snapshot API: runtime metrics plus the StatsRegistry and payload
+// counters.  `kernel_stats[i]` becomes kernel_counters[i] (null entries
+// skipped): the kernels in machine order, then any extra registry the engine
+// owns (the sequential engine's reliable transport).  `engine` may be null
+// (registry-only snapshot, used by benches that have no metrics engine).
 MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
                               const std::vector<const StatsRegistry*>& kernel_stats = {});
 
-// Old dump name -> canonical demos-metrics-v1 name, for every legacy counter
-// that the fold renames (every StatId catalog name gains a "kernel." prefix,
-// payload counters a "payload." prefix).  Kept for one release so dashboards keyed on
-// the old StatsRegistry::Dump names can migrate.
-const std::map<std::string, std::string>& LegacyAliases();
-
 // ---------------------------------------------------------------------------
-// demos-metrics-v1 export.
+// demos-metrics-v2 export.
 // ---------------------------------------------------------------------------
 
-inline constexpr const char* kMetricsSchemaV1 = "demos-metrics-v1";
+inline constexpr const char* kMetricsSchema = "demos-metrics-v2";
 
 struct MetricsSample {
-  double t_seconds = 0;  // since sampler start
-  MetricsSnapshot snapshot;
+  double t_seconds = 0;             // since sampler start
+  std::vector<ShardLevels> shards;  // index = shard
 };
 
 struct MetricsTimeSeries {
@@ -281,9 +236,9 @@ struct MetricsTimeSeries {
   MetricsSnapshot final_snapshot;
 };
 
-// Stable JSON: schema tag, shard count, final per-shard + total counters,
-// gauges, histograms (bucket bounds included), folded kernel/payload
-// counters, the legacy alias map, and the sampled time series.
+// Stable JSON: schema tag, the histogram bucket layout, shard count, final
+// per-shard + total counters, gauges and histograms (non-empty buckets
+// only), kernel/payload counters, and the sampled time series.
 void WriteMetricsJson(const MetricsTimeSeries& series, std::ostream& os);
 bool WriteMetricsJsonFile(const MetricsTimeSeries& series, const std::string& path);
 
@@ -315,7 +270,7 @@ class MetricsSampler {
   // Stop the thread and take one final sample (idempotent).
   void Stop();
 
-  // Also folds legacy sources into the final snapshot of the returned series.
+  // The final snapshot of the returned series also carries `kernel_stats`.
   MetricsTimeSeries TakeSeries(const std::vector<const StatsRegistry*>& kernel_stats = {});
 
  private:

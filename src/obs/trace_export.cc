@@ -254,12 +254,12 @@ std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& even
 void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry) {
   for (const MigrationSpan& span : BuildMigrationSpans(events)) {
     if (span.completed) {
-      registry->Record(stat::kMigrationTotalUs, static_cast<double>(span.duration()));
+      registry->Record(stat::kMigrationTotalUs, span.duration());
     }
     for (const MigrationPhaseSpan& phase : span.phases) {
       if (phase.valid) {
         registry->Record(std::string("phase_") + MigrationPhaseName(phase.kind) + "_us",
-                         static_cast<double>(phase.duration()));
+                         phase.duration());
       }
     }
   }
@@ -277,7 +277,7 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
     } else if (IsName(ev, trace::kLinkUpdateApplied)) {
       auto it = update_sent.find(ev.id);
       if (it != update_sent.end()) {
-        registry->Record(stat::kLinkUpdateLagUs, static_cast<double>(ev.ts - it->second));
+        registry->Record(stat::kLinkUpdateLagUs, ev.ts - it->second);
         update_sent.erase(it);
       }
     }
@@ -285,7 +285,7 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
 
   for (const MessageTrace& msg : BuildMessageTraces(events)) {
     if (msg.hops > 0) {
-      registry->Record(stat::kForwardHops, static_cast<double>(msg.hops));
+      registry->Record(stat::kForwardHops, msg.hops);
     }
   }
 }

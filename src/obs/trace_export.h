@@ -1,5 +1,5 @@
 // Trace analysis and export: Chrome trace_event JSON, per-migration span
-// trees, per-message lifecycles, summary tables, and Distribution histograms.
+// trees, per-message lifecycles, summary tables, and StatsRegistry histograms.
 //
 // The kernels record *instants* (cheap, single-push); this layer pairs them
 // into spans after the fact.  Pairing is keyed on the correlation id carried

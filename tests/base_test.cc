@@ -1,20 +1,52 @@
-// Unit tests for src/base: ids, status, bytes, rng, stats.
+// Unit tests for src/base: ids, status, bytes, rng, stats, histogram.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <map>
+#include <new>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/base/bytes.h"
+#include "src/base/histogram.h"
 #include "src/base/ids.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a code path does not touch the heap.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC flags free() on operator-new memory once it inlines the pair; here both
+// halves are malloc/free by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace demos {
 namespace {
@@ -255,17 +287,22 @@ TEST(StatsTest, RunTimeNamedFamilyReadsByName) {
 
 TEST(StatsTest, DistributionSummary) {
   StatsRegistry stats;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) {
+  for (std::uint64_t v : {1, 2, 3, 4}) {
     stats.Record("d", v);
   }
-  const Distribution* d = stats.GetDistribution("d");
+  const HistogramSnapshot* d = stats.GetDistribution("d");
   ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count(), 4u);
+  EXPECT_EQ(d->count, 4u);
+  EXPECT_EQ(d->sum, 10u);
   EXPECT_DOUBLE_EQ(d->Mean(), 2.5);
-  EXPECT_DOUBLE_EQ(d->Min(), 1.0);
-  EXPECT_DOUBLE_EQ(d->Max(), 4.0);
-  EXPECT_DOUBLE_EQ(d->Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(d->Percentile(100), 4.0);
+  EXPECT_EQ(d->min, 1u);
+  EXPECT_EQ(d->max, 4u);
+  EXPECT_EQ(d->Percentile(0), 1u);
+  EXPECT_EQ(d->Percentile(50), 2u);  // nearest rank: the 2nd of 4
+  EXPECT_EQ(d->Percentile(100), 4u);
+  std::ostringstream dump;
+  stats.Dump(dump);
+  EXPECT_EQ(dump.str(), "  d: n=4 mean=2.5 min=1 p50=2 p95=4 p99=4 max=4\n");
 }
 
 TEST(StatsTest, MergeCombines) {
@@ -276,20 +313,21 @@ TEST(StatsTest, MergeCombines) {
   b.Add(StatId::kMsgsBounced);
   a.AddNamed("n", 2);
   b.AddNamed("n", 3);
-  b.Record("d", 7.0);
+  b.Record("d", 7);
   a.Merge(b);
   EXPECT_EQ(a.Get(StatId::kMsgsSent), 5);
   EXPECT_EQ(a.Get(StatId::kMsgsBounced), 1);
   EXPECT_EQ(a.Get("n"), 5);
   ASSERT_NE(a.GetDistribution("d"), nullptr);
-  EXPECT_EQ(a.GetDistribution("d")->count(), 1u);
+  EXPECT_EQ(a.GetDistribution("d")->count, 1u);
+  EXPECT_EQ(a.GetDistribution("d")->max, 7u);
 }
 
 TEST(StatsTest, ResetClears) {
   StatsRegistry stats;
   stats.Add(StatId::kMsgsSent);
   stats.AddNamed("n");
-  stats.Record("d", 1.0);
+  stats.Record("d", 1);
   stats.Reset();
   EXPECT_EQ(stats.Get(StatId::kMsgsSent), 0);
   EXPECT_EQ(stats.Get("n"), 0);
@@ -301,7 +339,7 @@ TEST(StatsTest, CopyTakesSnapshot) {
   StatsRegistry a;
   a.Add(StatId::kMsgsSent, 7);
   a.AddNamed("n", 7);
-  a.Record("d", 1.0);
+  a.Record("d", 1);
   StatsRegistry b = a;
   a.Add(StatId::kMsgsSent, 1);
   a.AddNamed("n", 1);
@@ -312,7 +350,7 @@ TEST(StatsTest, CopyTakesSnapshot) {
   c = b;  // assignment replaces, it does not merge
   EXPECT_EQ(c.counters(), b.counters());
   ASSERT_NE(b.GetDistribution("d"), nullptr);
-  EXPECT_EQ(b.GetDistribution("d")->count(), 1u);
+  EXPECT_EQ(b.GetDistribution("d")->count, 1u);
 }
 
 // The parallel engine increments counters from every shard thread (and the
@@ -329,7 +367,7 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
         stats.Add(StatId::kMsgsSent);
         stats.AddNamed("per_thread_" + std::to_string(t));
         if (i % 64 == 0) {
-          stats.Record("dist", static_cast<double>(i));
+          stats.Record("dist", static_cast<std::uint64_t>(i));
         }
       }
     });
@@ -342,8 +380,8 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
     EXPECT_EQ(stats.Get("per_thread_" + std::to_string(t)), kPerThread);
   }
   ASSERT_NE(stats.GetDistribution("dist"), nullptr);
-  EXPECT_EQ(stats.GetDistribution("dist")->count(),
-            static_cast<std::size_t>(kThreads) * ((kPerThread + 63) / 64));
+  EXPECT_EQ(stats.GetDistribution("dist")->count,
+            static_cast<std::uint64_t>(kThreads) * ((kPerThread + 63) / 64));
 }
 
 // A shard thread adds while another thread snapshots the registry (the
@@ -375,6 +413,126 @@ TEST(StatsTest, SnapshotWhileOneWriterAdds) {
   EXPECT_EQ(stats.Get(StatId::kMsgsSent), kAdds);
   EXPECT_EQ(stats.Get(StatId::kFwdRecordsLive), 0);
   EXPECT_EQ(stats.Get("rel_give_ups_m0_to_m1"), kAdds / 1000);
+}
+
+// ---------------------------------------------------------------------------
+// HistogramSnapshot against an exact reference: the same samples, sorted.
+// ---------------------------------------------------------------------------
+
+// Nearest-rank percentile of sorted samples, the definition Percentile()
+// approximates.
+std::uint64_t ExactPercentile(const std::vector<std::uint64_t>& sorted, double p) {
+  const double wanted = p / 100.0 * static_cast<double>(sorted.size());
+  const auto rank = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(wanted)));
+  return sorted[static_cast<std::size_t>(rank - 1)];
+}
+
+// Records `samples` and checks every summary against the sorted reference:
+// count/sum/min/max exactly, percentiles within the stated relative error.
+void ExpectMatchesReference(std::vector<std::uint64_t> samples) {
+  HistogramSnapshot h;
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : samples) {
+    h.Record(v);
+    sum += v;
+  }
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(h.count, samples.size());
+  EXPECT_EQ(h.sum, sum);
+  EXPECT_EQ(h.min, samples.front());
+  EXPECT_EQ(h.max, samples.back());
+  for (double p : {0.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    const std::uint64_t exact = ExactPercentile(samples, p);
+    const std::uint64_t got = h.Percentile(p);
+    const double error = std::abs(static_cast<double>(got) - static_cast<double>(exact));
+    EXPECT_LE(error, static_cast<double>(exact) * kHistogramRelativeError)
+        << "p" << p << ": got " << got << ", exact " << exact;
+    if (exact < kHistogramExactBelow) {
+      EXPECT_EQ(got, exact) << "p" << p;
+    }
+  }
+}
+
+TEST(HistogramTest, UniformPercentilesWithinStatedError) {
+  Rng rng(11);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 100000; ++i) {
+    samples.push_back(rng.Range(0, 1'000'000));
+  }
+  ExpectMatchesReference(samples);
+}
+
+TEST(HistogramTest, HeavyTailedPercentilesWithinStatedError) {
+  // Pareto-shaped: most samples near 100, a tail out to ~10^15.
+  Rng rng(12);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 100000; ++i) {
+    const double u = std::max(1e-9, 1.0 - rng.NextDouble());
+    samples.push_back(static_cast<std::uint64_t>(100.0 / std::pow(u, 1.5)));
+  }
+  ExpectMatchesReference(samples);
+}
+
+TEST(HistogramTest, ConstantInputIsExact) {
+  for (std::uint64_t value : {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{1234567},
+                              std::numeric_limits<std::uint64_t>::max() / 3}) {
+    HistogramSnapshot h;
+    for (int i = 0; i < 1000; ++i) {
+      h.Record(value);
+    }
+    for (double p : {0.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(h.Percentile(p), value) << value << " p" << p;
+    }
+  }
+  ExpectMatchesReference(std::vector<std::uint64_t>(5000, 999));
+}
+
+TEST(HistogramTest, SmallValuesAreExact) {
+  // Every value below 32 owns a bucket, so any mix of them is exact.
+  Rng rng(13);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 20000; ++i) {
+    samples.push_back(rng.Below(kHistogramExactBelow));
+  }
+  ExpectMatchesReference(samples);
+  for (std::uint64_t v = 0; v < kHistogramExactBelow; ++v) {
+    EXPECT_EQ(HistogramBucketOf(v), static_cast<int>(v));
+    EXPECT_EQ(HistogramBucketWidth(HistogramBucketOf(v)), 1u);
+  }
+}
+
+TEST(HistogramTest, MergeEqualsOneHistogramFedBoth) {
+  Rng rng(14);
+  HistogramSnapshot a;
+  HistogramSnapshot b;
+  HistogramSnapshot both;
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t x = rng.Range(0, 100);
+    const std::uint64_t y = rng.Range(1000, 1'000'000'000);
+    a.Record(x);
+    b.Record(y);
+    both.Record(x);
+    both.Record(y);
+  }
+  a.Merge(b);
+  EXPECT_TRUE(a == both);
+  // Merging an empty histogram changes nothing, min included.
+  HistogramSnapshot copy = a;
+  copy.Merge(HistogramSnapshot{});
+  EXPECT_TRUE(copy == a);
+}
+
+// Distribution kept every sample; the histogram has a fixed size, so a
+// million records into an existing registry entry never touch the heap.
+TEST(HistogramTest, MillionRecordsLeaveMemoryUnchanged) {
+  StatsRegistry stats;
+  stats.Record("admin_payload_bytes", 9);  // creates the entry
+  const std::uint64_t before = g_heap_allocations.load();
+  for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+    stats.Record("admin_payload_bytes", i % 4096);
+  }
+  EXPECT_EQ(g_heap_allocations.load() - before, 0u);
+  EXPECT_EQ(stats.GetDistribution("admin_payload_bytes")->count, 1'000'001u);
 }
 
 TEST(PayloadCountersTest, ConcurrentCountsDoNotTear) {

@@ -1,9 +1,9 @@
 // Tests for the shard-level observability layer (src/obs): the metrics
 // engine's catalog/histograms/snapshots (including a snapshot-under-write
 // stress that TSan must pass), the flight recorder's ring semantics and
-// deterministic dumps, the hub's trigger latch, the legacy StatsRegistry /
-// PayloadCounters fold with its alias table, the exporters, and the
-// parallel-trace clock normalization.
+// deterministic dumps, the hub's trigger latch, the StatsRegistry /
+// PayloadCounters sections of a snapshot (each counter in one home), the
+// exporters, and the parallel-trace clock normalization.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,51 +55,71 @@ TEST(MetricsCatalog, EveryIdHasAName) {
 // Histograms.
 // ---------------------------------------------------------------------------
 
+// Log-linear layout: each power of two from 32 up starts a group of 16
+// equal sub-buckets; below 32 every value owns a bucket.
 TEST(Histogram, PowerOfTwoBucketing) {
   EXPECT_EQ(HistogramBucketOf(0), 0);
-  EXPECT_EQ(HistogramBucketOf(1), 1);
-  EXPECT_EQ(HistogramBucketOf(2), 2);
-  EXPECT_EQ(HistogramBucketOf(3), 2);
-  EXPECT_EQ(HistogramBucketOf(4), 3);
-  EXPECT_EQ(HistogramBucketOf(7), 3);
-  EXPECT_EQ(HistogramBucketOf(8), 4);
-  // Tail clamp: anything at or past 2^18 lands in the last bucket.
-  EXPECT_EQ(HistogramBucketOf(std::uint64_t{1} << 18), kHistogramBuckets - 1);
+  EXPECT_EQ(HistogramBucketOf(31), 31);
+  for (int e = 5; e < 64; ++e) {
+    const std::uint64_t pow2 = std::uint64_t{1} << e;
+    const int first = HistogramBucketOf(pow2);
+    EXPECT_EQ(first, (e - 3) * 16) << e;
+    EXPECT_EQ(HistogramBucketOf(pow2 + (pow2 - 1)), first + 15) << e;
+    EXPECT_EQ(HistogramBucketLowerBound(first), pow2) << e;
+  }
   EXPECT_EQ(HistogramBucketOf(~std::uint64_t{0}), kHistogramBuckets - 1);
 
-  // Every representable value falls inside its bucket's [lower, upper].
-  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5},
-                                std::uint64_t{1000}, std::uint64_t{1} << 30}) {
-    const int b = HistogramBucketOf(v);
-    EXPECT_GE(v, HistogramBucketLowerBound(b)) << v;
-    EXPECT_LE(v, HistogramBucketUpperBound(b)) << v;
+  // The buckets tile [0, 2^64) in order, and none is wider than 1/16 of its
+  // lower bound once past the exact range.
+  std::uint64_t next = 0;
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    const std::uint64_t lo = HistogramBucketLowerBound(b);
+    const std::uint64_t width = HistogramBucketWidth(b);
+    ASSERT_EQ(lo, next) << b;
+    EXPECT_EQ(HistogramBucketOf(lo), b);
+    EXPECT_EQ(HistogramBucketOf(lo + (width - 1)), b);
+    if (lo >= kHistogramExactBelow) {
+      EXPECT_LE(width * 16, lo) << b;
+    }
+    next = lo + width;  // wraps to 0 after the last bucket
   }
+  EXPECT_EQ(next, 0u);
 }
 
 TEST(Histogram, ObserveSnapshotAndMerge) {
   MetricShard a;
   MetricShard b;
+  HistogramSnapshot plain;
   for (int i = 0; i < 10; ++i) {
-    a.Observe(HistogramId::kDrainBatchSize, 3);  // bucket 2
+    a.Observe(HistogramId::kDrainBatchSize, 3);
+    plain.Record(3);
   }
   for (int i = 0; i < 5; ++i) {
-    b.Observe(HistogramId::kDrainBatchSize, 100);  // bucket 7
+    b.Observe(HistogramId::kDrainBatchSize, 100);
+    plain.Record(100);
   }
   HistogramSnapshot ha = a.Histogram(HistogramId::kDrainBatchSize);
   const HistogramSnapshot hb = b.Histogram(HistogramId::kDrainBatchSize);
   EXPECT_EQ(ha.count, 10u);
   EXPECT_EQ(ha.sum, 30u);
-  EXPECT_EQ(ha.buckets[2], 10u);
+  EXPECT_EQ(ha.buckets[3], 10u);
   ha.Merge(hb);
+  // The slab records through the same type as a plain histogram.
+  EXPECT_TRUE(ha == plain);
   EXPECT_EQ(ha.count, 15u);
   EXPECT_EQ(ha.sum, 30u + 500u);
-  EXPECT_EQ(ha.buckets[2], 10u);
-  EXPECT_EQ(ha.buckets[HistogramBucketOf(100)], 5u);
+  EXPECT_EQ(ha.min, 3u);
+  EXPECT_EQ(ha.max, 100u);
+  EXPECT_EQ(ha.buckets[static_cast<std::size_t>(HistogramBucketOf(100))], 5u);
   EXPECT_DOUBLE_EQ(ha.Mean(), 530.0 / 15.0);
-  // Quantiles report bucket upper bounds: the 0.5 quantile of 10x3 + 5x100
-  // sits in bucket 2 (values 2..3).
-  EXPECT_EQ(ha.QuantileBound(0.5), 3u);
-  EXPECT_EQ(ha.QuantileBound(1.0), HistogramBucketUpperBound(HistogramBucketOf(100)));
+  // Nearest rank: the 8th of 15 samples is a 3 (exact below 32); the 12th
+  // is a 100, whose bucket [100, 103] reports its clamped midpoint.
+  EXPECT_EQ(ha.Percentile(50), 3u);
+  EXPECT_EQ(ha.Percentile(75), 100u);
+  EXPECT_EQ(ha.Percentile(100), 100u);
+  // An untouched slab histogram is empty.
+  EXPECT_EQ(a.Histogram(HistogramId::kParkWaitUs).count, 0u);
+  EXPECT_EQ(a.Histogram(HistogramId::kParkWaitUs).Percentile(99), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +285,7 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy fold + aliases.
+// StatsRegistry counters in the snapshot: one home per counter.
 // ---------------------------------------------------------------------------
 
 TEST(BuildSnapshot, FoldsLegacyRegistriesWithoutDoubleCounting) {
@@ -284,60 +306,98 @@ TEST(BuildSnapshot, FoldsLegacyRegistriesWithoutDoubleCounting) {
   EXPECT_TRUE(snap.shards.empty());
 }
 
-TEST(BuildSnapshot, LegacyAliasTableCoversRenames) {
-  const auto& aliases = LegacyAliases();
-  ASSERT_FALSE(aliases.empty());
-  auto it = aliases.find("msgs_sent");
-  ASSERT_NE(it, aliases.end());
-  EXPECT_EQ(it->second, "kernel.msgs_sent");
-  // Payload counters fold under the payload. prefix.
-  bool has_payload = false;
-  for (const auto& [old_name, new_name] : aliases) {
-    EXPECT_TRUE(new_name.rfind("kernel.", 0) == 0 || new_name.rfind("payload.", 0) == 0)
-        << old_name << " -> " << new_name;
-    has_payload = has_payload || new_name.rfind("payload.", 0) == 0;
+// The object following `"key":` in a JSON text, braces balanced.
+std::string JsonObjectAfter(const std::string& json, const std::string& key,
+                            std::size_t from = 0) {
+  const std::size_t at = json.find("\"" + key + "\":{", from);
+  if (at == std::string::npos) {
+    return "";
   }
-  EXPECT_TRUE(has_payload);
-  // Built from the counter catalog: every catalog name has its entry.
-  for (const char* name : kStatNames) {
-    ASSERT_EQ(aliases.count(name), 1u) << name;
-    EXPECT_EQ(aliases.at(name), std::string("kernel.") + name);
+  const std::size_t open = json.find('{', at);
+  int depth = 0;
+  for (std::size_t i = open; i < json.size(); ++i) {
+    depth += json[i] == '{' ? 1 : json[i] == '}' ? -1 : 0;
+    if (depth == 0) {
+      return json.substr(open, i - open + 1);
+    }
   }
+  return "";
 }
 
-// Every name a real run folds into kernel_total -- kernels, network and
-// reliable channel, through a migration with forwarding and link update --
-// has an alias entry.  The per-pair give-up family is run-time named and is
-// the one exception.
-TEST(BuildSnapshot, EveryFoldedKernelNameHasAnAlias) {
+std::size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// A lossy sequential run with metrics on: every rel_* fact the reliable
+// transport counts appears once in the snapshot and once in the exported
+// totals, equal to the transport's own registry, and no name is shared
+// between the runtime counters and the kernel section.
+TEST(BuildSnapshot, RelCountersHaveOneHome) {
   testutil::RegisterPrograms();
   ClusterConfig config;
   config.machines = 3;
+  config.metrics_enabled = true;
   config.reliable_layer = true;
+  config.reliable.retransmit_timeout_us = 2'000;
+  config.network.drop_probability = 0.2;
+  config.network.duplicate_probability = 0.05;
+  config.network.seed = 42;
   Cluster cluster(config);
   auto counter = cluster.kernel(0).SpawnProcess("counter");
   ASSERT_TRUE(counter.ok());
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
-  cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
+  for (int i = 0; i < 20; ++i) {
+    cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
+  }
   cluster.RunUntilIdle();
 
-  std::vector<const StatsRegistry*> registries = cluster.KernelStats();
-  registries.push_back(&cluster.network().stats());
-  registries.push_back(&cluster.reliable()->stats());
-  const MetricsSnapshot snap = BuildSnapshot(nullptr, registries);
-  ASSERT_GT(snap.kernel_total.at("kernel.msgs_forwarded"), 0);
-  ASSERT_GT(snap.kernel_total.at("kernel.net_packets_sent"), 0);
-  ASSERT_GT(snap.kernel_total.at("kernel.rel_acks_sent"), 0);
-  const auto& aliases = LegacyAliases();
-  for (const auto& [canonical, value] : snap.kernel_total) {
-    const std::string old_name = canonical.substr(std::string("kernel.").size());
-    if (old_name.rfind("rel_give_ups_m", 0) == 0) {
-      continue;
+  const std::map<std::string, std::int64_t> rel = cluster.reliable()->stats().counters();
+  ASSERT_GT(rel.at(stat::kRelRetransmits), 0);
+  ASSERT_GT(rel.at(stat::kRelAcksSent), 0);
+  ASSERT_GT(rel.at(stat::kRelDuplicatesDropped), 0);
+
+  const MetricsSnapshot snap = cluster.BuildSnapshot();
+  ASSERT_EQ(snap.kernel_counters.size(), 3u + 1u);  // kernels, then the transport
+  for (const auto& [name, value] : rel) {
+    const std::string canonical = "kernel." + name;
+    int homes = 0;
+    for (const auto& registry : snap.kernel_counters) {
+      homes += static_cast<int>(registry.count(canonical));
     }
-    auto it = aliases.find(old_name);
-    ASSERT_NE(it, aliases.end()) << canonical << " has no alias";
-    EXPECT_EQ(it->second, canonical);
+    EXPECT_EQ(homes, 1) << name;
+    EXPECT_EQ(snap.kernel_total.at(canonical), value) << name;
+  }
+
+  std::set<std::string> kernel_names;
+  for (const auto& [canonical, value] : snap.kernel_total) {
+    kernel_names.insert(canonical.substr(std::string("kernel.").size()));
+  }
+  for (const char* runtime : kCounterNames) {
+    EXPECT_EQ(kernel_names.count(runtime), 0u) << runtime;
+    EXPECT_NE(std::string(runtime).rfind("rel_", 0), 0u) << runtime;
+  }
+
+  MetricsTimeSeries series;
+  series.final_snapshot = snap;
+  std::ostringstream os;
+  WriteMetricsJson(series, os);
+  const std::string json = os.str();
+  const std::string final_obj = JsonObjectAfter(json, "final");
+  const std::string runtime = JsonObjectAfter(final_obj, "counters");
+  const std::string kernel_total = JsonObjectAfter(JsonObjectAfter(final_obj, "kernel"), "total");
+  ASSERT_FALSE(runtime.empty());
+  ASSERT_FALSE(kernel_total.empty());
+  EXPECT_EQ(runtime.find("rel_"), std::string::npos);
+  for (const auto& [name, value] : rel) {
+    const std::string key = "\"kernel." + name + "\":";
+    EXPECT_EQ(CountOccurrences(kernel_total, key), 1u) << name;
+    EXPECT_NE(kernel_total.find(key + std::to_string(value)), std::string::npos) << name;
   }
 }
 
@@ -345,28 +405,38 @@ TEST(BuildSnapshot, EveryFoldedKernelNameHasAnAlias) {
 // Exporters.
 // ---------------------------------------------------------------------------
 
-TEST(MetricsExport, JsonCarriesSchemaSeriesAndAliases) {
+TEST(MetricsExport, JsonCarriesSchemaAndSeries) {
   MetricsEngine engine(2);
   engine.shard(0).Inc(CounterId::kMailboxPushes, 3);
   engine.shard(1).Observe(HistogramId::kParkWaitUs, 150);
+  engine.shard(1).Observe(HistogramId::kParkWaitUs, 150);
+  engine.shard(1).Observe(HistogramId::kParkWaitUs, 7);
 
   MetricsTimeSeries series;
   series.interval_seconds = 0.01;
   MetricsSample sample;
   sample.t_seconds = 0.01;
-  sample.snapshot = engine.Snapshot();
+  sample.shards = engine.Levels();
   series.samples.push_back(sample);
   series.final_snapshot = BuildSnapshot(&engine);
 
   std::ostringstream os;
   WriteMetricsJson(series, os);
   const std::string json = os.str();
-  EXPECT_NE(json.find(kMetricsSchemaV1), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"demos-metrics-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"series\""), std::string::npos);
   EXPECT_NE(json.find("\"final\""), std::string::npos);
-  EXPECT_NE(json.find("\"aliases\""), std::string::npos);
+  EXPECT_EQ(json.find("\"aliases\""), std::string::npos);
   EXPECT_NE(json.find(CounterName(CounterId::kMailboxPushes)), std::string::npos);
-  EXPECT_NE(json.find(HistogramName(HistogramId::kParkWaitUs)), std::string::npos);
+  // Histograms carry exact summaries and only their non-empty buckets, as
+  // [index, count] pairs.
+  const std::string park = "\"park_wait_us\":{\"count\":3,\"sum\":307,\"min\":7,\"max\":150,"
+                           "\"buckets\":[[7,1],[" +
+                           std::to_string(HistogramBucketOf(150)) + ",2]]}";
+  EXPECT_NE(json.find(park), std::string::npos) << json;
+  EXPECT_NE(json.find("\"drain_batch_size\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,"
+                      "\"buckets\":[]}"),
+            std::string::npos);
 }
 
 TEST(MetricsExport, PrometheusTextHasShardLabelsAndCumulativeBuckets) {
@@ -412,14 +482,13 @@ TEST(MetricsSampler, CollectsPeriodicSamplesAndRunsCollector) {
   // Time and counters are monotone across samples.
   for (std::size_t i = 1; i < series.samples.size(); ++i) {
     EXPECT_GE(series.samples[i].t_seconds, series.samples[i - 1].t_seconds);
-    EXPECT_GE(
-        series.samples[i].snapshot.total.counters[static_cast<int>(CounterId::kEventsExecuted)],
-        series.samples[i - 1]
-            .snapshot.total.counters[static_cast<int>(CounterId::kEventsExecuted)]);
+    EXPECT_GE(series.samples[i].shards[0].counters[static_cast<int>(CounterId::kEventsExecuted)],
+              series.samples[i - 1]
+                  .shards[0]
+                  .counters[static_cast<int>(CounterId::kEventsExecuted)]);
   }
   EXPECT_GE(series.final_snapshot.total.counters[static_cast<int>(CounterId::kEventsExecuted)],
-            series.samples.back()
-                .snapshot.total.counters[static_cast<int>(CounterId::kEventsExecuted)]);
+            series.samples.back().shards[0].counters[static_cast<int>(CounterId::kEventsExecuted)]);
 }
 
 // ---------------------------------------------------------------------------

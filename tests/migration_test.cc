@@ -63,11 +63,11 @@ TEST_F(MigrationTest, AdminPayloadsAreSmall) {
   testutil::MigrateAndSettle(cluster, addr->pid, 0, 1);
 
   StatsRegistry total = cluster.TotalStats();
-  const Distribution* sizes = total.GetDistribution("admin_payload_bytes");
+  const HistogramSnapshot* sizes = total.GetDistribution("admin_payload_bytes");
   ASSERT_NE(sizes, nullptr);
-  EXPECT_EQ(sizes->count(), 9u);
-  EXPECT_GE(sizes->Min(), 6.0);
-  EXPECT_LE(sizes->Max(), 24.0);
+  EXPECT_EQ(sizes->count, 9u);
+  EXPECT_GE(sizes->min, 6u);
+  EXPECT_LE(sizes->max, 24u);
 }
 
 TEST_F(MigrationTest, ThreeDataMovesPerMigration) {
@@ -82,17 +82,17 @@ TEST_F(MigrationTest, ThreeDataMovesPerMigration) {
   testutil::MigrateAndSettle(cluster, addr->pid, 0, 1);
   StatsRegistry after = cluster.TotalStats();
 
-  const Distribution* resident = after.GetDistribution("resident_state_bytes");
-  const Distribution* swappable = after.GetDistribution("swappable_state_bytes");
-  const Distribution* image = after.GetDistribution("memory_image_bytes");
+  const HistogramSnapshot* resident = after.GetDistribution("resident_state_bytes");
+  const HistogramSnapshot* swappable = after.GetDistribution("swappable_state_bytes");
+  const HistogramSnapshot* image = after.GetDistribution("memory_image_bytes");
   ASSERT_NE(resident, nullptr);
   ASSERT_NE(swappable, nullptr);
   ASSERT_NE(image, nullptr);
-  EXPECT_EQ(resident->count(), 1u);
-  EXPECT_GT(image->Min(), 2048.0 + 1024 + 512 - 1);
+  EXPECT_EQ(resident->count, 1u);
+  EXPECT_GT(image->min, 2048u + 1024 + 512 - 1);
   // All bytes arrived: data bytes >= the three sections.
   const std::int64_t moved = after.Get(stat::kDataBytes) - before.Get(stat::kDataBytes);
-  EXPECT_GE(moved, static_cast<std::int64_t>(resident->Sum() + swappable->Sum() + image->Sum()));
+  EXPECT_GE(moved, static_cast<std::int64_t>(resident->sum + swappable->sum + image->sum));
 }
 
 TEST_F(MigrationTest, CounterStateIsTransparentAcrossMigration) {

@@ -312,9 +312,9 @@ TEST(TraceTest, ForwardingChainRecordsHops) {
   // The same fact lands in the derived histogram.
   StatsRegistry derived;
   BuildTraceStats(cluster.TotalTrace().events(), &derived);
-  const Distribution* hops = derived.GetDistribution(stat::kForwardHops);
+  const HistogramSnapshot* hops = derived.GetDistribution(stat::kForwardHops);
   ASSERT_NE(hops, nullptr);
-  EXPECT_GE(hops->Max(), 2.0);
+  EXPECT_GE(hops->max, 2u);
 }
 
 TEST(TraceTest, ChromeTraceJsonIsWellFormed) {
