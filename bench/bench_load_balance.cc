@@ -182,7 +182,9 @@ void Run() {
   for (const char* policy : {"null", "affinity"}) {
     AffinityResult r = RunAffinityScenario(policy);
     affinity.Row({policy, bench::Num(r.mean_latency_us, 1),
-                  r.final_home == kNoMachine ? "?" : "m" + std::to_string(r.final_home)});
+                  r.final_home == kNoMachine
+                      ? "?"
+                      : std::string("m").append(std::to_string(r.final_home))});
   }
   affinity.Print();
   bench::Note("the affinity policy relocates the client to the server's machine (m2),");

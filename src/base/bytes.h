@@ -39,23 +39,65 @@ namespace demos {
 
 using Bytes = std::vector<std::uint8_t>;
 
+// A process-wide count striped over cache lines: each thread adds into its
+// own stripe (dealt round-robin on the thread's first add), so the parallel
+// engine's shard threads never write one shared line per message.  A read
+// sums the stripes.  While writers run, successive reads never go backwards
+// (every stripe only grows and is read once per sum); once every add
+// happens-before the read -- a thread join, or the parallel engine's
+// quiescence handshake -- the sum is exact.  Reads as a std::atomic would:
+// load(order), or implicitly as a std::uint64_t.
+class StripedCounter {
+ public:
+  void Add(std::uint64_t n) {
+    stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t load(std::memory_order order = std::memory_order_seq_cst) const {
+    std::uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(order);
+    }
+    return total;
+  }
+  operator std::uint64_t() const { return load(); }  // NOLINT(google-explicit-constructor)
+  // Not concurrent with Add: callers reset between runs.
+  void Reset() {
+    for (Stripe& stripe : stripes_) {
+      stripe.value.store(0, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kStripes = 16;  // power of two
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  static std::size_t ThreadStripe() {
+    static std::atomic<std::size_t> next{0};
+    thread_local const std::size_t stripe =
+        next.fetch_add(1, std::memory_order_relaxed) & (kStripes - 1);
+    return stripe;
+  }
+
+  Stripe stripes_[kStripes];
+};
+
 // Process-wide counters behind the E-bench copy accounting: how many backing
 // buffers the payload pipeline allocated and how many bytes were physically
 // copied into them.  Moves and slices are free; only genuine allocations and
-// memcpys count.  Relaxed atomics: shard threads of the parallel engine
-// (src/run) bump them concurrently, and tests read them only at quiescence.
+// memcpys count.  Striped: shard threads of the parallel engine (src/run)
+// count concurrently, and tests read the totals at quiescence.
 struct PayloadCounters {
-  inline static std::atomic<std::uint64_t> allocations{0};
-  inline static std::atomic<std::uint64_t> copied_bytes{0};
+  inline static StripedCounter allocations;
+  inline static StripedCounter copied_bytes;
 
-  static void CountAllocation() { allocations.fetch_add(1, std::memory_order_relaxed); }
-  static void CountCopied(std::uint64_t bytes) {
-    copied_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
+  static void CountAllocation() { allocations.Add(1); }
+  static void CountCopied(std::uint64_t bytes) { copied_bytes.Add(bytes); }
 
   static void Reset() {
-    allocations.store(0, std::memory_order_relaxed);
-    copied_bytes.store(0, std::memory_order_relaxed);
+    allocations.Reset();
+    copied_bytes.Reset();
   }
 };
 
@@ -115,9 +157,10 @@ class PayloadRef {
 
   ~PayloadRef() { Release(); }
 
-  // Braced literals (`msg.payload = {1, 2, 3}`) build a fresh buffer.
+  // Braced literals (`msg.payload = {1, 2, 3}`) build a fresh buffer.  The
+  // iterator-pair Bytes keeps GCC 12's -Wfree-nonheap-object from misfiring.
   PayloadRef(std::initializer_list<std::uint8_t> bytes)  // NOLINT
-      : PayloadRef(Bytes(bytes)) {}
+      : PayloadRef(Bytes(bytes.begin(), bytes.end())) {}
 
   // Explicitly copy `len` bytes into a fresh buffer.
   static PayloadRef Copy(const void* data, std::size_t len) {

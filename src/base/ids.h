@@ -32,8 +32,14 @@ struct ProcessId {
 
   bool valid() const { return creating_machine != kNoMachine; }
 
+  // Appends instead of `"p" + std::to_string(...)`: GCC 12's -Wrestrict
+  // misfires on the inlined operator+(const char*, string&&) under -O2.
   std::string ToString() const {
-    return "p" + std::to_string(creating_machine) + "." + std::to_string(local_id);
+    std::string out = "p";
+    out += std::to_string(creating_machine);
+    out += '.';
+    out += std::to_string(local_id);
+    return out;
   }
 };
 
@@ -51,7 +57,10 @@ struct ProcessAddress {
   bool valid() const { return pid.valid(); }
 
   std::string ToString() const {
-    return pid.ToString() + "@m" + std::to_string(last_known_machine);
+    std::string out = pid.ToString();
+    out += "@m";
+    out += std::to_string(last_known_machine);
+    return out;
   }
 };
 

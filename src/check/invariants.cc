@@ -22,6 +22,14 @@ std::string Hex(std::uint64_t v) {
   return buf;
 }
 
+// "m<id>", appended rather than `"m" + std::to_string(m)`: GCC 12's
+// -Wrestrict misfires on that operator+ once it is inlined.
+std::string MachineName(int m) {
+  std::string out = "m";
+  out += std::to_string(m);
+  return out;
+}
+
 }  // namespace
 
 std::uint64_t HashBytes(const std::uint8_t* data, std::size_t size) {
@@ -384,8 +392,7 @@ void ClusterChecker::CheckLiveness() {
     }
     Kernel& kernel = cluster_.kernel(mid);
     if (kernel.HasMigrationInProgress()) {
-      AddViolation("liveness",
-                   "m" + std::to_string(m) + " still has migration state at quiescence");
+      AddViolation("liveness", MachineName(m) + " still has migration state at quiescence");
     }
     for (const auto& [pid, entry] : kernel.process_table().entries()) {
       if (!entry.IsForwarding() && entry.process->state == ExecState::kInMigration) {
@@ -644,7 +651,7 @@ void ClusterChecker::CheckMemoryAccounting() {
     }
     if (live_bytes != kernel.memory_used()) {
       AddViolation("memory-accounting",
-                   "m" + std::to_string(m) + " accounts " + std::to_string(kernel.memory_used()) +
+                   MachineName(m) + " accounts " + std::to_string(kernel.memory_used()) +
                        " bytes but hosts " + std::to_string(live_bytes) + " bytes of processes");
     }
   }

@@ -74,6 +74,12 @@ enum class MsgType : std::uint16_t {
   kUserBase = 1000,
 };
 
+// Program protocols (src/sys) define their codes as MsgType values above
+// kUserBase, which are not enumerators; their handlers switch on the code,
+// `switch (TypeCode(msg.type)) { case TypeCode(kSbLookup): ... }`, so
+// -Wswitch does not flag every label as outside the enumeration.
+constexpr std::uint16_t TypeCode(MsgType type) { return static_cast<std::uint16_t>(type); }
+
 inline bool IsMigrationAdminType(MsgType t) {
   switch (t) {
     case MsgType::kMigrateRequest:

@@ -50,7 +50,7 @@ enum class FrEvent : std::uint16_t {
   kParkEnd,          // a = 1 if woken with work pending, 0 if timeout
   // Scheduling / quiescence.
   kPostedTask,       // a = tasks executed
-  kQuiescenceVote,   // a = 1 quiet / 0 busy, b = in-flight (sent - consumed)
+  kQuiescenceVote,   // a = 1 quiet / 0 busy, b = in-flight (sent - consumed; 0 if busy)
   // Kernel migration state machine (a = FrMigrationEdge, b = pid serial).
   kMigrationPhase,
   kWatchdogFired,    // a = armed deadline (us), b = pid serial

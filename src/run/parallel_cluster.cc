@@ -423,13 +423,20 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
 }
 
 ParallelCluster::Snapshot ParallelCluster::TakeSnapshot() const {
+  // Idle flags first, and nothing else until every one is set: the flow
+  // slots are written by running shards, and a coordinator polling them
+  // mid-round would pull those lines away from their writers on every lap.
   Snapshot snap;
-  snap.all_idle = true;
   for (const auto& shard : shards_) {
-    snap.all_idle = shard->idle.load(std::memory_order_seq_cst) && snap.all_idle;
+    if (!shard->idle.load(std::memory_order_seq_cst)) {
+      return snap;
+    }
   }
-  snap.sent = router_->sent();
+  snap.all_idle = true;
+  // consumed before sent: a frame is counted sent before it can be consumed,
+  // so this order never reads consumed > sent.
   snap.consumed = router_->consumed();
+  snap.sent = router_->sent();
   snap.posted = posted_.load(std::memory_order_seq_cst);
   snap.posted_done = posted_done_.load(std::memory_order_seq_cst);
   return snap;
@@ -488,9 +495,15 @@ bool ParallelCluster::RunUntilQuiescentSync(std::chrono::milliseconds timeout,
     // The base snapshot rules out in-flight mail and posted work; the LBTS
     // view rules out a shard mid-round (busy) or still on an older window
     // (done_epoch lag), and carries the floors the next bound derives from.
+    // The view is read only once the snapshot is quiet, for the same reason
+    // the snapshot reads the flow slots only after the idle flags.
     Snapshot snap = TakeSnapshot();
-    LbtsState::ShardView view = lbts_->View();
-    const bool blocked = snap.Quiet() && !view.any_busy && view.all_done;
+    LbtsState::ShardView view;
+    bool blocked = false;
+    if (snap.Quiet()) {
+      view = lbts_->View();
+      blocked = !view.any_busy && view.all_done;
+    }
     if (coord != nullptr) {
       coord->Inc(CounterId::kQuiescencePolls);
       if (blocked) {

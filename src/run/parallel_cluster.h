@@ -14,9 +14,10 @@
 //     shard and touched only from that shard's thread.
 //   - Cross-shard effects travel exclusively as framed messages through the
 //     ShardRouter; the handler runs on the *destination* shard's thread.
-//   - The only shared-memory concurrency is PayloadRef refcounts (shared_ptr
-//     atomics), stats/payload counters (relaxed atomics), and the
-//     mailbox/quiescence/LBTS machinery in src/run.
+//   - The only shared-memory concurrency is PayloadRef refcounts (intrusive
+//     atomics), stats counters (relaxed atomics), the striped payload
+//     counters (one stripe per thread), and the mailbox/quiescence/LBTS
+//     machinery in src/run, whose per-message counts live on per-shard lines.
 //
 // Two time models, selected by ParallelClusterConfig::sync:
 //   - Free-running (default): shard clocks advance independently; mail is
@@ -214,11 +215,14 @@ class ParallelCluster final : public Engine {
     // over-report (a spurious extra round) but never under-report.
     std::atomic<std::size_t> posted_count{0};
     // True while the shard believes it has nothing to do.  seq_cst pairs
-    // with the router counters in the quiescence check.
-    std::atomic<bool> idle{false};
+    // with the router counters in the quiescence check.  On its own cache
+    // line: the coordinator polls it while the shard's round writes the
+    // fields above.
+    alignas(64) std::atomic<bool> idle{false};
     std::thread thread;
   };
 
+  // Counters are read only when all_idle (TakeSnapshot); zero otherwise.
   struct Snapshot {
     bool all_idle = false;
     std::uint64_t sent = 0;

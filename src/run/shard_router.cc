@@ -1,5 +1,6 @@
 #include "src/run/shard_router.h"
 
+#include <algorithm>
 #include <cassert>
 #include <thread>
 
@@ -49,6 +50,23 @@ ShardRouter::ShardRouter(int machines, ShardRouterConfig config) : config_(confi
     outboxes_.push_back(std::move(outbox));
   }
   clocks_.assign(static_cast<std::size_t>(machines), nullptr);
+  flow_ = std::make_unique<FlowSlot[]>(static_cast<std::size_t>(machines) + 1);
+}
+
+std::uint64_t ShardRouter::sent() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i <= outboxes_.size(); ++i) {
+    total += flow_[i].sent.load(std::memory_order_seq_cst);
+  }
+  return total;
+}
+
+std::uint64_t ShardRouter::consumed() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < outboxes_.size(); ++i) {
+    total += flow_[i].consumed.load(std::memory_order_seq_cst);
+  }
+  return total;
 }
 
 void ShardRouter::SetClock(MachineId node, const EventQueue* clock) {
@@ -87,7 +105,7 @@ void ShardRouter::Send(MachineId src, MachineId dst, PayloadRef payload) {
 
   // Count the frame before it is staged so the quiescence detector sees it
   // as in-flight for the whole stage+publish+pop+handle window.
-  sent_.fetch_add(1, std::memory_order_seq_cst);
+  flow_[std::min<std::size_t>(src, outboxes_.size())].sent.fetch_add(1, std::memory_order_seq_cst);
 
   if (!batching_enabled_ || config_.max_batch_frames <= 1 || src >= outboxes_.size()) {
     // Batching off (single-threaded staging needs global send order), or a
@@ -329,7 +347,6 @@ std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
       // with a later publish), so `drained` may overshoot max_items.
       for (StagedFrame& frame : item.batch->frames) {
         inbox.handler(item.src, std::move(frame.payload));
-        consumed_.fetch_add(1, std::memory_order_seq_cst);
         ++drained;
       }
       item.batch->frames.clear();
@@ -342,14 +359,14 @@ std::size_t ShardRouter::Drain(MachineId node, std::size_t max_items) {
       }
     } else {
       inbox.handler(item.src, std::move(item.payload));
-      // After the handler: a message is "consumed" only once every effect it
-      // had on this shard (including sends it triggered, already counted in
-      // sent_) is visible.
-      consumed_.fetch_add(1, std::memory_order_seq_cst);
       ++drained;
     }
   }
   if (drained != 0) {
+    // After the handlers: a message is "consumed" only once every effect it
+    // had on this shard (including sends it triggered, already counted as
+    // sent) is visible.
+    flow_[node].consumed.fetch_add(drained, std::memory_order_seq_cst);
     MetricShard* metrics = MetricsFor(metrics_, node);
     FlightRecorder* flight = FlightFor(flight_, node);
     if (from_spill != 0) {
@@ -394,7 +411,6 @@ std::size_t ShardRouter::DrainTimed(MachineId node, std::size_t max_items,
       // batching can only make arrivals later-or-equal, never earlier.
       for (StagedFrame& frame : item.batch->frames) {
         sink(item.src, frame.send_ts, std::move(frame.payload));
-        consumed_.fetch_add(1, std::memory_order_seq_cst);
         ++drained;
       }
       item.batch->frames.clear();
@@ -405,14 +421,14 @@ std::size_t ShardRouter::DrainTimed(MachineId node, std::size_t max_items,
       }
     } else {
       sink(item.src, item.send_ts, std::move(item.payload));
-      // After the sink: the frame is either handled or durably scheduled on
-      // the shard's event queue, so the quiescence/LBTS machinery no longer
-      // needs the sent/consumed gap to cover it.
-      consumed_.fetch_add(1, std::memory_order_seq_cst);
       ++drained;
     }
   }
   if (drained != 0) {
+    // After the sinks: each frame is either handled or durably scheduled on
+    // the shard's event queue, so the quiescence/LBTS machinery no longer
+    // needs the sent/consumed gap to cover it.
+    flow_[node].consumed.fetch_add(drained, std::memory_order_seq_cst);
     MetricShard* metrics = MetricsFor(metrics_, node);
     FlightRecorder* flight = FlightFor(flight_, node);
     if (from_spill != 0) {

@@ -34,11 +34,16 @@
 // is why Send(src, ...) and Flush(src) must be called from the thread that
 // owns shard `src` once the cluster is running.
 //
-// sent()/consumed() are cluster-global monotonic counters used by the
+// sent()/consumed() are cluster-wide monotonic counts used by the
 // quiescence detector: sent is bumped per frame at *stage* time (before the
-// lane is even published), consumed per frame after the handler has fully
-// run, so "sent == consumed" can only be observed when no frame is staged,
-// in a mailbox, or being processed.
+// lane is even published), consumed once per drain round, after every
+// handler or sink call of that round has returned, so "sent == consumed" can
+// only be observed when no frame is staged, in a mailbox, or being processed.
+// Neither is one shared word: each shard owns a cache-line flow slot that
+// counts the frames it sent and the frames it consumed, and one extra shared
+// slot counts frames from senders outside [0, machines).  A message therefore
+// writes only its sender's and its receiver's own lines, never a line another
+// shard writes.
 
 #ifndef DEMOS_RUN_SHARD_ROUTER_H_
 #define DEMOS_RUN_SHARD_ROUTER_H_
@@ -193,8 +198,16 @@ class ShardRouter final : public Transport {
   std::size_t SpillDepth(MachineId node) const;
 
   int machines() const { return static_cast<int>(inboxes_.size()); }
-  std::uint64_t sent() const { return sent_.load(std::memory_order_seq_cst); }
-  std::uint64_t consumed() const { return consumed_.load(std::memory_order_seq_cst); }
+  // Sums over the flow slots (slot order, seq_cst loads).  A caller that
+  // needs sent >= consumed in one reading reads consumed() first: a frame is
+  // counted sent before it can be popped, so every frame in the consumed sum
+  // is already in any later sent sum.  The quiescence detector's double
+  // snapshot needs no atomic sum: every slot count only grows, so a sum read
+  // equal in two snapshots means no slot moved between its two reads, and
+  // when both sums (and the idle flags) match, the cluster held those values
+  // at one instant between the snapshots -- the argument for one counter.
+  std::uint64_t sent() const;
+  std::uint64_t consumed() const;
   // How many publishes hit a full mailbox (backpressure events, not spin laps).
   std::uint64_t backpressure_hits() const {
     return backpressure_hits_.load(std::memory_order_relaxed);
@@ -277,6 +290,15 @@ class ShardRouter final : public Transport {
   // Move everything poppable in `src`'s own ring into its spill queue.
   std::size_t RescueOwnInbox(MachineId src);
 
+  // Quiescence counts of one shard, alone on its cache line: `sent` is
+  // bumped by the shard's sends, `consumed` by its drains.  The extra slot
+  // at index machines() takes senders outside the shard set, which may be
+  // any thread, hence fetch_add throughout.
+  struct alignas(64) FlowSlot {
+    std::atomic<std::uint64_t> sent{0};
+    std::atomic<std::uint64_t> consumed{0};
+  };
+
   ShardRouterConfig config_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<std::unique_ptr<Outbox>> outboxes_;
@@ -289,8 +311,7 @@ class ShardRouter final : public Transport {
   MetricsEngine* metrics_ = nullptr;
   FlightRecorderHub* flight_ = nullptr;
   AdaptiveLookahead* lookahead_ = nullptr;
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> consumed_{0};
+  std::unique_ptr<FlowSlot[]> flow_;  // machines + 1 slots
   std::atomic<std::uint64_t> backpressure_hits_{0};
   std::atomic<std::uint64_t> spill_rescues_{0};
 };

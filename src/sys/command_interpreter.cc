@@ -22,8 +22,8 @@ std::vector<std::string> Tokenize(const std::string& line) {
 }  // namespace
 
 void CommandInterpreterProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kCiRun: {
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kCiRun): {
       ByteReader r(msg.payload);
       const std::string script = r.Str();
       script_.clear();
@@ -42,7 +42,7 @@ void CommandInterpreterProgram::OnMessage(Context& ctx, const Message& msg) {
       (void)ctx.Send(kSwitchboardSlot, kSbLookup, w.Take(), {ctx.MakeLink(kLinkReply)});
       return;
     }
-    case kSbLookupReply: {
+    case TypeCode(kSbLookupReply): {
       ByteReader r(msg.payload);
       const auto status = static_cast<StatusCode>(r.U8());
       if (status == StatusCode::kOk && !msg.carried_links.empty()) {
@@ -51,7 +51,7 @@ void CommandInterpreterProgram::OnMessage(Context& ctx, const Message& msg) {
       Step(ctx);
       return;
     }
-    case kPmCreateReply: {
+    case TypeCode(kPmCreateReply): {
       ByteReader r(msg.payload);
       (void)r.U64();  // cookie
       const auto status = static_cast<StatusCode>(r.U8());
@@ -64,7 +64,7 @@ void CommandInterpreterProgram::OnMessage(Context& ctx, const Message& msg) {
       Advance(ctx);
       return;
     }
-    case kPmMigrateReply: {
+    case TypeCode(kPmMigrateReply): {
       waiting_reply_ = false;
       Advance(ctx);
       return;

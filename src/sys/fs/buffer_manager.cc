@@ -13,17 +13,17 @@ BufferManagerConfig& DefaultBufferManagerConfig() {
 BufferManagerProgram::BufferManagerProgram() : config_(DefaultBufferManagerConfig()) {}
 
 void BufferManagerProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kBufRead:
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kBufRead):
       HandleRead(ctx, msg);
       return;
-    case kBufWrite:
+    case TypeCode(kBufWrite):
       HandleWrite(ctx, msg);
       return;
-    case kDiskReadReply:
+    case TypeCode(kDiskReadReply):
       HandleDiskReadReply(ctx, msg);
       return;
-    case kFsAttach:
+    case TypeCode(kFsAttach):
       if (!msg.carried_links.empty()) {
         disk_slot_ = ctx.AddLink(msg.carried_links[0]);
       }

@@ -14,8 +14,8 @@ DirectoryServiceProgram::FileMeta* DirectoryServiceProgram::FindById(std::uint32
 }
 
 void DirectoryServiceProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kDirLookup: {
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kDirLookup): {
       ByteReader r(msg.payload);
       const std::uint64_t cookie = r.U64();
       const std::string name = r.Str();
@@ -41,7 +41,7 @@ void DirectoryServiceProgram::OnMessage(Context& ctx, const Message& msg) {
       (void)ctx.Reply(msg, kDirReply, w.Take());
       return;
     }
-    case kDirGetBlocks: {
+    case TypeCode(kDirGetBlocks): {
       ByteReader r(msg.payload);
       const std::uint64_t cookie = r.U64();
       const std::uint32_t file_id = r.U32();
@@ -74,7 +74,7 @@ void DirectoryServiceProgram::OnMessage(Context& ctx, const Message& msg) {
       (void)ctx.Reply(msg, kDirBlocksReply, w.Take());
       return;
     }
-    case kDirSetSize: {
+    case TypeCode(kDirSetSize): {
       ByteReader r(msg.payload);
       const std::uint64_t cookie = r.U64();
       const std::uint32_t file_id = r.U32();

@@ -83,8 +83,8 @@ void FileClientProgram::OpenFile(Context& ctx) {
 }
 
 void FileClientProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kSbLookupReply: {
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kSbLookupReply): {
       ByteReader r(msg.payload);
       const auto status = static_cast<StatusCode>(r.U8());
       if (status != StatusCode::kOk || msg.carried_links.empty()) {
@@ -99,7 +99,7 @@ void FileClientProgram::OnMessage(Context& ctx, const Message& msg) {
       OpenFile(ctx);
       return;
     }
-    case kFsOpenReply: {
+    case TypeCode(kFsOpenReply): {
       ByteReader r(msg.payload);
       const auto status = static_cast<StatusCode>(r.U8());
       if (status != StatusCode::kOk) {
@@ -114,8 +114,8 @@ void FileClientProgram::OnMessage(Context& ctx, const Message& msg) {
       NextOp(ctx);
       return;
     }
-    case kFsReadReply:
-    case kFsWriteReply: {
+    case TypeCode(kFsReadReply):
+    case TypeCode(kFsWriteReply): {
       ByteReader r(msg.payload);
       const auto status = static_cast<StatusCode>(r.U8());
       FinishOne(ctx, status != StatusCode::kOk, ctx.now() - op_started_at_);

@@ -32,35 +32,35 @@ Status RequestInterpreterProgram::SendBuf(Context& ctx, MsgType type, Bytes payl
 }
 
 void RequestInterpreterProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kFsOpen:
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kFsOpen):
       HandleOpen(ctx, msg);
       return;
-    case kFsRead:
+    case TypeCode(kFsRead):
       HandleReadWrite(ctx, msg, /*is_write=*/false);
       return;
-    case kFsWrite:
+    case TypeCode(kFsWrite):
       HandleReadWrite(ctx, msg, /*is_write=*/true);
       return;
-    case kFsClose:
+    case TypeCode(kFsClose):
       HandleClose(ctx, msg);
       return;
-    case kDirReply:
+    case TypeCode(kDirReply):
       HandleDirReply(ctx, msg);
       return;
-    case kDirBlocksReply:
+    case TypeCode(kDirBlocksReply):
       HandleBlocksReply(ctx, msg);
       return;
-    case kBufReadReply:
+    case TypeCode(kBufReadReply):
       HandleBufReadReply(ctx, msg);
       return;
-    case kBufWriteReply:
+    case TypeCode(kBufWriteReply):
       HandleBufWriteReply(ctx, msg);
       return;
-    case kDirSizeReply:
+    case TypeCode(kDirSizeReply):
       HandleSizeReply(ctx, msg);
       return;
-    case kFsAttach: {
+    case TypeCode(kFsAttach): {
       ByteReader r(msg.payload);
       const std::string role = r.Str();
       if (!msg.carried_links.empty()) {

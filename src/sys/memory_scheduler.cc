@@ -7,15 +7,15 @@
 namespace demos {
 
 void MemorySchedulerProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kMsReport: {
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kMsReport): {
       Result<LoadReport> report = LoadReport::Decode(msg.payload);
       if (report.ok()) {
         memory_[report->machine] = MachineMemory{report->memory_used, report->memory_limit};
       }
       return;
     }
-    case kMsQuery: {
+    case TypeCode(kMsQuery): {
       ByteReader r(msg.payload);
       const MachineId machine = r.U16();
       ByteWriter w;
@@ -32,7 +32,7 @@ void MemorySchedulerProgram::OnMessage(Context& ctx, const Message& msg) {
       (void)ctx.Reply(msg, kMsQueryReply, w.Take());
       return;
     }
-    case kMsFindSpace: {
+    case TypeCode(kMsFindSpace): {
       ByteReader r(msg.payload);
       const std::uint64_t bytes = r.U64();
       MachineId best = kNoMachine;

@@ -30,8 +30,8 @@ void ProcessManagerProgram::OnTimer(Context& ctx, std::uint64_t cookie) {
 }
 
 void ProcessManagerProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case MsgType::kLoadReport: {
+  switch (TypeCode(msg.type)) {
+    case TypeCode(MsgType::kLoadReport): {
       Result<LoadReport> report = LoadReport::Decode(msg.payload);
       if (report.ok()) {
         loads_.Apply(*report, ctx.now());
@@ -44,32 +44,32 @@ void ProcessManagerProgram::OnMessage(Context& ctx, const Message& msg) {
       }
       return;
     }
-    case kPmCreate:
+    case TypeCode(kPmCreate):
       HandleCreate(ctx, msg);
       return;
-    case MsgType::kCreateProcessReply:
+    case TypeCode(MsgType::kCreateProcessReply):
       HandleCreateReply(ctx, msg);
       return;
-    case kPmMigrate:
+    case TypeCode(kPmMigrate):
       HandleMigrate(ctx, msg);
       return;
-    case MsgType::kMigrateDone:
+    case TypeCode(MsgType::kMigrateDone):
       HandleMigrateDone(ctx, msg);
       return;
-    case kPmEvacuate:
+    case TypeCode(kPmEvacuate):
       HandleEvacuate(ctx, msg);
       return;
-    case kPmPin: {
+    case TypeCode(kPmPin): {
       ByteReader r(msg.payload);
       pinned_.insert(r.Pid());
       return;
     }
-    case kPmAttachMs:
+    case TypeCode(kPmAttachMs):
       if (!msg.carried_links.empty()) {
         memory_scheduler_slot_ = ctx.AddLink(msg.carried_links[0]);
       }
       return;
-    case kPmStats: {
+    case TypeCode(kPmStats): {
       ByteWriter w;
       w.U32(static_cast<std::uint32_t>(inventory_.size()));
       w.U32(static_cast<std::uint32_t>(migrations_started_));

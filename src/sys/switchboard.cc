@@ -7,8 +7,8 @@
 namespace demos {
 
 void SwitchboardProgram::OnMessage(Context& ctx, const Message& msg) {
-  switch (msg.type) {
-    case kSbRegister: {
+  switch (TypeCode(msg.type)) {
+    case TypeCode(kSbRegister): {
       ByteReader r(msg.payload);
       const std::string name = r.Str();
       if (msg.carried_links.empty() || !r.ok()) {
@@ -22,7 +22,7 @@ void SwitchboardProgram::OnMessage(Context& ctx, const Message& msg) {
       DEMOS_LOG(kDebug, "switchboard") << "registered '" << name << "'";
       return;
     }
-    case kSbLookup: {
+    case TypeCode(kSbLookup): {
       ByteReader r(msg.payload);
       const std::string name = r.Str();
       ByteWriter reply;
@@ -38,7 +38,7 @@ void SwitchboardProgram::OnMessage(Context& ctx, const Message& msg) {
       (void)ctx.Reply(msg, kSbLookupReply, reply.Take(), std::move(carry));
       return;
     }
-    case kSbList: {
+    case TypeCode(kSbList): {
       ByteWriter reply;
       reply.U32(static_cast<std::uint32_t>(directory_.size()));
       for (const auto& [name, link] : directory_) {

@@ -19,6 +19,7 @@
 #include "src/base/bytes.h"
 #include "src/base/histogram.h"
 #include "src/base/ids.h"
+#include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
@@ -556,6 +557,97 @@ TEST(PayloadCountersTest, ConcurrentCountsDoNotTear) {
   EXPECT_EQ(PayloadCounters::copied_bytes.load(),
             static_cast<std::uint64_t>(kThreads) * kPerThread * 3);
   PayloadCounters::Reset();
+}
+
+TEST(PayloadCountersTest, ReadsWhileWritersRunAreMonotoneAndExactAfterJoin) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 50000;
+  PayloadCounters::Reset();
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&running] {
+      for (int i = 0; i < kPerThread; ++i) {
+        PayloadCounters::CountAllocation();
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::uint64_t last = 0;
+  std::uint64_t reads = 0;
+  bool monotone = true;
+  while (running.load(std::memory_order_acquire) != 0) {
+    const std::uint64_t now = PayloadCounters::allocations.load(std::memory_order_relaxed);
+    monotone = monotone && now >= last;
+    last = now;
+    ++reads;
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_TRUE(monotone) << "a striped read went backwards after " << reads << " reads";
+  const std::uint64_t total = static_cast<std::uint64_t>(kThreads) * kPerThread;
+  EXPECT_LE(last, total);
+  EXPECT_EQ(PayloadCounters::allocations.load(), total);
+  EXPECT_EQ(static_cast<std::uint64_t>(PayloadCounters::allocations), total);
+  PayloadCounters::Reset();
+  EXPECT_EQ(PayloadCounters::allocations, 0u);
+}
+
+// DEMOS_LOG tests the level before building the line, so operands of a
+// disabled line never run.
+class LogTest : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_ = GlobalLogLevel(); }
+  void TearDown() override { GlobalLogLevel() = saved_; }
+
+ private:
+  LogLevel saved_ = LogLevel::kWarn;
+};
+
+TEST_F(LogTest, DisabledLevelDoesNotEvaluateArguments) {
+  GlobalLogLevel() = LogLevel::kWarn;
+  int evaluated = 0;
+  testing::internal::CaptureStderr();
+  DEMOS_LOG(kInfo, "test") << "count " << ++evaluated;
+  DEMOS_LOG(kDebug, "test") << ++evaluated;
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(evaluated, 0);
+}
+
+TEST_F(LogTest, EnabledLevelEvaluatesArgumentsAndPrintsOneLine) {
+  GlobalLogLevel() = LogLevel::kInfo;
+  int evaluated = 0;
+  testing::internal::CaptureStderr();
+  DEMOS_LOG(kInfo, "test") << "count " << ++evaluated;
+  DEMOS_LOG(kWarn, "test") << "count " << ++evaluated;
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[I test] count 1\n[W test] count 2\n");
+  EXPECT_EQ(evaluated, 2);
+}
+
+TEST_F(LogTest, MacroInsideIfElseTakesTheCallersBranch) {
+  GlobalLogLevel() = LogLevel::kWarn;
+  for (const bool cond : {true, false}) {
+    int logged = 0;
+    int other = 0;
+    testing::internal::CaptureStderr();
+    if (cond)
+      DEMOS_LOG(kWarn, "test") << ++logged;
+    else
+      ++other;
+    const std::string out = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(logged, cond ? 1 : 0);
+    EXPECT_EQ(other, cond ? 0 : 1);
+    EXPECT_EQ(out, cond ? "[W test] 1\n" : "");
+  }
+  // Below the level the logging branch is still the one taken, and it does
+  // nothing.
+  int other = 0;
+  if (true)
+    DEMOS_LOG(kInfo, "test") << ++other;
+  else
+    ++other;
+  EXPECT_EQ(other, 0);
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ TEST_F(ConcurrentMigrationTest, BothEndsMigrateMidConversation) {
   kick.sender = *b;
   kick.receiver = *a;
   kick.type = kVolley;
-  kick.payload = {kVolleys};
+  kick.payload = Bytes{kVolleys};
   kick.carried_links = {to_b};
   cluster.kernel(1).Transmit(std::move(kick));
 
@@ -107,7 +107,7 @@ TEST_P(CrossMigrationSweep, RallySurvivesAnyInterleaving) {
   kick.sender = *b;
   kick.receiver = *a;
   kick.type = kVolley;
-  kick.payload = {kVolleys};
+  kick.payload = Bytes{kVolleys};
   kick.carried_links = {to_b};
   cluster.kernel(1).Transmit(std::move(kick));
 

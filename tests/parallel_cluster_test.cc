@@ -286,6 +286,87 @@ TEST_F(ParallelClusterTest, ShardRouterBatchPublishSpillsWhenDestinationMailboxF
   EXPECT_EQ(batch.sum, kFrames);
 }
 
+TEST_F(ParallelClusterTest, ShardRouterFlowSlotsSumOwnerAndOutsideSendersExactly) {
+  // Three owner-thread senders (shards 0-2, batching on) and one sender id
+  // outside the shard set, all sending to shards 0 and 1, which drain on
+  // their own threads.  The per-shard flow slots and the shared outside slot
+  // must sum to exact totals, and a reader taking consumed() before sent()
+  // must never see more consumed than sent while the traffic runs.
+  constexpr int kMachines = 3;
+  constexpr MachineId kOutside = kMachines;
+  constexpr std::uint32_t kPerSender = 4000;
+  constexpr std::uint64_t kSenders = 4;
+  constexpr std::uint64_t kPerDestination = kSenders * kPerSender / 2;
+  ShardRouter router(kMachines);
+  router.SetBatchingEnabled(true);
+
+  std::uint64_t received[2] = {0, 0};
+  std::map<std::uint32_t, std::uint32_t> next_seq[2];
+  for (MachineId dst = 0; dst < 2; ++dst) {
+    router.Attach(dst, [&, dst](MachineId src, PayloadRef payload) {
+      ByteReader r(payload);
+      const std::uint32_t sender = r.U32();
+      const std::uint32_t seq = r.U32();
+      EXPECT_EQ(sender, static_cast<std::uint32_t>(src));
+      EXPECT_EQ(seq, next_seq[dst][sender]) << "link " << sender << "->" << dst << " reordered";
+      next_seq[dst][sender] = seq + 2;  // each sender alternates destinations
+      ++received[dst];
+    });
+  }
+
+  auto send_all = [&router](MachineId src) {
+    for (std::uint32_t i = 0; i < kPerSender; ++i) {
+      ByteWriter w;
+      w.U32(src);
+      w.U32(i);
+      router.Send(src, static_cast<MachineId>(i % 2), w.Take());
+    }
+    router.Flush(src);
+  };
+  for (MachineId dst = 0; dst < 2; ++dst) {
+    next_seq[dst][0] = next_seq[dst][1] = next_seq[dst][2] = next_seq[dst][kOutside] = dst;
+  }
+
+  std::atomic<int> running{4};
+  std::vector<std::thread> threads;
+  for (MachineId owner = 0; owner < 2; ++owner) {
+    threads.emplace_back([&, owner] {
+      send_all(owner);
+      while (received[owner] < kPerDestination) {
+        if (router.Drain(owner, 64) == 0) {
+          std::this_thread::yield();
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    send_all(2);
+    running.fetch_sub(1);
+  });
+  threads.emplace_back([&] {
+    send_all(kOutside);
+    running.fetch_sub(1);
+  });
+
+  bool ordered = true;
+  while (running.load() != 0) {
+    const std::uint64_t consumed = router.consumed();
+    const std::uint64_t sent = router.sent();
+    ordered = ordered && sent >= consumed;
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_TRUE(ordered) << "consumed() read before sent() exceeded it";
+  EXPECT_EQ(received[0], kPerDestination);
+  EXPECT_EQ(received[1], kPerDestination);
+  EXPECT_EQ(router.sent(), kSenders * kPerSender);
+  EXPECT_EQ(router.consumed(), kSenders * kPerSender);
+  EXPECT_FALSE(router.HasMail(0));
+  EXPECT_FALSE(router.HasMail(1));
+}
+
 TEST_F(ParallelClusterTest, ShardRouterElidesNotifyWhenBlockedConsumerIsAwake) {
   // A producer blocked on a full mailbox whose consumer is running (not
   // parked) must not burn a condvar notify per retry: the elision is counted
