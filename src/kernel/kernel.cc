@@ -159,11 +159,11 @@ void Kernel::Transmit(Message msg) {
     // messages keep the id they were born with.
     if (msg.trace_id == 0) {
       msg.trace_id = tracer_.NextMessageTraceId();
-      TraceMessage(trace::kMsgSend, msg, static_cast<std::uint64_t>(msg.type), msg.WireSize());
+      Emit<FrEvent::kMsgSend>(msg, static_cast<std::uint64_t>(msg.type), msg.WireSize());
       if (msg.type == MsgType::kMigrateRequest) {
         // Step 1 of Sec. 3.1 starts here, on the requester's kernel.
-        TraceMigration(trace::kRequestSent, msg.receiver.pid,
-                       static_cast<std::uint64_t>(msg.receiver.last_known_machine));
+        Emit<FrEvent::kRequestSent>(msg.receiver.pid,
+                                    static_cast<std::uint64_t>(msg.receiver.last_known_machine));
       }
       if (observer_ != nullptr) {
         observer_->OnMessageSend(machine_, msg);
@@ -342,7 +342,7 @@ void Kernel::DeliverToProcess(ProcessRecord& record, Message msg) {
     // collapse to length one under traffic).
     EmitChainCollapse(msg);
   }
-  TraceMessage(trace::kMsgDeliver, msg, msg.hop_count);
+  Emit<FrEvent::kMsgDeliver>(msg, msg.hop_count);
   EnqueueLocal(record, std::move(msg));
   MaybeScheduleDispatch(record);
 }

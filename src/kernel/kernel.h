@@ -9,6 +9,11 @@
 // Migration-specific logic (Sec. 3-5) is implemented in migration.cc; message
 // routing, scheduling, bulk data movement, and kernel calls in kernel.cc; the
 // Context implementation programs see is in context.cc.
+//
+// Instrumentation: counters go to stats_ (StatsRegistry); every logged
+// moment is one Emit<FrEvent::k...>() call against the event catalog
+// (src/obs/events.h), which feeds the tracer and the flight recorder; the
+// checker's KernelObserver hooks receive live records and sections.
 
 #ifndef DEMOS_KERNEL_KERNEL_H_
 #define DEMOS_KERNEL_KERNEL_H_
@@ -198,9 +203,10 @@ class Kernel {
   // Attach a passive monitor (invariant checker).  Not owned; null detaches.
   void SetObserver(KernelObserver* observer) { observer_ = observer; }
   // Attach this kernel's shard-local flight recorder (src/obs).  Not owned;
-  // null detaches.  Migration state-machine edges, watchdog verdicts, and
-  // suspect-list updates land in it; everything is recorded from this
-  // kernel's own thread, preserving the recorder's single-writer contract.
+  // null detaches.  Catalog rows flagged for the ring (migration edges,
+  // watchdog verdicts, suspect-list updates, addressing) land in it; all are
+  // recorded from this kernel's own thread, preserving the recorder's
+  // single-writer contract.
   void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
@@ -450,7 +456,7 @@ class Kernel {
   // per migration attempt; stale events (attempt mismatch) are no-ops.
   void ArmSourceWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDuration delay);
   void ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDuration delay);
-  void TimeoutMigrationAtSource(const ProcessId& pid);
+  void TimeoutMigrationAtSource(const ProcessId& pid, SimDuration deadline);
   // Discard a partially assembled (or orphaned-but-assembled) image at the
   // destination; held messages are re-routed back toward the source.
   void ReapMigrationDest(const ProcessId& pid, const char* why);
@@ -511,31 +517,21 @@ class Kernel {
   // account it as one of the Sec. 6 administrative messages.
   void SendAdmin(const ProcessAddress& to, MsgType type, Bytes payload);
 
-  // ---- Trace points (src/obs; no-ops when tracing is disabled). ----
-  void TraceMigration(const char* name, const ProcessId& pid, std::uint64_t arg0 = 0,
-                      std::uint64_t arg1 = 0) {
-    if (tracer_.enabled()) {
-      tracer_.Instant(queue_.Now(), trace::kMigration, name, MigrationSpanId(pid), pid, arg0,
-                      arg1);
-    }
+  // ---- Event points (src/obs/events.h): one call per moment feeds the
+  // tracer when it is enabled and, for rows flagged for the ring, the flight
+  // recorder when one is attached.  Subjects: a process (correlated on its
+  // migration span), a message (on its trace id), or an explicit id/pid. ----
+  template <FrEvent E>
+  void Emit(std::uint64_t id, const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) {
+    EmitEvent<E>(tracer_, flight_, queue_.Now(), machine_, id, pid, a, b);
   }
-  void TraceMessage(const char* name, const Message& msg, std::uint64_t arg0 = 0,
-                    std::uint64_t arg1 = 0) {
-    if (tracer_.enabled() && msg.trace_id != 0) {
-      tracer_.Instant(queue_.Now(), trace::kMessage, name, msg.trace_id, msg.receiver.pid, arg0,
-                      arg1);
-    }
+  template <FrEvent E>
+  void Emit(const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) {
+    Emit<E>(MigrationSpanId(pid), pid, a, b);
   }
-
-  // ---- Flight-recorder points (src/obs; no-ops when detached). ----
-  void FlightRecord(FrEvent type, std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (flight_ != nullptr) {
-      flight_->Record(type, a, b);
-    }
-  }
-  void FlightMigration(FrMigrationEdge edge, const ProcessId& pid) {
-    FlightRecord(FrEvent::kMigrationPhase, static_cast<std::uint64_t>(edge),
-                 MigrationSpanId(pid));
+  template <FrEvent E>
+  void Emit(const Message& msg, std::uint64_t a = 0, std::uint64_t b = 0) {
+    Emit<E>(msg.trace_id, msg.receiver.pid, a, b);
   }
 
   MachineId machine_;

@@ -56,10 +56,7 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
       DEMOS_LOG(kWarn, "rel") << "giving up on frame m" << src << "->m" << dst << " seq " << seq;
       stats_.Add(StatId::kRelGiveUps);
       stats_.AddNamed("rel_give_ups_m" + std::to_string(src) + "_to_m" + std::to_string(dst));
-      TraceFrame(trace::kGiveUp, src, seq, attempt);
-      if (flight_ != nullptr) {
-        flight_->Record(FrEvent::kGiveUp, dst, seq);
-      }
+      Emit<FrEvent::kGiveUp>(src, dst, seq);
       sit->second.unacked.erase(uit);
       if (on_give_up_) {
         on_give_up_(src, dst, seq);
@@ -67,10 +64,7 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
       return;
     }
     stats_.Add(StatId::kRelRetransmits);
-    TraceFrame(trace::kRetransmit, src, seq, attempt);
-    if (flight_ != nullptr) {
-      flight_->Record(FrEvent::kRetransmit, dst, seq);
-    }
+    Emit<FrEvent::kRetransmit>(src, dst, seq);
     lower_.Send(src, dst, uit->second);
     SimDuration next = timeout * config_.backoff_permille / 1000;
     ScheduleRetransmit(src, dst, seq, attempt + 1, next);

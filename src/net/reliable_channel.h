@@ -89,17 +89,10 @@ class ReliableTransport final : public Transport {
                           SimDuration timeout);
   static PayloadRef EncodeData(std::uint64_t seq, const PayloadRef& payload);
   static PayloadRef EncodeAck(std::uint64_t cumulative);
-  void TraceFrame(const char* name, MachineId src, std::uint64_t seq, std::uint64_t attempt) {
-    if (tracer_.enabled()) {
-      TraceEvent ev;
-      ev.ts = queue_.Now();
-      ev.machine = src;
-      ev.category = trace::kNet;
-      ev.name = name;
-      ev.arg0 = seq;
-      ev.arg1 = attempt;
-      tracer_.RecordEvent(ev);
-    }
+  // Catalog event (src/obs/events.h) about frame `seq` on the src->dst link.
+  template <FrEvent E>
+  void Emit(MachineId src, MachineId dst, std::uint64_t seq) {
+    EmitEvent<E>(tracer_, flight_, queue_.Now(), src, 0, ProcessId{}, dst, seq);
   }
 
   EventQueue& queue_;

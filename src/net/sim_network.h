@@ -68,17 +68,10 @@ class SimNetwork final : public Transport {
  private:
   void Deliver(MachineId src, MachineId dst, PayloadRef payload, SimDuration delay);
   SimDuration TransmitDelay(std::size_t payload_size, MachineId src);
-  void TraceWire(const char* name, MachineId src, MachineId dst) {
-    if (tracer_.enabled()) {
-      TraceEvent ev;
-      ev.ts = queue_.Now();
-      ev.machine = src;
-      ev.category = trace::kNet;
-      ev.name = name;
-      ev.arg0 = src;
-      ev.arg1 = dst;
-      tracer_.RecordEvent(ev);
-    }
+  // Catalog event (src/obs/events.h) on the transmitting machine's track.
+  template <FrEvent E>
+  void Emit(MachineId src, MachineId dst) {
+    EmitEvent<E>(tracer_, nullptr, queue_.Now(), src, 0, ProcessId{}, src, dst);
   }
 
   EventQueue& queue_;

@@ -9,84 +9,6 @@
 
 namespace demos {
 
-const char* FrEventName(FrEvent e) {
-  switch (e) {
-    case FrEvent::kNone:
-      return "none";
-    case FrEvent::kMailboxPush:
-      return "mailbox_push";
-    case FrEvent::kDrainBatch:
-      return "drain_batch";
-    case FrEvent::kSpillEnter:
-      return "spill_enter";
-    case FrEvent::kSpillExit:
-      return "spill_exit";
-    case FrEvent::kBackpressure:
-      return "backpressure";
-    case FrEvent::kParkBegin:
-      return "park_begin";
-    case FrEvent::kParkEnd:
-      return "park_end";
-    case FrEvent::kPostedTask:
-      return "posted_task";
-    case FrEvent::kQuiescenceVote:
-      return "quiescence_vote";
-    case FrEvent::kMigrationPhase:
-      return "migration_phase";
-    case FrEvent::kWatchdogFired:
-      return "watchdog_fired";
-    case FrEvent::kReap:
-      return "reap";
-    case FrEvent::kAdopt:
-      return "adopt";
-    case FrEvent::kCancel:
-      return "cancel";
-    case FrEvent::kSuspect:
-      return "suspect";
-    case FrEvent::kRetransmit:
-      return "retransmit";
-    case FrEvent::kGiveUp:
-      return "give_up";
-    case FrEvent::kInvariantFail:
-      return "invariant_fail";
-    case FrEvent::kLbtsWindow:
-      return "lbts_window";
-    case FrEvent::kChainCollapse:
-      return "chain_collapse";
-    case FrEvent::kFwdReclaim:
-      return "fwd_reclaim";
-    case FrEvent::kGossip:
-      return "gossip";
-    case FrEvent::kLocateRetry:
-      return "locate_retry";
-  }
-  return "unknown";
-}
-
-const char* FrMigrationEdgeName(FrMigrationEdge e) {
-  switch (e) {
-    case FrMigrationEdge::kStart:
-      return "start";
-    case FrMigrationEdge::kOfferRecv:
-      return "offer_recv";
-    case FrMigrationEdge::kAccepted:
-      return "accepted";
-    case FrMigrationEdge::kRejected:
-      return "rejected";
-    case FrMigrationEdge::kTransferDone:
-      return "transfer_done";
-    case FrMigrationEdge::kCleanupDone:
-      return "cleanup_done";
-    case FrMigrationEdge::kRestarted:
-      return "restarted";
-    case FrMigrationEdge::kAborted:
-      return "aborted";
-    case FrMigrationEdge::kCancelRecv:
-      return "cancel_recv";
-  }
-  return "unknown";
-}
-
 std::uint64_t FrSteadyClock(void* /*ctx*/) {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         std::chrono::steady_clock::now().time_since_epoch())
@@ -162,26 +84,16 @@ std::uint64_t FlightRecorderHub::TotalDropped() const {
 namespace {
 
 void WriteOneRecordText(const FlightRecord& r, std::ostream& os) {
-  os << r.t_ns << " s" << r.shard << " #" << r.seq << " " << FrEventName(r.type);
-  switch (r.type) {
-    case FrEvent::kMigrationPhase:
-    case FrEvent::kWatchdogFired:
-      os << " edge=" << FrMigrationEdgeName(static_cast<FrMigrationEdge>(r.a)) << " arg=" << r.b;
-      break;
-    case FrEvent::kMailboxPush:
-    case FrEvent::kBackpressure:
-      os << " dst=s" << r.a;
-      if (r.b != 0) {
-        os << " spins=" << r.b;
-      }
-      break;
-    case FrEvent::kQuiescenceVote:
-      os << (r.a != 0 ? " quiet" : " busy") << " in_flight=" << r.b;
-      break;
-    default:
-      if (r.a != 0 || r.b != 0) {
-        os << " a=" << r.a << " b=" << r.b;
-      }
+  const EventInfo& info = EventInfoOf(r.type);
+  os << r.t_ns << " s" << r.shard << " #" << r.seq << " " << info.name;
+  if (r.id != 0) {
+    os << " id=0x" << std::hex << r.id << std::dec;
+  }
+  if (*info.label_a != '\0') {
+    os << " " << info.label_a << "=" << r.a;
+  }
+  if (*info.label_b != '\0') {
+    os << " " << info.label_b << "=" << r.b;
   }
   os << "\n";
 }
@@ -223,15 +135,20 @@ void WriteFlightChromeTrace(const std::vector<FlightRecord>& records, std::ostre
   os << "{\"traceEvents\":[";
   bool first = true;
   for (const FlightRecord& r : records) {
-    os << (first ? "" : ",") << "{\"name\":\"" << FrEventName(r.type)
+    const EventInfo& info = EventInfoOf(r.type);
+    os << (first ? "" : ",") << "{\"name\":\"" << info.name
        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << r.shard << ",\"tid\":" << r.shard
        << ",\"ts\":" << static_cast<double>(r.t_ns) / 1000.0 << ",\"args\":{";
-    if (r.type == FrEvent::kMigrationPhase || r.type == FrEvent::kWatchdogFired) {
-      os << "\"edge\":\"" << FrMigrationEdgeName(static_cast<FrMigrationEdge>(r.a)) << "\",";
-    } else {
-      os << "\"a\":" << r.a << ",";
+    if (r.id != 0) {
+      os << "\"id\":\"0x" << std::hex << r.id << std::dec << "\",";
     }
-    os << "\"b\":" << r.b << ",\"seq\":" << r.seq << "}}";
+    if (*info.label_a != '\0') {
+      os << "\"" << info.label_a << "\":" << r.a << ",";
+    }
+    if (*info.label_b != '\0') {
+      os << "\"" << info.label_b << "\":" << r.b << ",";
+    }
+    os << "\"seq\":" << r.seq << "}}";
     first = false;
   }
   os << "]}\n";

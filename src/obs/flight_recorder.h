@@ -11,6 +11,11 @@
 // a merged dump (human-readable text + Chrome trace), turning every red seed
 // into an artifact.
 //
+// The vocabulary is the event catalog in src/obs/events.h, shared with the
+// tracer: kernel and network moments flagged for the ring arrive through the
+// same EmitEvent call that feeds the tracer, and the runtime's own rows
+// (mailbox, drain, park, quiescence) are recorded here directly.
+//
 // Concurrency contract (mirrors MetricShard): each FlightRecorder has exactly
 // one writer, its owning shard thread, and Record() is plain stores into
 // pre-allocated memory -- no atomics, no branches beyond the ring wrap.
@@ -34,63 +39,16 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/events.h"
+
 namespace demos {
 
-// Event catalog.  Append-only; FrEventName and docs/OBSERVABILITY.md key off
-// it.
-enum class FrEvent : std::uint16_t {
-  kNone = 0,
-  // Mailbox / router (a, b per event; see docs/OBSERVABILITY.md).
-  kMailboxPush,      // a = destination shard
-  kDrainBatch,       // a = messages handled this batch
-  kSpillEnter,       // a = messages rescued into the spill queue
-  kSpillExit,        // a = messages consumed out of the spill queue
-  kBackpressure,     // a = destination shard, b = spin laps before success
-  kParkBegin,        //
-  kParkEnd,          // a = 1 if woken with work pending, 0 if timeout
-  // Scheduling / quiescence.
-  kPostedTask,       // a = tasks executed
-  kQuiescenceVote,   // a = 1 quiet / 0 busy, b = in-flight (sent - consumed; 0 if busy)
-  // Kernel migration state machine (a = FrMigrationEdge, b = pid serial).
-  kMigrationPhase,
-  kWatchdogFired,    // a = armed deadline (us), b = pid serial
-  kReap,             // a = source machine, b = pid serial
-  kAdopt,            // a = source machine, b = pid serial
-  kCancel,           // a = destination machine, b = pid serial
-  kSuspect,          // a = suspected machine, b = strike count
-  // Reliable channel.
-  kRetransmit,       // a = destination machine, b = seq
-  kGiveUp,           // a = destination machine
-  // Harness markers.
-  kInvariantFail,    // a = violation count
-  // Conservative virtual-time sync (coordinator slot).
-  kLbtsWindow,       // a = epoch, b = new bound (virtual us)
-  // Churn-proof addressing (forwarding GC, chain collapse, gossip).
-  kChainCollapse,    // a = via machine notified, b = pid serial
-  kFwdReclaim,       // a = records reclaimed this sweep, b = tombstones reclaimed
-  kGossip,           // a = peer machine, b = triples carried
-  kLocateRetry,      // a = probe target machine, b = attempt number
-};
-
-// Sub-codes for kMigrationPhase/kWatchdogFired `a` operands: which edge of
-// the Sec. 3.1 protocol the state machine just crossed.
-enum class FrMigrationEdge : std::uint64_t {
-  kStart = 0,       // source entered kOfferSent
-  kOfferRecv,       // dest received MIGRATE_OFFER
-  kAccepted,        // source saw MIGRATE_ACCEPT
-  kRejected,        // source saw MIGRATE_REJECT
-  kTransferDone,    // source saw TRANSFER_COMPLETE
-  kCleanupDone,     // dest saw CLEANUP_DONE
-  kRestarted,       // dest restarted the process
-  kAborted,         // source rolled back
-  kCancelRecv,      // dest received MIGRATE_CANCEL
-};
-
-const char* FrEventName(FrEvent e);
-const char* FrMigrationEdgeName(FrMigrationEdge e);
-
+// One ring entry.  `type` names a row of the event catalog
+// (src/obs/events.h), which labels `a` and `b`; `id` is the subject a kernel
+// event correlates on (migration span, message trace id), 0 otherwise.
 struct FlightRecord {
   std::uint64_t t_ns = 0;  // injectable clock; ns by convention
+  std::uint64_t id = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint32_t seq = 0;   // per-recorder monotonic; total order within a shard
@@ -116,9 +74,10 @@ class FlightRecorder {
     clock_ctx_ = ctx;
   }
 
-  void Record(FrEvent type, std::uint64_t a = 0, std::uint64_t b = 0) {
+  void Record(FrEvent type, std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t id = 0) {
     FlightRecord& r = ring_[static_cast<std::size_t>(total_) & mask_];
     r.t_ns = clock_(clock_ctx_);
+    r.id = id;
     r.a = a;
     r.b = b;
     r.seq = static_cast<std::uint32_t>(total_);
@@ -197,14 +156,15 @@ class FlightRecorderHub {
 // ---------------------------------------------------------------------------
 
 // Human-readable post-mortem: header (reason, per-shard totals/drops), then
-// one line per record with decoded operands.
+// one line per record: `t_ns s<shard> #<seq> <name>[ id=0x<hex>]` followed by
+// `label=value` for each operand the catalog labels.
 void WriteFlightText(const std::vector<FlightRecord>& records, const char* reason,
                      std::ostream& os);
 bool WriteFlightTextFile(const std::vector<FlightRecord>& records, const char* reason,
                          const std::string& path);
 
 // Chrome trace_event JSON (chrome://tracing, perfetto.dev): instant events,
-// pid = shard, ts in microseconds.
+// pid = shard, ts in microseconds, args keyed by the catalog labels.
 void WriteFlightChromeTrace(const std::vector<FlightRecord>& records, std::ostream& os);
 bool WriteFlightChromeTraceFile(const std::vector<FlightRecord>& records,
                                 const std::string& path);

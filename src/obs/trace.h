@@ -12,9 +12,11 @@
 //     correlated by a trace id stamped into the message header;
 //   * network-layer instants (drops, duplicates, retransmits).
 //
-// A disabled tracer records nothing and costs one branch per call site
-// (call sites additionally guard with enabled() so no arguments are even
-// evaluated).  Tracers merge cluster-wide exactly like StatsRegistry;
+// The vocabulary -- each event's name, category and operand labels -- is
+// the catalog in src/obs/events.h, shared with the flight recorder.  Kernel
+// and network code emit through EmitEvent (below), one call per moment for
+// both logs.  A disabled tracer records nothing and costs one branch per
+// call site.  Tracers merge cluster-wide exactly like StatsRegistry;
 // src/obs/trace_export.h turns the merged stream into Chrome trace_event
 // JSON, per-migration span trees, per-message lifecycles, and StatsRegistry
 // histograms.
@@ -26,6 +28,8 @@
 #include <vector>
 
 #include "src/base/ids.h"
+#include "src/obs/events.h"
+#include "src/obs/flight_recorder.h"
 #include "src/sim/event_queue.h"
 
 namespace demos {
@@ -47,62 +51,9 @@ struct TraceEvent {
   const char* name = "";      // static string: trace::kOfferSent, ...
   std::uint64_t id = 0;       // correlation id: migration span or message trace id
   ProcessId pid;              // subject process, if any
-  std::uint64_t arg0 = 0;     // event-specific (section index, hop count, ...)
-  std::uint64_t arg1 = 0;     // event-specific (byte count, machine, ...)
+  std::uint64_t arg0 = 0;     // operand a; labelled per row in src/obs/events.h
+  std::uint64_t arg1 = 0;     // operand b
 };
-
-// Event vocabulary.  Centralized so tests, exporters, and docs cannot drift
-// from the instrumentation (mirrors the stat:: convention in base/stats.h).
-namespace trace {
-
-// Categories.
-inline constexpr const char* kMigration = "migration";
-inline constexpr const char* kMessage = "msg";
-inline constexpr const char* kNet = "net";
-
-// Migration protocol instants, one (or more) per Sec. 3.1 step.  The
-// exporter pairs them into the 8 phase spans listed in docs/PROTOCOL.md.
-inline constexpr const char* kMigrationBegin = "migration_begin";  // root open; arg0 = dest
-inline constexpr const char* kRequestSent = "request_sent";        // step 1 (requester kernel)
-inline constexpr const char* kOfferSent = "offer_sent";  // step 2; arg1 = image bytes
-inline constexpr const char* kOfferReceived = "offer_received";
-inline constexpr const char* kAcceptSent = "accept_sent";  // step 3
-inline constexpr const char* kAcceptReceived = "accept_received";
-inline constexpr const char* kRejectSent = "reject_sent";  // arg0 = StatusCode
-inline constexpr const char* kPullRequested = "pull_requested";    // step 4; arg0 = section
-inline constexpr const char* kSectionStreamed = "section_streamed";  // arg0 = section, arg1 = bytes
-inline constexpr const char* kSectionReceived = "section_received";  // arg0 = section, arg1 = bytes
-inline constexpr const char* kTransferDoneSent = "transfer_complete_sent";  // step 5
-inline constexpr const char* kTransferDoneReceived = "transfer_complete_received";
-inline constexpr const char* kPendingForwarded = "pending_forwarded";  // step 6; arg0 = count
-inline constexpr const char* kForwardingInstalled = "forwarding_address_installed";  // step 7
-inline constexpr const char* kCleanupSent = "cleanup_done_sent";
-inline constexpr const char* kRestarted = "restarted";  // step 8; arg0 = ExecState
-inline constexpr const char* kMigrationAborted = "migration_aborted";  // arg0 = StatusCode
-
-// Failure-path instants (watchdog deadlines, dead-peer recovery).
-inline constexpr const char* kWatchdogTimeout = "watchdog_timeout";  // arg0 = phase deadline (us)
-inline constexpr const char* kDestReaped = "dest_reaped";            // arg0 = source machine
-inline constexpr const char* kDestAdopted = "dest_adopted";          // arg0 = source machine
-inline constexpr const char* kPeerSuspected = "peer_suspected";  // arg0 = peer, arg1 = until (us)
-inline constexpr const char* kCancelSent = "cancel_sent";        // arg0 = dest machine
-inline constexpr const char* kCancelReceived = "cancel_received";  // arg0 = source machine
-
-// Message lifecycle instants, correlated by Message::trace_id.
-inline constexpr const char* kMsgSend = "send";        // arg0 = MsgType, arg1 = wire bytes
-inline constexpr const char* kMsgForward = "forward";  // arg0 = hop count, arg1 = next machine
-inline constexpr const char* kMsgBounce = "bounce";    // arg0 = MsgType
-inline constexpr const char* kMsgDeliver = "deliver";  // arg0 = hop count
-inline constexpr const char* kLinkUpdateSent = "link_update_sent";  // arg1 = new machine
-inline constexpr const char* kLinkUpdateApplied = "link_update_applied";  // arg0 = links patched
-
-// Network-layer instants.
-inline constexpr const char* kPacketDropped = "packet_dropped";        // arg0 = src, arg1 = dst
-inline constexpr const char* kPacketDuplicated = "packet_duplicated";  // arg0 = src, arg1 = dst
-inline constexpr const char* kRetransmit = "retransmit";               // arg0 = seq, arg1 = attempt
-inline constexpr const char* kGiveUp = "give_up";                      // arg0 = seq
-
-}  // namespace trace
 
 // One (virtual, real) clock correspondence observed on a shard.  In the
 // parallel engine each shard's tracer stamps events with the shard's private
@@ -141,22 +92,9 @@ class Tracer {
     return ((std::uint64_t{machine_} + 1) << 40) | next_message_id_++;
   }
 
-  void Record(SimTime ts, TracePhase phase, const char* category, const char* name,
-              std::uint64_t id, ProcessId pid = {}, std::uint64_t arg0 = 0,
-              std::uint64_t arg1 = 0) {
-    if (!enabled_) {
-      return;
-    }
-    events_.push_back(TraceEvent{ts, 0, machine_, phase, category, name, id, pid, arg0, arg1});
-  }
-
-  void Instant(SimTime ts, const char* category, const char* name, std::uint64_t id,
-               ProcessId pid = {}, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
-    Record(ts, TracePhase::kInstant, category, name, id, pid, arg0, arg1);
-  }
-
-  // Full-control variant for layers that span machines (the network records
-  // each event against the transmitting machine, not a fixed owner).
+  // The one append.  Kernel and network code reaches it through EmitEvent
+  // below; the network records each event against the transmitting machine,
+  // not a fixed owner, so the event carries its own machine.
   void RecordEvent(const TraceEvent& ev) {
     if (enabled_) {
       events_.push_back(ev);
@@ -194,6 +132,31 @@ class Tracer {
   std::vector<TraceEvent> events_;
   std::vector<ClockSyncPoint> syncs_;
 };
+
+// Emit one catalog event (src/obs/events.h) into both sinks: the tracer when
+// it is enabled, and `ring` when the row goes to the flight ring and a
+// recorder is attached.  E is a template argument, so the row's name,
+// category and sinks are compile-time constants: a tracer-only row costs the
+// enabled() branch it always did, with no table load.  Message rows follow a
+// lifecycle id, so a message sent before tracing was on (id 0) is skipped.
+template <FrEvent E>
+inline void EmitEvent(Tracer& tracer, FlightRecorder* ring, SimTime now, MachineId machine,
+                      std::uint64_t id, const ProcessId& pid, std::uint64_t a, std::uint64_t b) {
+  constexpr EventInfo kInfo = EventInfoOf(E);
+  static_assert(E != FrEvent::kNone && kInfo.category != EventCategory::kRuntime,
+                "runtime rows go straight to FlightRecorder::Record");
+  if constexpr (kInfo.traced()) {
+    if (tracer.enabled() && (kInfo.category != EventCategory::kMessage || id != 0)) {
+      tracer.RecordEvent(TraceEvent{now, 0, machine, TracePhase::kInstant,
+                                    EventCategoryName(kInfo.category), kInfo.name, id, pid, a, b});
+    }
+  }
+  if constexpr (kInfo.ringed()) {
+    if (ring != nullptr) {
+      ring->Record(E, a, b, id);
+    }
+  }
+}
 
 }  // namespace demos
 

@@ -290,6 +290,13 @@ class ShardRouter final : public Transport {
   // Move everything poppable in `src`'s own ring into its spill queue.
   std::size_t RescueOwnInbox(MachineId src);
 
+  // The one consumer loop behind Drain and DrainTimed: spill-first pop,
+  // per-frame `on_frame(src, send_ts, payload)`, batch recycling, then the
+  // consumed count and the metrics/flight tail.  A template so each caller's
+  // per-frame call inlines.
+  template <typename OnFrame>
+  std::size_t DrainWith(MachineId node, std::size_t max_items, OnFrame&& on_frame);
+
   // Quiescence counts of one shard, alone on its cache line: `sent` is
   // bumped by the shard's sends, `consumed` by its drains.  The extra slot
   // at index machines() takes senders outside the shard set, which may be

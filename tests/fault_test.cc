@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
 #include <string_view>
 
 #include "src/base/stats.h"
 #include "src/check/invariants.h"
 #include "src/fault/crash.h"
 #include "src/fault/recovery.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "tests/sys_test_util.h"
 
@@ -509,6 +513,61 @@ TEST_F(FaultTest, SourceDiesPermanentlyAfterTransferDestinationAdopts) {
   const std::vector<Violation> violations = checker.CheckAtQuiescence();
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? std::string() : violations.front().ToString());
+}
+
+TEST_F(FaultTest, WatchdogTimeoutsCarryTheArmedDeadlineInBothLogs) {
+  // Two migrations, m0 -> m1 and m2 -> m3, and both middle machines die
+  // mid-transfer: m0's source watchdog rolls its process back and m3's
+  // destination watchdog reaps the partial image.  Either side's timeout
+  // must name the deadline that expired -- as the trace's first operand and
+  // in the flight-recorder dump -- not a machine number or a state code.
+  ClusterConfig config = WatchdogConfig();
+  config.machines = 4;
+  config.flight_recorder_enabled = true;
+  config.flight_capacity = 1u << 16;
+  Cluster cluster(config);
+
+  auto p = cluster.kernel(0).SpawnProcess("counter", 4096, 32768, 2048);
+  auto q = cluster.kernel(2).SpawnProcess("counter", 4096, 32768, 2048);
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(q.ok());
+  cluster.RunUntilIdle();
+  (void)cluster.kernel(0).StartMigration(p->pid, 1, cluster.kernel(0).kernel_address());
+  (void)cluster.kernel(2).StartMigration(q->pid, 3, cluster.kernel(2).kernel_address());
+  cluster.RunFor(2'000);  // both transfers mid-stream
+  CrashController crash(&cluster);
+  crash.Crash(1);  // p's destination
+  crash.Crash(2);  // q's source
+  cluster.RunUntilIdle();
+  ASSERT_EQ(cluster.kernel(0).stats().Get(stat::kMigrationsTimedOut), 1);
+  ASSERT_EQ(cluster.kernel(3).stats().Get(stat::kMigrationsReaped), 1);
+
+  const std::uint64_t deadline = config.kernel.migration_deadlines.transfer_progress_us;
+  for (MachineId m : {MachineId{0}, MachineId{3}}) {
+    int timeouts = 0;
+    for (const TraceEvent& ev : cluster.kernel(m).tracer().events()) {
+      if (std::string_view(ev.name) == trace::kWatchdogTimeout) {
+        ++timeouts;
+        EXPECT_EQ(ev.arg0, deadline) << "m" << m;
+      }
+    }
+    EXPECT_EQ(timeouts, 1) << "m" << m;
+  }
+
+  std::ostringstream dump;
+  WriteFlightText(cluster.flight_recorder()->Merged(), "watchdog", dump);
+  const std::string expected = "deadline_us=" + std::to_string(deadline);
+  std::istringstream lines(dump.str());
+  std::set<std::string> shards_with_timeout;
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(line.find("unknown"), std::string::npos) << line;
+    EXPECT_EQ(line.find("edge="), std::string::npos) << line;
+    if (line.find(" watchdog_timeout") != std::string::npos) {
+      EXPECT_NE(line.find(expected), std::string::npos) << line;
+      shards_with_timeout.insert(line.substr(line.find(" s") + 1, 2));
+    }
+  }
+  EXPECT_EQ(shards_with_timeout, (std::set<std::string>{"s0", "s3"})) << dump.str();
 }
 
 TEST_F(FaultTest, DuplicateRejectDoesNotDoubleAbort) {

@@ -20,6 +20,7 @@
 
 #include "src/base/stats.h"
 #include "src/check/chaos.h"
+#include "src/obs/events.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -46,9 +47,129 @@ TEST(MetricsCatalog, EveryIdHasAName) {
   for (int i = 0; i < kNumHistogramIds; ++i) {
     EXPECT_STRNE(HistogramName(static_cast<HistogramId>(i)), "") << "histogram " << i;
   }
-  for (int i = 1; i < static_cast<int>(FrEvent::kInvariantFail) + 1; ++i) {
-    EXPECT_STRNE(FrEventName(static_cast<FrEvent>(i)), "") << "fr event " << i;
+}
+
+// ---------------------------------------------------------------------------
+// Event catalog (src/obs/events.h): the one vocabulary of the tracer and the
+// flight recorder.
+// ---------------------------------------------------------------------------
+
+bool IsLabel(const char* label) {
+  const std::string text(label);
+  return std::all_of(text.begin(), text.end(),
+                     [](char c) { return (c >= 'a' && c <= 'z') || c == '_'; });
+}
+
+TEST(EventCatalog, EveryRowHasAUniqueNameAndLabels) {
+  std::set<std::string> names;
+  for (int i = 0; i < static_cast<int>(FrEvent::kCount); ++i) {
+    const FrEvent e = static_cast<FrEvent>(i);
+    const EventInfo& info = EventInfoOf(e);
+    ASSERT_NE(info.name, nullptr) << "row " << i;
+    EXPECT_STRNE(info.name, "") << "row " << i;
+    EXPECT_STRNE(info.name, "unknown") << "row " << i;
+    EXPECT_TRUE(names.insert(info.name).second) << "duplicate name " << info.name;
+    EXPECT_STREQ(FrEventName(e), info.name);
+    ASSERT_NE(info.label_a, nullptr) << info.name;
+    ASSERT_NE(info.label_b, nullptr) << info.name;
+    EXPECT_TRUE(IsLabel(info.label_a)) << info.name << " label_a '" << info.label_a << "'";
+    EXPECT_TRUE(IsLabel(info.label_b)) << info.name << " label_b '" << info.label_b << "'";
+    if (*info.label_a != '\0') {
+      EXPECT_STRNE(info.label_a, info.label_b) << info.name;
+    }
+    if (i != 0) {
+      EXPECT_TRUE(info.traced() || info.ringed()) << info.name << " reaches no sink";
+    }
+    // Runtime rows never reach the tracer; kernel/network rows have a track.
+    if (info.category == EventCategory::kRuntime) {
+      EXPECT_FALSE(info.traced()) << info.name;
+    } else {
+      EXPECT_STRNE(EventCategoryName(info.category), "runtime") << info.name;
+    }
   }
+  // The generated trace names are the catalog names.
+  EXPECT_STREQ(trace::kWatchdogTimeout, FrEventName(FrEvent::kWatchdogTimeout));
+  EXPECT_STREQ(trace::kMsgSend, "send");
+  // An out-of-range type decodes to the "none" row, never to garbage.
+  EXPECT_STREQ(FrEventName(static_cast<FrEvent>(0xFFFF)), "none");
+}
+
+// A lossy, traced migration run with the flight recorder on: for every row
+// that goes to both sinks, the tracer and the ring hold the same count per
+// machine (kernel rows) or in total (network rows, which the tracer files
+// under the sending machine and the ring under the channel's slot), and
+// every operand either sink holds is one the catalog labels.
+TEST(EventCatalog, TracerAndRingAgreePerMachine) {
+  testutil::RegisterPrograms();
+  ClusterConfig config;
+  config.machines = 3;
+  config.EnableTracing();
+  config.flight_recorder_enabled = true;
+  config.flight_capacity = 1u << 16;  // no wrap: the ring keeps everything
+  config.reliable_layer = true;
+  config.reliable.retransmit_timeout_us = 2'000;
+  config.network.drop_probability = 0.1;
+  config.network.seed = 7;
+  Cluster cluster(config);
+  auto counter = cluster.kernel(0).SpawnProcess("counter");
+  ASSERT_TRUE(counter.ok());
+  cluster.RunUntilIdle();
+  testutil::MigrateAndSettle(cluster, counter->pid, 0, 1);
+  for (int i = 0; i < 10; ++i) {
+    cluster.kernel(2).SendFromKernel(ProcessAddress{0, counter->pid}, kIncrement, {});
+  }
+  cluster.RunUntilIdle();
+  testutil::MigrateAndSettle(cluster, counter->pid, 1, 2);
+  cluster.RunUntilIdle();
+
+  const int harness_slot = config.machines;
+  std::map<std::pair<FrEvent, int>, int> ring;
+  std::map<std::pair<FrEvent, int>, int> traced;
+  for (const FlightRecord& r : cluster.flight_recorder()->Merged()) {
+    const EventInfo& info = EventInfoOf(r.type);
+    EXPECT_TRUE(*info.label_a != '\0' || r.a == 0) << info.name << " a=" << r.a;
+    EXPECT_TRUE(*info.label_b != '\0' || r.b == 0) << info.name << " b=" << r.b;
+    const bool net = info.category == EventCategory::kNet;
+    ++ring[{r.type, net ? harness_slot : static_cast<int>(r.shard)}];
+  }
+  std::map<std::string, FrEvent> by_name;
+  for (int i = 1; i < static_cast<int>(FrEvent::kCount); ++i) {
+    by_name[FrEventName(static_cast<FrEvent>(i))] = static_cast<FrEvent>(i);
+  }
+  const Tracer total = cluster.TotalTrace();
+  for (const TraceEvent& ev : total.events()) {
+    auto it = by_name.find(ev.name);
+    ASSERT_NE(it, by_name.end()) << "trace event outside the catalog: " << ev.name;
+    const EventInfo& info = EventInfoOf(it->second);
+    EXPECT_TRUE(info.traced()) << ev.name;
+    EXPECT_STREQ(ev.category, EventCategoryName(info.category)) << ev.name;
+    EXPECT_TRUE(*info.label_a != '\0' || ev.arg0 == 0) << ev.name << " arg0=" << ev.arg0;
+    EXPECT_TRUE(*info.label_b != '\0' || ev.arg1 == 0) << ev.name << " arg1=" << ev.arg1;
+    const bool net = info.category == EventCategory::kNet;
+    ++traced[{it->second, net ? harness_slot : static_cast<int>(ev.machine)}];
+  }
+
+  int compared = 0;
+  for (int i = 1; i < static_cast<int>(FrEvent::kCount); ++i) {
+    const FrEvent e = static_cast<FrEvent>(i);
+    const EventInfo& info = EventInfoOf(e);
+    if (!info.traced() || !info.ringed()) {
+      continue;
+    }
+    for (int slot = 0; slot <= harness_slot; ++slot) {
+      const int in_ring = ring.count({e, slot}) != 0 ? ring.at({e, slot}) : 0;
+      const int in_trace = traced.count({e, slot}) != 0 ? traced.at({e, slot}) : 0;
+      EXPECT_EQ(in_ring, in_trace) << info.name << " on slot " << slot;
+      compared += in_ring;
+    }
+  }
+  // The run exercised both halves: migration edges and network retransmits.
+  auto in_ring = [&](FrEvent e, int slot) { return ring[std::make_pair(e, slot)]; };
+  EXPECT_GT(in_ring(FrEvent::kMigrationBegin, 0), 0);
+  EXPECT_GT(in_ring(FrEvent::kRestarted, 2), 0);
+  EXPECT_GT(in_ring(FrEvent::kRetransmit, harness_slot), 0);
+  EXPECT_GT(in_ring(FrEvent::kCleanupReceived, 1), 0);  // ring-only row
+  EXPECT_GT(compared, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,8 +379,7 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
     hub.SetClockAll(&CountingClock, &tick);
     hub.recorder(0).Record(FrEvent::kMailboxPush, 1);
     hub.recorder(1).Record(FrEvent::kBackpressure, 0, 17);
-    hub.recorder(0).Record(FrEvent::kMigrationPhase,
-                           static_cast<std::uint64_t>(FrMigrationEdge::kAccepted), 42);
+    hub.recorder(0).Record(FrEvent::kWatchdogTimeout, /*a=*/30'000, /*b=*/1, /*id=*/0x2a);
     hub.Trigger("invariant failure");
     return hub.Merged();
   };
@@ -280,8 +400,13 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
   WriteFlightChromeTrace(b, trace_b);
   EXPECT_EQ(trace_a.str(), trace_b.str());
   EXPECT_NE(trace_a.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace_a.str().find(FrMigrationEdgeName(FrMigrationEdge::kAccepted)),
-            std::string::npos);
+  EXPECT_NE(trace_a.str().find("\"deadline_us\":30000"), std::string::npos);
+
+  // Operands print as the catalog's label=value, the subject id in hex.
+  EXPECT_NE(text_a.str().find("watchdog_timeout id=0x2a deadline_us=30000 peer=1"),
+            std::string::npos)
+      << text_a.str();
+  EXPECT_NE(text_a.str().find("backpressure dst_shard=0 spins=17"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
