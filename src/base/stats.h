@@ -110,7 +110,7 @@ inline std::optional<StatId> FindStat(std::string_view name) {
 }
 
 // Thread-safety: each kernel owns one registry, but in the parallel engine
-// (src/run) shard threads increment their own registries while the coordinator
+// (src/run) shard threads increment their own registries while the caller
 // aggregates at quiescence, and cross-cutting code (benches, invariants) may
 // read any registry.  A catalog counter is a fixed slot: Add() is one relaxed
 // fetch_add plus a relaxed "touched" flag, lock-free from any thread.  Only the

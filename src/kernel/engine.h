@@ -55,7 +55,8 @@ struct EngineConfig {
 
 // Observability backends per the engines' shared slot convention:
 // machines+1 slots, slot i owned by machine i's execution context, slot
-// `machines` by the harness/coordinator thread.  Null members when disabled.
+// `machines` shared: the harness's, and the parallel engine's window slot.
+// Null members when disabled.
 struct EngineObservability {
   std::unique_ptr<MetricsEngine> metrics;
   std::unique_ptr<FlightRecorderHub> flight;

@@ -79,9 +79,8 @@
   R(Backpressure,   "backpressure",    "dst_shard", "spins") \
   R(ParkBegin,      "park_begin",      "", "")               \
   R(ParkEnd,        "park_end",        "woken", "")          \
-  /* Scheduling / quiescence (coordinator slot). */          \
+  /* Scheduling; lbts_window goes to the window slot. */     \
   R(PostedTask,     "posted_task",     "tasks", "")          \
-  R(QuiescenceVote, "quiescence_vote", "quiet", "in_flight") \
   R(LbtsWindow,     "lbts_window",     "epoch", "bound_us")  \
   /* Harness markers. */                                     \
   R(InvariantFail,  "invariant_fail",  "violations", "")

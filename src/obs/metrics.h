@@ -66,11 +66,8 @@ namespace demos {
   X(kPostedTasks, "posted_tasks")               /* Post() closures executed */             \
   X(kEventsExecuted, "events_executed")         /* EventQueue events dispatched */         \
   X(kSchedulerRounds, "scheduler_rounds")       /* rounds that did any work */             \
-  /* Quiescence detection (coordinator slot only). */                                      \
-  X(kQuiescencePolls, "quiescence_polls")       /* snapshots by RunUntilQuiescent */       \
-  X(kQuiescenceVotes, "quiescence_votes")       /* snapshots that looked quiet */          \
   /* Conservative virtual-time sync (src/run/virtual_time.h). */                           \
-  X(kLbtsWindows, "lbts_windows")               /* windows opened (coordinator slot) */    \
+  X(kLbtsWindows, "lbts_windows")               /* windows opened (window slot) */         \
   /* Cross-shard frames clamped to the receiver's clock (0 when bounded). */               \
   X(kSyncFramesClamped, "sync_frames_clamped")                                             \
   /* Idle protocol (adaptive spin-then-park) and allocation pools. */                      \
@@ -90,7 +87,7 @@ namespace demos {
   X(kMailboxDepth, "mailbox_depth")             /* items in the mailbox ring */      \
   X(kSpillDepth, "spill_depth")                 /* items in the spill queue */       \
   X(kEventQueueDepth, "event_queue_depth")      /* pending virtual-clock events */   \
-  X(kLbtsBoundUs, "lbts_bound_us")              /* window bound, coordinator slot */
+  X(kLbtsBoundUs, "lbts_bound_us")              /* window bound, window slot */
 
 #define DEMOS_HISTOGRAM_CATALOG(X)                                                     \
   X(kDrainBatchSize, "drain_batch_size")        /* messages per non-empty Drain() */   \
@@ -176,7 +173,7 @@ struct ShardSnapshot : ShardLevels {
 };
 
 struct MetricsSnapshot {
-  // Runtime metrics, index = shard (the last slot may be the coordinator).
+  // Runtime metrics, index = shard (the last is the shared harness/window slot).
   std::vector<ShardSnapshot> shards;
   ShardSnapshot total;
 

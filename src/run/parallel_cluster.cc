@@ -28,34 +28,6 @@ SimDuration MinArmedDeadline(const KernelConfig& kc) {
   return min;
 }
 
-// One polite lap of a poll loop (same as the router's idle spin).
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// Coordinator poll pacing: the sync coordinator no longer sleeps a fixed
-// 100-200us between snapshots (that sleep used to be the dominant per-window
-// cost -- two snapshots per window put 200us+ of wall clock on every bound
-// advance).  Instead it re-polls immediately for a short burst, yields while
-// shards still hold the cores, and only falls back to a real sleep when the
-// cluster has been un-blocked for a long stretch (a shard stuck in a big
-// drain, or genuine multi-ms work).
-inline void CoordinatorBackoff(std::size_t laps) {
-  if (laps < 256) {
-    CpuRelax();
-  } else if (laps < 8192) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-}
-
 // Fold this shard thread's allocation-pool stats (thread-local, monotonic)
 // into its metrics slab as deltas.  Called at idle edges and on loop exit --
 // cheap, and often enough for the sampler to see pool behaviour evolve.
@@ -78,8 +50,8 @@ void FoldPoolStats(MetricShard* metrics, PoolThreadStats& last) {
 ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config) {
   const EngineConfig core = config.EngineCore();
   router_ = std::make_unique<ShardRouter>(config.machines, config.router);
-  // machines+1 observability slots: one per shard plus the coordinator slot
-  // for the quiescence poller (RunUntilQuiescent runs on the caller thread).
+  // machines+1 observability slots: one per shard plus the window slot that
+  // the closing shards write (coordinator_slot()).
   EngineObservability obs = MakeObservability(core);
   metrics_ = std::move(obs.metrics);
   flight_ = std::move(obs.flight);
@@ -96,7 +68,6 @@ ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config)
         latency_->SetLink(link.src, link.dst, link.min_latency_us);
       }
     }
-    lbts_ = std::make_unique<LbtsState>(config.machines);
     // Adaptive lookahead: relaxed windows are capped at wide_window_spans x
     // the static base span, and -- when deadline watchdogs can arm -- at a
     // quarter of the shortest armed deadline, so the one-window clock skew a
@@ -123,6 +94,8 @@ ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config)
       router_->SetLookahead(adaptive_.get());
     }
   }
+  // Free-running: one window over all of virtual time.
+  lbts_ = std::make_unique<LbtsState>(config.machines, sync_enabled_ ? 0 : kSimTimeNever - 1);
   shards_.reserve(static_cast<std::size_t>(config.machines));
   for (int i = 0; i < config.machines; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -155,14 +128,13 @@ void ParallelCluster::Start() {
   router_->FlushAll();
   router_->SetBatchingEnabled(true);
   stop_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(close_mu_);
+    quiet_ = false;
+  }
   for (auto& shard : shards_) {
     Shard* s = shard.get();
-    s->idle.store(false, std::memory_order_seq_cst);
-    if (sync_enabled_) {
-      s->thread = std::thread([this, s] { ShardMainSync(*s); });
-    } else {
-      s->thread = std::thread([this, s] { ShardMain(*s); });
-    }
+    s->thread = std::thread([this, s] { ShardMain(*s); });
   }
 }
 
@@ -232,22 +204,13 @@ std::uint64_t ParallelCluster::TotalEventsExecuted() const {
   return total;
 }
 
-// Both idle predicates run per lap of IdleWait's spin window: everything
-// they touch is an atomic or a heap-top read (posted_count mirrors the
-// posted vector so the spin never takes posted_mu).
-bool ParallelCluster::HasLocalWork(Shard& shard) {
-  return !shard.queue.Empty() || router_->HasMail(shard.machine) ||
-         shard.posted_count.load(std::memory_order_seq_cst) != 0;
-}
-
-bool ParallelCluster::HasSyncWork(Shard& shard, std::uint64_t epoch) {
-  if (lbts_->epoch() != epoch || router_->HasMail(shard.machine)) {
-    return true;
-  }
-  if (shard.queue.NextEventTime() <= lbts_->bound()) {
-    return true;
-  }
-  return shard.posted_count.load(std::memory_order_seq_cst) != 0;
+// Runs per lap of IdleWait's spin window: everything it touches is an
+// atomic or a heap-top read (posted_count mirrors the posted vector so the
+// spin never takes posted_mu).
+bool ParallelCluster::HasWork(Shard& shard) {
+  return router_->HasMail(shard.machine) ||
+         shard.posted_count.load(std::memory_order_seq_cst) != 0 ||
+         shard.queue.NextEventTime() <= lbts_->bound();
 }
 
 std::size_t ParallelCluster::DrainPosted(Shard& shard) {
@@ -293,79 +256,23 @@ void ParallelCluster::ShardMain(Shard& shard) {
   MetricShard* metrics = metrics_ ? &metrics_->shard(shard.machine) : nullptr;
   Tracer& tracer = shard.kernel->tracer();
   PoolThreadStats pool_last{};
-  const auto fold_pool_stats = [&] { FoldPoolStats(metrics, pool_last); };
   // First clock-sync point: the exporter needs at least one (virtual, real)
   // correspondence per shard to place this shard's events on the shared axis.
-  tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::size_t did = 0;
-    did += router_->Drain(shard.machine, config_.drain_batch);
-    const std::size_t posted = DrainPosted(shard);
-    did += posted;
-    std::size_t steps = 0;
-    while (steps < config_.event_batch && shard.queue.Step()) {
-      ++steps;
-    }
-    did += steps;
-    // End of the scheduling round: publish every destination lane this round
-    // staged (one mailbox push per destination).  A did==0 round staged
-    // nothing, so an idle shard never sits on unpublished frames.
-    router_->Flush(shard.machine);
-    if (did != 0) {
-      if (metrics != nullptr) {
-        metrics->Inc(CounterId::kSchedulerRounds);
-        if (posted != 0) {
-          metrics->Inc(CounterId::kPostedTasks, posted);
-        }
-        if (steps != 0) {
-          metrics->Observe(HistogramId::kEventsPerRound, steps);
-        }
-      }
-      if (posted != 0 && flight_) {
-        flight_->recorder(shard.machine).Record(FrEvent::kPostedTask, posted);
-      }
-      continue;
-    }
-    // Nothing anywhere this round (so the event queue is empty; it can only
-    // refill through mail or posted work, which the quiescence counters see).
-    // The virtual clock is frozen while parked, which makes this a clean
-    // clock-sync point for trace normalization.
-    if (metrics != nullptr) {
-      metrics->Set(GaugeId::kEventQueueDepth,
-                   static_cast<std::int64_t>(shard.queue.PendingEvents()));
-    }
-    tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
-    fold_pool_stats();
-    shard.idle.store(true, std::memory_order_seq_cst);
-    router_->IdleWait(shard.machine, config_.idle_park, [this, &shard] {
-      return HasLocalWork(shard) || stop_.load(std::memory_order_relaxed);
-    });
-    shard.idle.store(false, std::memory_order_seq_cst);
-  }
-  fold_pool_stats();
-}
-
-void ParallelCluster::ShardMainSync(Shard& shard) {
-  MetricShard* metrics = metrics_ ? &metrics_->shard(shard.machine) : nullptr;
-  Tracer& tracer = shard.kernel->tracer();
-  PoolThreadStats pool_last{};
-  const auto fold_pool_stats = [&] { FoldPoolStats(metrics, pool_last); };
   tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
   const MachineId me = shard.machine;
   const ShardRouter::TimedSink sink = [this, &shard](MachineId src, SimTime send_ts,
                                                      PayloadRef payload) {
     ScheduleDelivery(shard, src, send_ts, std::move(payload));
   };
+  const auto has_work = [this, &shard] {
+    return HasWork(shard) || stop_.load(std::memory_order_relaxed);
+  };
   bool was_tight = false;
   while (!stop_.load(std::memory_order_acquire)) {
-    // Snapshot the window first, then advertise busy *before* consuming any
-    // input: the coordinator's double snapshot relies on every consumption
-    // being bracketed by busy==true or a fresh floor (virtual_time.h).
-    const std::uint64_t epoch = lbts_->epoch();
+    // The round may run events up to the current window's bound.
     const SimTime bound = lbts_->bound();
-    lbts_->MarkBusy(me);
-    std::size_t did = 0;
-    did += router_->DrainTimed(me, config_.drain_batch, sink);
+    std::size_t did = sync_enabled_ ? router_->DrainTimed(me, config_.drain_batch, sink)
+                                    : router_->Drain(me, config_.drain_batch);
     const std::size_t posted = DrainPosted(shard);
     did += posted;
     std::size_t steps = 0;
@@ -377,16 +284,17 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
     // publish: if an event above just started a migration, the learned
     // lookahead collapses to the static minimum before the offer frame is
     // even visible to its destination.
-    const bool tight = shard.kernel->NeedsTightTime();
+    const bool tight = sync_enabled_ && shard.kernel->NeedsTightTime();
     if (tight && !was_tight && adaptive_ != nullptr) {
       if (adaptive_->Collapse(me) && metrics != nullptr) {
         metrics->Inc(CounterId::kLookaheadShrinks);
       }
     }
     was_tight = tight;
-    // Publish this round's staged lanes before the idle check: the LBTS
-    // floors below must never be published while frames sit staged (a did==0
-    // round staged nothing, so the order is safe).
+    // End of the scheduling round: publish every destination lane this round
+    // staged (one mailbox push per destination).  A did==0 round staged
+    // nothing, so a blocked shard never sits on unpublished frames and its
+    // floor is never published while frames sit staged.
     router_->Flush(me);
     if (did != 0) {
       if (metrics != nullptr) {
@@ -403,173 +311,86 @@ void ParallelCluster::ShardMainSync(Shard& shard) {
       }
       continue;
     }
-    // Blocked on the window: no mail, no posted work, and the next local
-    // event (if any) is past the bound.  Publish the floor for this epoch
-    // and park until the coordinator opens the next window.
+    // Blocked: no mail, no posted work, and the next local event (if any) is
+    // past the window.  The virtual clock is frozen until the shard wakes,
+    // which makes this a clean clock-sync point for trace normalization.
     if (metrics != nullptr) {
       metrics->Set(GaugeId::kEventQueueDepth,
                    static_cast<std::int64_t>(shard.queue.PendingEvents()));
     }
     tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
-    fold_pool_stats();
-    shard.idle.store(true, std::memory_order_seq_cst);
-    lbts_->PublishIdle(me, epoch, shard.queue.NextEventTime(), tight);
-    router_->IdleWait(me, config_.idle_park, [this, &shard, epoch] {
-      return HasSyncWork(shard, epoch) || stop_.load(std::memory_order_relaxed);
-    });
-    shard.idle.store(false, std::memory_order_seq_cst);
+    FoldPoolStats(metrics, pool_last);
+    if (const std::uint64_t word = lbts_->Block(me, shard.queue.NextEventTime(), tight)) {
+      Close(word);
+    }
+    do {
+      router_->IdleWait(me, config_.idle_park, has_work);
+    } while (!has_work());
+    lbts_->Wake();
   }
-  fold_pool_stats();
+  FoldPoolStats(metrics, pool_last);
 }
 
-ParallelCluster::Snapshot ParallelCluster::TakeSnapshot() const {
-  // Idle flags first, and nothing else until every one is set: the flow
-  // slots are written by running shards, and a coordinator polling them
-  // mid-round would pull those lines away from their writers on every lap.
-  Snapshot snap;
-  for (const auto& shard : shards_) {
-    if (!shard->idle.load(std::memory_order_seq_cst)) {
-      return snap;
+void ParallelCluster::Close(std::uint64_t word) {
+  // consumed before sent (a frame is counted sent before it can be consumed)
+  // and done before posted, so neither pair can read equal while work is out.
+  // Unequal means some shard has mail or posted work and will wake.
+  const std::uint64_t consumed = router_->consumed();
+  const std::uint64_t sent = router_->sent();
+  const std::uint64_t posted_done = posted_done_.load(std::memory_order_seq_cst);
+  const std::uint64_t posted = posted_.load(std::memory_order_seq_cst);
+  if (sent != consumed || posted != posted_done) {
+    return;
+  }
+  const LbtsState::Round round = lbts_->Read(word);
+  if (!lbts_->Confirm(round)) {
+    return;
+  }
+  if (round.Drained()) {
+    {
+      std::lock_guard<std::mutex> lock(close_mu_);
+      quiet_ = true;
+      quiet_sent_ = sent;
+      quiet_posted_ = posted;
+    }
+    quiet_cv_.notify_all();
+    return;
+  }
+  bool widened = false;
+  const SimTime next =
+      lbts_->NextWindow(round, *latency_, adaptive_.get(), wide_span_, &widened);
+  const std::uint64_t epoch = lbts_->OpenWindow(round.bound, next, widened);
+  if (epoch == 0) {
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(close_mu_);
+    if (metrics_) {
+      MetricShard& slot = metrics_->shard(coordinator_slot());
+      slot.Inc(CounterId::kLbtsWindows);
+      if (widened) {
+        slot.Inc(CounterId::kWideWindowsOpened);
+      }
+      slot.Set(GaugeId::kLbtsBoundUs, static_cast<std::int64_t>(next));
+      slot.Observe(HistogramId::kLbtsWindowSpanUs, next - round.bound);
+    }
+    if (flight_) {
+      flight_->recorder(coordinator_slot()).Record(FrEvent::kLbtsWindow, epoch, next);
     }
   }
-  snap.all_idle = true;
-  // consumed before sent: a frame is counted sent before it can be consumed,
-  // so this order never reads consumed > sent.
-  snap.consumed = router_->consumed();
-  snap.sent = router_->sent();
-  snap.posted = posted_.load(std::memory_order_seq_cst);
-  snap.posted_done = posted_done_.load(std::memory_order_seq_cst);
-  return snap;
+  router_->WakeAll();
 }
 
 bool ParallelCluster::RunUntilQuiescent(std::chrono::milliseconds timeout) {
+  // What the caller has injected so far: a declaration older than these
+  // counts predates some of it.
+  const std::uint64_t sent = router_->sent();
+  const std::uint64_t posted = posted_.load(std::memory_order_seq_cst);
   Start();
-  // Coordinator-slot observability: quiescence polling happens on the caller
-  // thread, so it gets its own slab/recorder rather than racing a shard's.
-  MetricShard* coord = metrics_ ? &metrics_->shard(coordinator_slot()) : nullptr;
-  FlightRecorder* coord_flight = flight_ ? &flight_->recorder(coordinator_slot()) : nullptr;
-  if (sync_enabled_) {
-    return RunUntilQuiescentSync(timeout, coord, coord_flight);
-  }
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  Snapshot prev;
-  bool have_prev = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    Snapshot snap = TakeSnapshot();
-    if (coord != nullptr) {
-      coord->Inc(CounterId::kQuiescencePolls);
-      if (snap.Quiet()) {
-        coord->Inc(CounterId::kQuiescenceVotes);
-      }
-    }
-    if (coord_flight != nullptr) {
-      coord_flight->Record(FrEvent::kQuiescenceVote, snap.Quiet() ? 1 : 0,
-                           snap.sent - snap.consumed);
-    }
-    if (snap.Quiet()) {
-      // One quiet snapshot can race a message between the counter reads; two
-      // quiet snapshots with *unchanged* monotonic counters cannot -- any
-      // work in between would have bumped sent/consumed/posted.
-      if (have_prev && prev.SameCounters(snap)) {
-        return true;
-      }
-      prev = snap;
-      have_prev = true;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } else {
-      have_prev = false;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  return false;
-}
-
-bool ParallelCluster::RunUntilQuiescentSync(std::chrono::milliseconds timeout,
-                                            MetricShard* coord, FlightRecorder* coord_flight) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  Snapshot prev;
-  LbtsState::ShardView prev_view;
-  bool have_prev = false;
-  std::size_t idle_laps = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    // The base snapshot rules out in-flight mail and posted work; the LBTS
-    // view rules out a shard mid-round (busy) or still on an older window
-    // (done_epoch lag), and carries the floors the next bound derives from.
-    // The view is read only once the snapshot is quiet, for the same reason
-    // the snapshot reads the flow slots only after the idle flags.
-    Snapshot snap = TakeSnapshot();
-    LbtsState::ShardView view;
-    bool blocked = false;
-    if (snap.Quiet()) {
-      view = lbts_->View();
-      blocked = !view.any_busy && view.all_done;
-    }
-    if (coord != nullptr) {
-      coord->Inc(CounterId::kQuiescencePolls);
-      if (blocked) {
-        coord->Inc(CounterId::kQuiescenceVotes);
-      }
-    }
-    if (!blocked) {
-      have_prev = false;
-      // Spin-poll with escalating backoff instead of a fixed sleep: while
-      // shards are mid-window the coordinator's only job is to notice the
-      // moment they block, and a 200us nap per poll used to serialize every
-      // window behind it.  A shard parked on an exhausted window is caught
-      // within its own idle-spin budget, so consecutive bounds chain without
-      // anyone re-parking (the multi-window drain per wake).
-      CoordinatorBackoff(++idle_laps);
-      continue;
-    }
-    if (coord_flight != nullptr) {
-      coord_flight->Record(FrEvent::kQuiescenceVote, 1, snap.sent - snap.consumed);
-    }
-    if (!have_prev || !prev.SameCounters(snap) || !prev_view.Same(view)) {
-      // First quiet observation (or the cluster moved): confirm with a
-      // second identical snapshot before trusting the floors.  The
-      // double-snapshot argument is about interleaving -- any work between
-      // the two bumps a monotonic counter -- not elapsed time, so the
-      // confirming read follows immediately.
-      prev = snap;
-      prev_view = std::move(view);
-      have_prev = true;
-      CpuRelax();
-      continue;
-    }
-    // Verified: every shard is blocked on the current window with these
-    // floors, and nothing is in flight.  Either everything is drained
-    // (quiescent) or the cluster earns the next window -- strictly
-    // conservative while any shard is tight, relaxed (learned lookahead +
-    // wide span) otherwise.
-    SimTime next;
-    bool widened = false;
-    if (!view.any_tight && wide_span_ > 0) {
-      next = lbts_->NextRelaxedBound(view.floors, *latency_, adaptive_.get(), wide_span_,
-                                     &widened);
-    } else {
-      next = lbts_->NextBound(view.floors, *latency_);
-    }
-    if (next == kSimTimeNever) {
-      return true;
-    }
-    const SimTime old_bound = lbts_->bound();
-    lbts_->OpenWindow(next, widened);
-    if (coord != nullptr) {
-      coord->Inc(CounterId::kLbtsWindows);
-      if (widened) {
-        coord->Inc(CounterId::kWideWindowsOpened);
-      }
-      coord->Set(GaugeId::kLbtsBoundUs, static_cast<std::int64_t>(next));
-      coord->Observe(HistogramId::kLbtsWindowSpanUs, next - old_bound);
-    }
-    if (coord_flight != nullptr) {
-      coord_flight->Record(FrEvent::kLbtsWindow, lbts_->epoch(), next);
-    }
-    router_->WakeAll();
-    have_prev = false;
-    idle_laps = 0;
-  }
-  return false;
+  std::unique_lock<std::mutex> lock(close_mu_);
+  return quiet_cv_.wait_for(lock, timeout, [&] {
+    return quiet_ && quiet_sent_ >= sent && quiet_posted_ >= posted;
+  });
 }
 
 void ParallelCluster::RefreshDepthGauges() {

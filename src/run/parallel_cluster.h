@@ -16,8 +16,13 @@
 //     ShardRouter; the handler runs on the *destination* shard's thread.
 //   - The only shared-memory concurrency is PayloadRef refcounts (intrusive
 //     atomics), stats counters (relaxed atomics), the striped payload
-//     counters (one stripe per thread), and the mailbox/quiescence/LBTS
-//     machinery in src/run, whose per-message counts live on per-shard lines.
+//     counters (one stripe per thread), and the mailbox/close/LBTS machinery
+//     in src/run, whose per-message counts live on per-shard lines.
+//
+// No thread coordinates the shards.  A shard with nothing to do blocks on
+// the shared idle word, and the last shard to block closes the round itself
+// (src/run/virtual_time.h): it opens the next LBTS window or declares
+// quiescence, which RunUntilQuiescent waits for.
 //
 // Two time models, selected by ParallelClusterConfig::sync:
 //   - Free-running (default): shard clocks advance independently; mail is
@@ -165,31 +170,32 @@ class ParallelCluster final : public Engine {
   EventQueue& queue(MachineId m) { return shards_[m]->queue; }
   ShardRouter& router() { return *router_; }
   bool sync_enabled() const { return sync_enabled_; }
-  // Sync-mode internals, exposed for tests; null in free-running mode (and
-  // adaptive_lookahead() also when wide_window_spans == 0).
+  // Close-protocol and sync internals, exposed for tests.  In free-running
+  // mode the one window covers all of virtual time; adaptive_lookahead() is
+  // null there and when wide_window_spans == 0.
   const LbtsState* lbts() const { return lbts_.get(); }
   const AdaptiveLookahead* adaptive_lookahead() const { return adaptive_.get(); }
 
   // Launch the worker threads (idempotent).
   void Start();
-  // Block until the cluster is quiescent: every shard idle, every mailbox
-  // empty, every posted closure done -- confirmed by two identical counter
-  // snapshots.  Under conservative sync this is also the LBTS coordinator:
-  // each verified all-blocked round either opens the next window or, when
-  // every queue is drained, declares quiescence.  Returns false on timeout.
-  // Threads stay parked afterwards, so Post() + another RunUntilQuiescent()
-  // continues the run.
+  // Block until the cluster is quiescent: every shard blocked with a drained
+  // queue, every mailbox empty, every posted closure done.  The last shard to
+  // block declares it; this waits (once, up to `timeout`) for a declaration
+  // that covers every Post and send made before the call.  Returns false on
+  // timeout.  Threads stay parked afterwards, so Post() + another
+  // RunUntilQuiescent() continues the run.
   bool RunUntilQuiescent(std::chrono::milliseconds timeout = std::chrono::milliseconds(10000));
   // Ask all workers to exit and join them (idempotent; Start() restarts).
   void Stop();
 
   // Run `fn` on shard `m`'s thread (the only legal way to poke a kernel
-  // while the cluster is running).  Counted by the quiescence detector.
+  // while the cluster is running).  Counted by the close protocol.
   void Post(MachineId m, std::function<void()> fn);
 
   // ---- Observability. ----
   // The engine/hub have machines+1 slots: slot i belongs to shard i, the
-  // last slot to the coordinator thread (quiescence polling / LBTS rounds).
+  // last is the window slot, written by whichever shard opens an LBTS window
+  // (its counters, span histogram and lbts_window rows).
   int coordinator_slot() const { return static_cast<int>(shards_.size()); }
   // Refresh the mailbox/spill depth gauges from queue state; safe from any
   // thread (sampler collector), no-op when metrics are disabled.
@@ -209,47 +215,23 @@ class ParallelCluster final : public Engine {
     std::unique_ptr<Kernel> kernel;
     std::mutex posted_mu;
     std::vector<std::function<void()>> posted;
-    // Mirror of posted.size() so the idle-spin predicates poll an atomic
+    // Mirror of posted.size() so the idle-spin predicate polls an atomic
     // instead of taking posted_mu per lap.  Incremented under the lock in
     // Post(); decremented after the swapped batch runs, so it may transiently
     // over-report (a spurious extra round) but never under-report.
     std::atomic<std::size_t> posted_count{0};
-    // True while the shard believes it has nothing to do.  seq_cst pairs
-    // with the router counters in the quiescence check.  On its own cache
-    // line: the coordinator polls it while the shard's round writes the
-    // fields above.
-    alignas(64) std::atomic<bool> idle{false};
     std::thread thread;
   };
 
-  // Counters are read only when all_idle (TakeSnapshot); zero otherwise.
-  struct Snapshot {
-    bool all_idle = false;
-    std::uint64_t sent = 0;
-    std::uint64_t consumed = 0;
-    std::uint64_t posted = 0;
-    std::uint64_t posted_done = 0;
-
-    bool Quiet() const { return all_idle && sent == consumed && posted == posted_done; }
-    bool SameCounters(const Snapshot& other) const {
-      return sent == other.sent && consumed == other.consumed && posted == other.posted &&
-             posted_done == other.posted_done;
-    }
-  };
-
   void ShardMain(Shard& shard);
-  void ShardMainSync(Shard& shard);
-  bool HasLocalWork(Shard& shard);
-  // Sync-mode park predicate: a new window, mail, a runnable event under the
-  // current bound, or posted work.
-  bool HasSyncWork(Shard& shard, std::uint64_t epoch);
+  // The park predicate: mail, posted work, or a runnable event in the window.
+  bool HasWork(Shard& shard);
+  // The close step of the shard whose block made `word` (virtual_time.h).
+  void Close(std::uint64_t word);
   // Deferred delivery half of DrainTimed: schedule the frame's delivery at
   // send_ts + link latency on the receiving shard's clock.
   void ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts, PayloadRef payload);
   std::size_t DrainPosted(Shard& shard);
-  Snapshot TakeSnapshot() const;
-  bool RunUntilQuiescentSync(std::chrono::milliseconds timeout, MetricShard* coord,
-                             FlightRecorder* coord_flight);
   std::uint64_t TotalEventsExecuted() const;
 
   ParallelClusterConfig config_;
@@ -257,16 +239,24 @@ class ParallelCluster final : public Engine {
   std::unique_ptr<MetricsEngine> metrics_;
   std::unique_ptr<FlightRecorderHub> flight_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<LbtsState> lbts_;
   // Conservative-sync state; null in free-running mode.
   bool sync_enabled_ = false;
   std::unique_ptr<LinkLatencyTable> latency_;
-  std::unique_ptr<LbtsState> lbts_;
   std::unique_ptr<AdaptiveLookahead> adaptive_;
   // Effective wide-window span in virtual us (0 = widening disabled).
   SimDuration wide_span_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> posted_{0};
   std::atomic<std::uint64_t> posted_done_{0};
+  // The closing shards' bookkeeping: window-slot writes and the latest
+  // quiescence declaration -- the sent and posted counts it verified (quiet_
+  // is cleared by Start, so a declaration never outlives its run).
+  std::mutex close_mu_;
+  std::condition_variable quiet_cv_;
+  bool quiet_ = false;
+  std::uint64_t quiet_sent_ = 0;
+  std::uint64_t quiet_posted_ = 0;
   bool started_ = false;
 };
 

@@ -201,11 +201,9 @@ class ShardRouter final : public Transport {
   // Sums over the flow slots (slot order, seq_cst loads).  A caller that
   // needs sent >= consumed in one reading reads consumed() first: a frame is
   // counted sent before it can be popped, so every frame in the consumed sum
-  // is already in any later sent sum.  The quiescence detector's double
-  // snapshot needs no atomic sum: every slot count only grows, so a sum read
-  // equal in two snapshots means no slot moved between its two reads, and
-  // when both sums (and the idle flags) match, the cluster held those values
-  // at one instant between the snapshots -- the argument for one counter.
+  // is already in any later sent sum.  The close protocol needs no atomic
+  // sum: it reads them while every shard is blocked, when no shard-owned slot
+  // can move (src/run/virtual_time.h).
   std::uint64_t sent() const;
   std::uint64_t consumed() const;
   // How many publishes hit a full mailbox (backpressure events, not spin laps).

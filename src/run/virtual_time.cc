@@ -138,24 +138,47 @@ bool AdaptiveLookahead::Republish(MachineId src) {
 // LbtsState
 // ---------------------------------------------------------------------------
 
-LbtsState::LbtsState(int shards) : slots_(static_cast<std::size_t>(shards)) {
+LbtsState::LbtsState(int shards, SimTime bound)
+    : slots_(static_cast<std::size_t>(shards)), bound_(bound) {
   for (auto& slot : slots_) {
     slot = std::make_unique<Slot>();
   }
 }
 
-LbtsState::ShardView LbtsState::View() const {
-  ShardView view;
-  view.all_done = true;
-  const std::uint64_t current = epoch();
-  view.floors.reserve(slots_.size());
+std::uint64_t LbtsState::Block(MachineId shard, SimTime floor, bool tight) {
+  Slot& slot = *slots_[shard];
+  slot.floor.store(floor, std::memory_order_seq_cst);
+  slot.tight.store(tight, std::memory_order_seq_cst);
+  const std::uint64_t word = idle_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  return (word & (kWakeGeneration - 1)) == slots_.size() ? word : 0;
+}
+
+LbtsState::Round LbtsState::Read(std::uint64_t word) const {
+  Round round;
+  round.word = word;
+  round.bound = bound();
+  round.floors.reserve(slots_.size());
   for (const auto& slot : slots_) {
-    view.any_busy = slot->busy.load(std::memory_order_seq_cst) || view.any_busy;
-    view.all_done = slot->done_epoch.load(std::memory_order_seq_cst) == current && view.all_done;
-    view.any_tight = slot->tight.load(std::memory_order_seq_cst) || view.any_tight;
-    view.floors.push_back(slot->floor.load(std::memory_order_seq_cst));
+    round.any_tight = slot->tight.load(std::memory_order_seq_cst) || round.any_tight;
+    round.floors.push_back(slot->floor.load(std::memory_order_seq_cst));
   }
-  return view;
+  return round;
+}
+
+bool LbtsState::Confirm(const Round& round) const {
+  return idle_.load(std::memory_order_seq_cst) == round.word &&
+         std::all_of(round.floors.begin(), round.floors.end(),
+                     [&round](SimTime floor) { return floor > round.bound; });
+}
+
+std::uint64_t LbtsState::OpenWindow(SimTime seen, SimTime new_bound, bool wide) {
+  if (wide) {
+    ever_wide_.store(true, std::memory_order_seq_cst);
+  }
+  if (!bound_.compare_exchange_strong(seen, new_bound, std::memory_order_seq_cst)) {
+    return 0;
+  }
+  return epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
 }
 
 SimTime LbtsState::NextBound(const std::vector<SimTime>& floors,

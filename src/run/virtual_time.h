@@ -16,20 +16,34 @@
 //
 //     LBTS = min_i (floor_i + min_dst L(i, dst))
 //
-// The coordinator therefore opens a window with bound = LBTS - 1 and every
-// shard may execute all events with timestamp <= bound without ever receiving
-// a frame in its past: a shard executing at t >= floor_src produces an
-// arrival t + L(src, dst) >= floor_src + min-lookahead(src) >= bound + 1.
+// A window with bound = LBTS - 1 therefore lets every shard execute all
+// events with timestamp <= bound without ever receiving a frame in its past:
+// a shard executing at t >= floor_src produces an arrival
+// t + L(src, dst) >= floor_src + min-lookahead(src) >= bound + 1.
 //
-// The round itself piggybacks on the quiescence double-snapshot machinery:
-// a window only closes when the router's sent == consumed (no frame in any
-// mailbox), every posted closure has run, and every shard has published an
-// identical (epoch, floor) across two coordinator snapshots while not busy.
-// The busy flag is set (seq_cst) *before* a shard consumes any input, which
-// closes the race where a shard drains a frame but publishes its new floor
-// only after the coordinator has read the stale one: either the publish lands
-// before the first snapshot (floor is fresh), or the coordinator observes
-// busy == true / differing counters and retries.
+// Nothing coordinates the rounds: the shards close them themselves (the
+// close protocol, LbtsState below).  A shard whose round did nothing
+// publishes its floor and tight flag, then joins one shared idle word (an
+// idle count plus a wake generation); it leaves the word -- bumping the
+// generation -- before it consumes any input.  The shard whose join brings
+// the count to N is the closer.  It reads the router's flow counts and the
+// posted counts, then the window and every floor, then re-reads the idle
+// word.  The close holds when
+//   (1) the word is unchanged: no shard left between the two reads, so no
+//       shard consumed input or produced output in between -- the floors and
+//       the shard-owned flow counts it read held together at one instant;
+//   (2) sent == consumed and posted == posted_done: at that instant no frame
+//       was staged, in a mailbox or mid-drain, and no posted closure was
+//       waiting, so nothing but the shards' own queues could make events;
+//   (3) every floor lies past the window: no shard holds a runnable event.
+// Then the floors are exactly the next event times of a cluster that cannot
+// move on its own, which is all the LBTS argument needs.  If every floor is
+// kSimTimeNever the cluster is quiescent; otherwise the closer opens the next
+// window with a compare-and-swap from the bound it read.  Bounds strictly
+// increase, so the bound identifies its window: of two closers that read the
+// same window, only one can open the next.  A void close costs nothing -- a
+// word that moved means a shard woke, and a failed check (2) or (3) means a
+// shard has work and will wake -- and that shard's next block closes again.
 //
 // Adaptive lookahead (docs/PROTOCOL.md, "Adaptive lookahead") relaxes the
 // static bound in two ways when -- and only when -- no shard has published a
@@ -45,13 +59,14 @@
 // clock is clamped forward to "now" (never delivered into the past, so
 // exactly-once and per-link FIFO are untouched), and cross-shard clock skew
 // stays bounded by one window span because every clock is capped by
-// min_floor + span.  The instant any shard turns tight the coordinator falls
-// back to the strictly conservative bound above, for which the zero-clamp
-// proof holds window by window.
+// min_floor + span.  The instant any shard turns tight the closer falls back
+// to the strictly conservative bound above, for which the zero-clamp proof
+// holds window by window.
 
 #ifndef DEMOS_RUN_VIRTUAL_TIME_H_
 #define DEMOS_RUN_VIRTUAL_TIME_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -110,7 +125,7 @@ class LinkLatencyTable {
 // Learned per-link lookahead for relaxed LBTS windows.  Each source shard
 // observes the virtual-time gap between its own consecutive sends per
 // destination (owner-thread-only, one compare per Send) and publishes a
-// per-source lookahead the coordinator may use instead of the static link
+// per-source lookahead a closing shard may use instead of the static link
 // minimum while no consumer needs tight bounds.  The estimate starts at the
 // static minimum, grows at most 2x per observation window (a windowed min
 // over actual send_ts deltas, capped at growth_cap x static), shrinks
@@ -135,7 +150,7 @@ class AdaptiveLookahead {
   // the published value actually shrank.
   bool Collapse(MachineId src);
 
-  // Any thread (the coordinator): current published lookahead for `src`.
+  // Any thread (a closing shard): current published lookahead for `src`.
   // Always >= the static LookaheadFrom(src).
   SimDuration FromSource(MachineId src) const {
     return published_[src]->value.load(std::memory_order_seq_cst);
@@ -169,33 +184,30 @@ class AdaptiveLookahead {
   std::vector<std::unique_ptr<Published>> published_;
 };
 
-// Shared window state: the coordinator publishes (epoch, bound); each shard
-// publishes (busy, done_epoch, floor, tight).  All accesses are seq_cst --
-// this is the cold coordination path, executed once per window, not per
-// event.
+// The close protocol's shared state: the idle word, the window (bound), and
+// one (floor, tight) slot per shard.  All accesses are seq_cst; they run once
+// per blocked round, not per event.
 class LbtsState {
  public:
-  explicit LbtsState(int shards);
+  // `bound` is the first window.  A free-running cluster passes
+  // kSimTimeNever - 1: one window over all of virtual time, so every close is
+  // a quiescence check.
+  explicit LbtsState(int shards, SimTime bound = 0);
 
   // ---- Shard side. ----
-  // Must be called before the shard consumes any input (mailbox, posted
-  // closures, or local events); see the header comment for why.
-  void MarkBusy(MachineId shard) { slots_[shard]->busy.store(true, std::memory_order_seq_cst); }
+  // The shard's round did nothing: publish its floor (next event time,
+  // kSimTimeNever when drained) and tight flag -- this shard's kernel needs
+  // strictly conservative bounds (migration in flight / armed deadline
+  // watchdog) -- then join the idle word.  Returns the word this join made
+  // when it brought the count to N (the caller is the closer and passes it to
+  // Read), 0 otherwise.
+  std::uint64_t Block(MachineId shard, SimTime floor, bool tight);
+  // Leave the idle word.  Must precede any input the shard consumes.
+  void Wake() { idle_.fetch_add(kWakeGeneration - 1, std::memory_order_seq_cst); }
 
-  // The shard has nothing left to do at or below the current bound: publish
-  // its floor and tight-consumer flag for `epoch` and clear busy (in that
-  // order).  `tight` means this shard's kernel needs strictly conservative
-  // bounds (migration in flight / armed deadline watchdog).
-  void PublishIdle(MachineId shard, std::uint64_t epoch, SimTime floor, bool tight = false) {
-    Slot& slot = *slots_[shard];
-    slot.floor.store(floor, std::memory_order_seq_cst);
-    slot.tight.store(tight, std::memory_order_seq_cst);
-    slot.done_epoch.store(epoch, std::memory_order_seq_cst);
-    slot.busy.store(false, std::memory_order_seq_cst);
-  }
-
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_seq_cst); }
   SimTime bound() const { return bound_.load(std::memory_order_seq_cst); }
+  // Windows opened so far.
+  std::uint64_t epoch() const { return epoch_.load(std::memory_order_seq_cst); }
 
   // True once any relaxed (wider-than-static) window was opened this run.
   // Receivers use it to classify a clamped arrival as the expected residue of
@@ -203,25 +215,30 @@ class LbtsState {
   // (sync_frames_clamped, which must stay 0 in a never-widened run).
   bool ever_wide() const { return ever_wide_.load(std::memory_order_seq_cst); }
 
-  // ---- Coordinator side. ----
-  struct ShardView {
-    bool any_busy = false;
-    bool all_done = false;  // every done_epoch == the current epoch
+  // ---- Closer side. ----
+  // The closer's read of the window and every published floor.
+  struct Round {
+    std::uint64_t word = 0;  // the idle word the closing join made
+    SimTime bound = 0;
     bool any_tight = false;
     std::vector<SimTime> floors;
 
-    bool Same(const ShardView& other) const {
-      return any_busy == other.any_busy && all_done == other.all_done &&
-             any_tight == other.any_tight && floors == other.floors;
+    bool Drained() const {
+      return std::all_of(floors.begin(), floors.end(),
+                         [](SimTime floor) { return floor == kSimTimeNever; });
     }
   };
+  Round Read(std::uint64_t word) const;
 
-  ShardView View() const;
+  // The closer's last read, after the flow counts and Read: true when the
+  // idle word is unchanged (no shard woke or re-published since the join)
+  // and every floor lies past the window (no shard holds a runnable event).
+  bool Confirm(const Round& round) const;
 
   // New bound from a validated set of floors: min_i(floor_i + lookahead_i) - 1,
   // skipping drained shards.  Returns kSimTimeNever when every queue is empty
   // (the cluster is quiescent).  The result is always > the current bound:
-  // floors are past the old bound by construction and lookahead is >= 1us.
+  // Confirm admits only floors past it, and lookahead is >= 1us.
   SimTime NextBound(const std::vector<SimTime>& floors, const LinkLatencyTable& latency) const;
 
   // Relaxed variant for windows where no shard is tight: lookahead per source
@@ -234,32 +251,43 @@ class LbtsState {
                            const AdaptiveLookahead* adaptive, SimDuration wide_span,
                            bool* widened) const;
 
-  // Publish a new window.  The bound store precedes the epoch bump so a shard
-  // that observes the new epoch always sees at least the new bound.  `wide`
-  // latches ever_wide().
-  void OpenWindow(SimTime new_bound, bool wide = false) {
-    if (wide) {
-      ever_wide_.store(true, std::memory_order_seq_cst);
-    }
-    bound_.store(new_bound, std::memory_order_seq_cst);
-    epoch_.fetch_add(1, std::memory_order_seq_cst);
+  // The next window for a confirmed round: NextBound while any shard is
+  // tight, NextRelaxedBound otherwise.
+  SimTime NextWindow(const Round& round, const LinkLatencyTable& latency,
+                     const AdaptiveLookahead* adaptive, SimDuration wide_span,
+                     bool* widened) const {
+    *widened = false;
+    return round.any_tight ? NextBound(round.floors, latency)
+                           : NextRelaxedBound(round.floors, latency, adaptive, wide_span, widened);
   }
+
+  // Open the window ending at `new_bound`, a compare-and-swap from `seen`,
+  // the bound the closer read.  Returns the new window's epoch, or 0 when
+  // another closer already opened the next window.  `wide` latches
+  // ever_wide() before the swap, so no frame of the wide window can be
+  // clamped before the latch is visible.
+  std::uint64_t OpenWindow(SimTime seen, SimTime new_bound, bool wide = false);
 
   int shards() const { return static_cast<int>(slots_.size()); }
 
  private:
+  // Idle word: the idle count in the low half, the wake generation in the
+  // high half.  Wake adds kWakeGeneration - 1: count - 1, generation + 1.
+  static constexpr std::uint64_t kWakeGeneration = std::uint64_t{1} << 32;
+
   // One cache line per shard: floors are written by their shard on every
-  // park and must not false-share with a neighbour's hot loop.
+  // block and must not false-share with a neighbour's hot loop.
   struct alignas(64) Slot {
-    std::atomic<bool> busy{false};
-    std::atomic<std::uint64_t> done_epoch{0};
-    std::atomic<SimTime> floor{0};
+    std::atomic<SimTime> floor{kSimTimeNever};
     std::atomic<bool> tight{false};
   };
 
   std::vector<std::unique_ptr<Slot>> slots_;
+  // Every block and wake writes the idle word; every round reads the bound.
+  // Separate lines, so a neighbour's block does not evict the bound.
+  alignas(64) std::atomic<std::uint64_t> idle_{0};
+  alignas(64) std::atomic<SimTime> bound_;
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<SimTime> bound_{0};
   std::atomic<bool> ever_wide_{false};
 };
 

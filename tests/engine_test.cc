@@ -78,7 +78,7 @@ TEST_F(EngineTest, MakeObservabilityFollowsSlotConvention) {
   EngineObservability on = MakeObservability(core);
   ASSERT_NE(on.metrics, nullptr);
   ASSERT_NE(on.flight, nullptr);
-  // machines+1 slots: one per machine plus the harness/coordinator slot.
+  // machines+1 slots: one per machine plus the harness/window slot.
   EXPECT_EQ(on.metrics->shards(), 5);
   EXPECT_EQ(on.flight->shards(), 5);
 }
@@ -226,8 +226,8 @@ TEST_F(EngineTest, MigrationDeadlineStaysQuietForHealthyMigration) {
 
 // Every event and frame of this run is either staged before Start or produced
 // inside sync windows, so the conservative bound must be airtight: zero
-// cross-shard frames clamped into a receiver's past, and the coordinator must
-// actually have run LBTS rounds to get there.  (Harness injections at
+// cross-shard frames clamped into a receiver's past, and the closing shards
+// must actually have run LBTS rounds to get there.  (Harness injections at
 // quiescence barriers are the one legitimate clamp source; this test has
 // none.)
 TEST_F(EngineTest, LbtsBoundNeverAdmitsAFrameIntoThePast) {
@@ -255,7 +255,7 @@ TEST_F(EngineTest, LbtsBoundNeverAdmitsAFrameIntoThePast) {
   const MetricsSnapshot snap = cluster.metrics()->Snapshot();
   EXPECT_EQ(snap.total.counters[static_cast<std::size_t>(CounterId::kSyncFramesClamped)], 0u);
   EXPECT_GT(snap.total.counters[static_cast<std::size_t>(CounterId::kLbtsWindows)], 0u);
-  // Windows are a coordinator-only activity, per the slot convention.
+  // Windows are counted in the window slot only, per the slot convention.
   const ShardSnapshot& coord =
       snap.shards[static_cast<std::size_t>(cluster.coordinator_slot())];
   EXPECT_EQ(coord.counters[static_cast<std::size_t>(CounterId::kLbtsWindows)],
@@ -265,8 +265,8 @@ TEST_F(EngineTest, LbtsBoundNeverAdmitsAFrameIntoThePast) {
 
 TEST_F(EngineTest, AdaptiveLbtsOpensWideWindowsAndKeepsDeliveryExact) {
   // Default sync config: adaptive lookahead and wide windows are ON.  With no
-  // migration in flight no shard is ever tight, so the coordinator should be
-  // opening wide windows -- and every delivery must still be exactly-once,
+  // migration in flight no shard is ever tight, so the closing shards should
+  // be opening wide windows -- and every delivery must still be exactly-once,
   // with clamped arrivals (if any) accounted as wide-era residue, never as a
   // conservative-sync violation.
   ParallelClusterConfig config;

@@ -701,7 +701,7 @@ TEST_F(ObservabilityIntegrationTest, ParallelRunPopulatesMetricsAndRecorder) {
 
   ASSERT_NE(cluster.metrics(), nullptr);
   const MetricsSnapshot snap = BuildSnapshot(cluster.metrics(), cluster.KernelStats());
-  ASSERT_EQ(static_cast<int>(snap.shards.size()), 2 + 1);  // shards + coordinator
+  ASSERT_EQ(static_cast<int>(snap.shards.size()), 2 + 1);  // shards + window slot
   const auto total = [&snap](CounterId id) {
     return snap.total.counters[static_cast<int>(id)];
   };
@@ -709,8 +709,6 @@ TEST_F(ObservabilityIntegrationTest, ParallelRunPopulatesMetricsAndRecorder) {
   EXPECT_GT(total(CounterId::kMsgsDrained), 0u);
   EXPECT_GT(total(CounterId::kEventsExecuted), 0u);
   EXPECT_GT(total(CounterId::kSchedulerRounds), 0u);
-  EXPECT_GT(total(CounterId::kQuiescencePolls), 0u);
-  EXPECT_GT(total(CounterId::kQuiescenceVotes), 0u);
   // Quiescent cluster: all depth gauges drained to zero.
   EXPECT_EQ(snap.total.gauges[static_cast<int>(GaugeId::kMailboxDepth)], 0);
   EXPECT_EQ(snap.total.gauges[static_cast<int>(GaugeId::kSpillDepth)], 0);

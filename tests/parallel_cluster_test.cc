@@ -459,6 +459,59 @@ TEST_F(ParallelClusterTest, PostRunsOnShardThreadAndRestartWorks) {
   cluster.Stop();
 }
 
+// The last shard to block declares quiescence, and a declaration can be
+// older than the caller's newest Post.  Many short Post -> RunUntilQuiescent
+// cycles on 4 shards, in both time modes: each cycle posts a closure that
+// kicks one token around a ring spanning every shard (a chain of cross-shard
+// messages), and every true return must already account for all of it.
+// TSan runs this in CI.
+TEST_F(ParallelClusterTest, QuiescenceAcrossPostCyclesStress) {
+  constexpr int kMachines = 4;
+  constexpr int kCycles = 200;
+  constexpr std::uint32_t kHops = 6;
+  for (const bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync" : "free-running");
+    ParallelClusterConfig config;
+    config.machines = kMachines;
+    config.sync.enabled = sync;
+    ParallelCluster cluster(config);
+    TokenRingSpec spec;
+    spec.nodes_per_ring = kMachines;
+    const std::vector<TokenRing> rings = BuildTokenRings(cluster, spec);
+    ASSERT_EQ(rings.size(), 1u);
+    ASSERT_TRUE(cluster.RunUntilQuiescent());
+    std::int64_t expected = kMachines;  // one kAttachTarget per node
+    ASSERT_EQ(cluster.TotalStat(stat::kMsgsDelivered), expected);
+
+    std::atomic<int> ran{0};
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      const auto m = static_cast<MachineId>(cycle % kMachines);
+      const ProcessAddress node = rings[0][static_cast<std::size_t>((cycle + 1) % kMachines)];
+      // Once, the cluster has just declared quiescence and a slow closure
+      // follows: a RunUntilQuiescent that reused the old declaration would
+      // return before the closure ran.
+      const bool stale_check = cycle == kCycles / 2;
+      if (stale_check) {
+        ASSERT_TRUE(cluster.RunUntilQuiescent(std::chrono::milliseconds(0)))
+            << "nothing was injected since the last declaration";
+      }
+      cluster.Post(m, [&cluster, &ran, m, node, stale_check] {
+        if (stale_check) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        cluster.kernel(m).SendFromKernel(node, kTokenKick, MakeKickPayload(1, kHops));
+        ran.fetch_add(1);
+      });
+      expected += 1 + (kHops + 1);  // the kick, then hops + 1 token receptions
+      ASSERT_TRUE(cluster.RunUntilQuiescent()) << "cycle " << cycle;
+      ASSERT_EQ(ran.load(), cycle + 1) << "cycle " << cycle;
+      ASSERT_EQ(cluster.router().sent(), cluster.router().consumed()) << "cycle " << cycle;
+      ASSERT_EQ(cluster.TotalStat(stat::kMsgsDelivered), expected) << "cycle " << cycle;
+    }
+    cluster.Stop();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine equivalence, parameterized over the Engine interface.
 // ---------------------------------------------------------------------------
@@ -741,7 +794,7 @@ TEST_F(ParallelClusterTest, StressMigrationStormWithDeadlinesArmed) {
 // runs first, so wide windows open and per-link estimates grow -- then the
 // storm starts.  The moment a shard's kernel holds a migration offer it
 // publishes tight, its learned lookahead collapses to the static minimum, and
-// the coordinator falls back to strictly conservative bounds.  Frames
+// the closing shard falls back to strictly conservative bounds.  Frames
 // timestamped inside the old wide windows must still land exactly once, no
 // healthy migration may trip its watchdog, and any clamp must be accounted as
 // wide-era residue, never as a conservative-sync violation.  TSan runs this
@@ -774,7 +827,7 @@ TEST_F(ParallelClusterTest, StressLookaheadShrinkMidStormKeepsExactlyOnce) {
   ASSERT_NE(metrics, nullptr);
   std::uint64_t wide_windows = 0;
   std::uint64_t sync_clamped = 0;
-  // All slots, including the coordinator's (the wide-window counter lives there).
+  // All slots, including the window slot (the wide-window counter lives there).
   for (int m = 0; m < metrics->shards(); ++m) {
     wide_windows += metrics->shard(m).Counter(CounterId::kWideWindowsOpened);
     sync_clamped += metrics->shard(m).Counter(CounterId::kSyncFramesClamped);

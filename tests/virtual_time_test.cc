@@ -112,8 +112,17 @@ TEST(LinkLatencyTableTest, CachedLookaheadTracksRaisedAndLoweredLinks) {
   EXPECT_EQ(table.MinLookahead(), 3u);
 }
 
+// Drive `count` sends on src->dst spaced `gap` apart, starting after whatever
+// timestamp the link last saw.
+void SendsWithGap(AdaptiveLookahead& adaptive, MachineId src, MachineId dst, SimTime start,
+                  SimDuration gap, int count) {
+  for (int i = 0; i < count; ++i) {
+    adaptive.Observe(src, dst, start + static_cast<SimTime>(i) * gap);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// LbtsState: bound derivation and the publish protocol.
+// LbtsState: bound derivation and the close protocol.
 // ---------------------------------------------------------------------------
 
 TEST(LbtsStateTest, NextBoundIsMinFloorPlusLookaheadMinusOne) {
@@ -136,7 +145,7 @@ TEST(LbtsStateTest, NextBoundSkipsDrainedShardsAndDetectsQuiescence) {
 TEST(LbtsStateTest, NextBoundAlwaysAdvancesPastCurrentBound) {
   LbtsState lbts(2);
   LinkLatencyTable latency(2, /*uniform_us=*/1);
-  lbts.OpenWindow(500);
+  ASSERT_NE(lbts.OpenWindow(lbts.bound(), 500), 0u);
   // Degenerate floors at/below the bound still yield strict progress.
   EXPECT_GT(lbts.NextBound({400, 300}, latency), 500u);
 }
@@ -150,7 +159,7 @@ TEST(LbtsStateTest, WindowSequenceNeverRegresses) {
     const SimTime next = lbts.NextBound(floors, latency);
     ASSERT_NE(next, kSimTimeNever);
     ASSERT_GT(next, bound) << "LBTS bound regressed at round " << round;
-    lbts.OpenWindow(next);
+    ASSERT_NE(lbts.OpenWindow(bound, next), 0u);
     bound = next;
     floors[0] = next + 1 + static_cast<SimTime>(round % 3);
     floors[1] = next + 5;
@@ -158,78 +167,130 @@ TEST(LbtsStateTest, WindowSequenceNeverRegresses) {
   EXPECT_EQ(lbts.epoch(), 20u);
 }
 
-TEST(LbtsStateTest, PublishProtocolVisibleToCoordinatorView) {
+TEST(LbtsStateTest, CloseFeedsPublishedFloorsIntoTheBound) {
   LbtsState lbts(2);
-  // Fresh slots are born done for epoch 0; a real window resets the contract.
-  lbts.OpenWindow(2000);
-  lbts.MarkBusy(0);
-  LbtsState::ShardView view = lbts.View();
-  EXPECT_TRUE(view.any_busy);
-  EXPECT_FALSE(view.all_done) << "nobody has published for the new epoch yet";
+  LinkLatencyTable latency(2, /*uniform_us=*/100);
+  ASSERT_NE(lbts.OpenWindow(lbts.bound(), 2000), 0u);
+  EXPECT_EQ(lbts.Block(0, 2100, /*tight=*/false), 0u) << "shard 1 still runs: nobody closes";
+  const std::uint64_t word = lbts.Block(1, kSimTimeNever, /*tight=*/false);
+  ASSERT_NE(word, 0u) << "the last shard to block closes";
 
-  lbts.PublishIdle(0, lbts.epoch(), 2100);
-  lbts.PublishIdle(1, lbts.epoch(), kSimTimeNever);
-  view = lbts.View();
-  EXPECT_FALSE(view.any_busy);
-  EXPECT_TRUE(view.all_done);
-  ASSERT_EQ(view.floors.size(), 2u);
-  EXPECT_EQ(view.floors[0], 2100u);
-  EXPECT_EQ(view.floors[1], kSimTimeNever);
+  const LbtsState::Round round = lbts.Read(word);
+  EXPECT_EQ(round.bound, 2000u);
+  EXPECT_FALSE(round.any_tight);
+  EXPECT_EQ(round.floors, (std::vector<SimTime>{2100, kSimTimeNever}));
+  EXPECT_FALSE(round.Drained());
+  ASSERT_TRUE(lbts.Confirm(round));
+  bool widened = true;
+  const SimTime next = lbts.NextWindow(round, latency, nullptr, 0, &widened);
+  EXPECT_EQ(next, 2199u) << "min(floor + lookahead) - 1 over the undrained shards";
+  EXPECT_FALSE(widened);
+  EXPECT_EQ(lbts.OpenWindow(round.bound, next), 2u);
+  EXPECT_EQ(lbts.bound(), 2199u);
 
-  // The next window invalidates the published epochs until shards republish.
-  lbts.OpenWindow(3000);
-  view = lbts.View();
-  EXPECT_FALSE(view.all_done);
-  lbts.PublishIdle(0, lbts.epoch(), 3100);
-  lbts.PublishIdle(1, lbts.epoch(), 3200);
-  EXPECT_TRUE(lbts.View().all_done);
+  // Shard 0 has a runnable event now; it wakes, runs, and re-blocks with a
+  // drained queue.  Its block is again the last, and the close sees the new
+  // floor: every queue drained, the cluster is quiescent.
+  lbts.Wake();
+  const std::uint64_t again = lbts.Block(0, kSimTimeNever, /*tight=*/false);
+  ASSERT_NE(again, 0u);
+  const LbtsState::Round drained = lbts.Read(again);
+  EXPECT_TRUE(lbts.Confirm(drained));
+  EXPECT_TRUE(drained.Drained());
 }
 
-TEST(LbtsStateTest, ViewSameDetectsFloorChanges) {
+TEST(LbtsStateTest, TightFlagForcesTheConservativeBound) {
   LbtsState lbts(2);
-  lbts.PublishIdle(0, 0, 100);
-  lbts.PublishIdle(1, 0, 200);
-  const LbtsState::ShardView a = lbts.View();
-  EXPECT_TRUE(a.Same(lbts.View()));
-  lbts.PublishIdle(1, 0, 300);  // same epoch, moved floor
-  EXPECT_FALSE(a.Same(lbts.View()));
-}
+  LinkLatencyTable latency(2, /*uniform_us=*/100);
+  AdaptiveLookahead adaptive(latency, /*growth_cap=*/64, /*window=*/4);
+  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
+  ASSERT_EQ(adaptive.FromSource(0), 200u);
 
-TEST(LbtsStateTest, ViewReportsTightConsumersAndSameDetectsTheEdge) {
-  LbtsState lbts(2);
-  lbts.PublishIdle(0, 0, 100);
-  lbts.PublishIdle(1, 0, 200);
-  const LbtsState::ShardView relaxed = lbts.View();
+  lbts.Block(0, 1000, /*tight=*/false);
+  const LbtsState::Round relaxed = lbts.Read(lbts.Block(1, 2000, /*tight=*/false));
   EXPECT_FALSE(relaxed.any_tight);
-  lbts.PublishIdle(1, 0, 200, /*tight=*/true);  // migration offer left shard 1
-  const LbtsState::ShardView tight = lbts.View();
+  bool widened = false;
+  EXPECT_EQ(lbts.NextWindow(relaxed, latency, &adaptive, 800, &widened), 1799u);
+  EXPECT_TRUE(widened);
+
+  // A migration offer leaves shard 1: it wakes and re-blocks tight.
+  lbts.Wake();
+  const LbtsState::Round tight = lbts.Read(lbts.Block(1, 2000, /*tight=*/true));
   EXPECT_TRUE(tight.any_tight);
-  EXPECT_FALSE(relaxed.Same(tight)) << "a tight edge must invalidate the snapshot pair";
+  ASSERT_TRUE(lbts.Confirm(tight));
+  EXPECT_EQ(lbts.NextWindow(tight, latency, &adaptive, 800, &widened), 1099u)
+      << "learned lookahead and the wide span are off while any shard is tight";
+  EXPECT_FALSE(widened);
+}
+
+TEST(LbtsStateTest, WakeOrRepublishBetweenTheClosersReadsVoidsTheClose) {
+  LbtsState lbts(2);
+  lbts.Block(0, 100, /*tight=*/false);
+  const std::uint64_t word = lbts.Block(1, 200, /*tight=*/false);
+  ASSERT_NE(word, 0u);
+  const LbtsState::Round round = lbts.Read(word);
+  ASSERT_TRUE(lbts.Confirm(round));
+
+  // A shard wakes (mail arrived) between the closer's two reads.
+  lbts.Wake();
+  EXPECT_FALSE(lbts.Confirm(round)) << "a woken shard may have consumed input";
+
+  // It re-publishes the very same floor: count and floors match again, but
+  // the wake generation moved, so the old round stays void.
+  const std::uint64_t rejoined = lbts.Block(1, 200, /*tight=*/false);
+  ASSERT_NE(rejoined, 0u) << "the re-blocking shard is the new closer";
+  EXPECT_NE(rejoined, word);
+  EXPECT_FALSE(lbts.Confirm(round));
+  EXPECT_TRUE(lbts.Confirm(lbts.Read(rejoined)));
+
+  // A re-publish with a moved floor voids the same way.
+  lbts.Wake();
+  const std::uint64_t moved = lbts.Block(1, 300, /*tight=*/false);
+  EXPECT_FALSE(lbts.Confirm(lbts.Read(rejoined)));
+  EXPECT_EQ(lbts.Read(moved).floors[1], 300u);
+
+  // A floor inside the window is a runnable event: its shard will wake, so
+  // the close is void even with the word unchanged.
+  ASSERT_NE(lbts.OpenWindow(lbts.bound(), 150), 0u);
+  EXPECT_FALSE(lbts.Confirm(lbts.Read(moved)));
+}
+
+TEST(LbtsStateTest, TwoClosersOfOneWindowCannotBothOpenTheNext) {
+  LbtsState lbts(2);
+  LinkLatencyTable latency(2, /*uniform_us=*/100);
+  lbts.Block(0, 1000, /*tight=*/false);
+  const LbtsState::Round first = lbts.Read(lbts.Block(1, 2000, /*tight=*/false));
+  // Shard 1 wakes and re-blocks before the first closer acts: a second
+  // closer reads the same window.
+  lbts.Wake();
+  const LbtsState::Round second = lbts.Read(lbts.Block(1, 2000, /*tight=*/false));
+  ASSERT_EQ(first.bound, second.bound);
+  ASSERT_TRUE(lbts.Confirm(second));
+
+  bool widened = false;
+  const SimTime next = lbts.NextWindow(second, latency, nullptr, 0, &widened);
+  EXPECT_EQ(lbts.OpenWindow(second.bound, next), 1u);
+  EXPECT_EQ(lbts.OpenWindow(first.bound, lbts.NextWindow(first, latency, nullptr, 0, &widened)),
+            0u)
+      << "the window was already opened";
+  EXPECT_EQ(lbts.epoch(), 1u);
+  EXPECT_EQ(lbts.bound(), next);
 }
 
 TEST(LbtsStateTest, EverWideLatchesOnFirstWideWindow) {
   LbtsState lbts(2);
   EXPECT_FALSE(lbts.ever_wide());
-  lbts.OpenWindow(1000);
+  lbts.OpenWindow(lbts.bound(), 1000);
   EXPECT_FALSE(lbts.ever_wide()) << "a strictly conservative window must not latch";
-  lbts.OpenWindow(2000, /*wide=*/true);
+  lbts.OpenWindow(lbts.bound(), 2000, /*wide=*/true);
   EXPECT_TRUE(lbts.ever_wide());
-  lbts.OpenWindow(3000);
+  lbts.OpenWindow(lbts.bound(), 3000);
   EXPECT_TRUE(lbts.ever_wide()) << "the latch is sticky for the rest of the run";
 }
 
 // ---------------------------------------------------------------------------
 // AdaptiveLookahead: learning, shrinking, collapse.
 // ---------------------------------------------------------------------------
-
-// Drive `count` sends on src->dst spaced `gap` apart, starting after whatever
-// timestamp the link last saw.
-void SendsWithGap(AdaptiveLookahead& adaptive, MachineId src, MachineId dst, SimTime start,
-                  SimDuration gap, int count) {
-  for (int i = 0; i < count; ++i) {
-    adaptive.Observe(src, dst, start + static_cast<SimTime>(i) * gap);
-  }
-}
 
 TEST(AdaptiveLookaheadTest, StartsAtStaticFloorAndFirstSendOnlyRecords) {
   LinkLatencyTable table(2, /*uniform_us=*/100);
