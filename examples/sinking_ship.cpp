@@ -110,7 +110,8 @@ int Main() {
     const bool safe = at != kNoMachine && at != 2;
     escaped += safe ? 1 : 0;
     std::printf("  %s -> %s\n", pid.ToString().c_str(),
-                safe ? ("m" + std::to_string(at)).c_str() : "lost with the ship");
+                safe ? std::string("m").append(std::to_string(at)).c_str()
+                     : "lost with the ship");
   }
   std::printf("%d of %zu escaped by migration\n", escaped, crew.size());
 

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -39,18 +40,54 @@ namespace demos {
 
 using Bytes = std::vector<std::uint8_t>;
 
-// A process-wide count striped over cache lines: each thread adds into its
-// own stripe (dealt round-robin on the thread's first add), so the parallel
-// engine's shard threads never write one shared line per message.  A read
-// sums the stripes.  While writers run, successive reads never go backwards
-// (every stripe only grows and is read once per sum); once every add
-// happens-before the read -- a thread join, or the parallel engine's
-// quiescence handshake -- the sum is exact.  Reads as a std::atomic would:
-// load(order), or implicitly as a std::uint64_t.
+// Little-endian fixed-width loads and stores: one memcpy on little-endian
+// hosts, a byte loop elsewhere.
+template <typename T>
+T LoadLE(const std::uint8_t* p) {
+  T v{};
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | (static_cast<T>(p[i]) << (8 * i)));
+    }
+  }
+  return v;
+}
+
+template <typename T>
+void StoreLE(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+// A process-wide count striped over cache lines, each stripe written by one
+// thread at a time, so an add is a relaxed load + store with no locked
+// instruction.  A thread claims a free stripe at its first add and hands it
+// back at thread exit with its value kept; the next thread to claim it adds
+// on from there (the claim's acquire pairs with the hand-back's release).
+// Threads beyond kOwnedStripes alive at once share one last stripe with a
+// locked add.  A read sums the stripes.  While writers run, successive reads
+// never go backwards (every stripe only grows, each is read once per sum,
+// and a hand-back keeps its value); once every add happens-before the read
+// -- a thread join, or the parallel engine's quiescence handshake -- the sum
+// is exact.  Reads as a std::atomic would: load(order), or implicitly as a
+// std::uint64_t.
 class StripedCounter {
  public:
   void Add(std::uint64_t n) {
-    stripes_[ThreadStripe()].value.fetch_add(n, std::memory_order_relaxed);
+    const std::size_t stripe = ThreadStripe();
+    std::atomic<std::uint64_t>& value = stripes_[stripe].value;
+    if (stripe == kSharedStripe) {
+      value.fetch_add(n, std::memory_order_relaxed);
+    } else {
+      value.store(value.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    }
   }
   std::uint64_t load(std::memory_order order = std::memory_order_seq_cst) const {
     std::uint64_t total = 0;
@@ -68,19 +105,54 @@ class StripedCounter {
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;  // power of two
+  static constexpr std::size_t kOwnedStripes = 64;
+  static constexpr std::size_t kSharedStripe = kOwnedStripes;
+  static constexpr std::size_t kUnclaimed = kOwnedStripes + 1;
   struct alignas(64) Stripe {
     std::atomic<std::uint64_t> value{0};
   };
 
+  // The stripe index is per thread, not per counter: stripe i of every
+  // StripedCounter belongs to the thread holding claim i.
   static std::size_t ThreadStripe() {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t stripe =
-        next.fetch_add(1, std::memory_order_relaxed) & (kStripes - 1);
-    return stripe;
+    const std::size_t stripe = ThreadIndex();
+    return stripe != kUnclaimed ? stripe : Claim();
+  }
+  static std::size_t& ThreadIndex() {
+    thread_local std::size_t index = kUnclaimed;  // constant-initialized: no TLS guard
+    return index;
+  }
+  // First add on this thread: take a free stripe (or the shared one) and
+  // arrange to hand it back when the thread exits.  Adds after the hand-back
+  // (late thread-exit destructors) go to the shared stripe.  Out of line, so
+  // every inlined Add stays a TLS load plus the add (inlined, this once-per-
+  // thread path also sets off GCC 12's -Wfree-nonheap-object in callers).
+  [[gnu::noinline]] static std::size_t Claim() {
+    struct Release {
+      ~Release() {
+        std::size_t& index = ThreadIndex();
+        if (index < kOwnedStripes) {
+          claimed_[index].store(false, std::memory_order_release);
+        }
+        index = kSharedStripe;
+      }
+    };
+    thread_local Release release;
+    std::size_t& index = ThreadIndex();
+    index = kSharedStripe;
+    for (std::size_t i = 0; i < kOwnedStripes; ++i) {
+      bool expected = false;
+      if (!claimed_[i].load(std::memory_order_relaxed) &&
+          claimed_[i].compare_exchange_strong(expected, true, std::memory_order_acquire)) {
+        index = i;
+        break;
+      }
+    }
+    return index;
   }
 
-  Stripe stripes_[kStripes];
+  inline static std::atomic<bool> claimed_[kOwnedStripes] = {};
+  Stripe stripes_[kOwnedStripes + 1];
 };
 
 // Process-wide counters behind the E-bench copy accounting: how many backing
@@ -312,9 +384,9 @@ class ByteWriter {
  private:
   template <typename T>
   void AppendLE(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    std::uint8_t le[sizeof(T)];
+    StoreLE(le, v);
+    Raw(le, sizeof(T));
   }
 
   Bytes buf_;
@@ -331,6 +403,8 @@ class ByteReader {
   // aliases sub-ranges of the same allocation.
   explicit ByteReader(const PayloadRef& ref)
       : ref_(ref), data_(ref_.data()), size_(ref_.size()) {}
+  // Borrowed bytes: the caller keeps them alive for the reader's lifetime.
+  ByteReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
   ByteReader(const ByteReader&) = delete;
   ByteReader& operator=(const ByteReader&) = delete;
@@ -402,10 +476,7 @@ class ByteReader {
     if (!Ensure(sizeof(T))) {
       return T{};
     }
-    T v{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
+    const T v = LoadLE<T>(data_ + pos_);
     pos_ += sizeof(T);
     return v;
   }

@@ -12,8 +12,9 @@
 // the exact nearest-rank value -- and equal to it below 32.
 //
 // StatsRegistry's named distributions, BuildTraceStats and the MetricShard
-// slabs all use this type.  The slabs share theirs between threads through
-// AtomicRecord/AtomicLoad; the name says what a slab reader gets back.
+// slabs all use this type.  A slab histogram has one writer and any number of
+// readers: the writer records through OwnerRecord, readers copy through
+// AtomicLoad.
 
 #ifndef DEMOS_BASE_HISTOGRAM_H_
 #define DEMOS_BASE_HISTOGRAM_H_
@@ -110,23 +111,27 @@ struct HistogramSnapshot {
     return max;  // not reached: count is the sum of the buckets
   }
 
-  // Lock-free recording into a histogram shared between threads (relaxed
-  // ordering: the fields are independent statistics).  Every access to a
-  // shared histogram goes through AtomicRecord/AtomicLoad.  The shared copy
-  // keeps no count: AtomicLoad sums the buckets, so even a snapshot taken
-  // mid-run has count == the sum of its buckets.
-  void AtomicRecord(std::uint64_t value) {
+  // Recording into a histogram that other threads read.  One writer at a
+  // time (the owner thread, or writers serialized by a mutex): each field is
+  // a relaxed atomic load + store, with no locked instruction.  Every access
+  // to a shared histogram goes through OwnerRecord/AtomicLoad.  The shared
+  // copy keeps no count: AtomicLoad sums the buckets, so even a snapshot
+  // taken mid-run has count == the sum of its buckets.
+  void OwnerRecord(std::uint64_t value) {
     constexpr auto kRelaxed = std::memory_order_relaxed;
+    std::atomic_ref<std::uint64_t> bucket =
+        Ref(buckets[static_cast<std::size_t>(HistogramBucketOf(value))]);
+    bucket.store(bucket.load(kRelaxed) + 1, kRelaxed);
+    std::atomic_ref<std::uint64_t> total = Ref(sum);
+    total.store(total.load(kRelaxed) + value, kRelaxed);
     std::atomic_ref<std::uint64_t> lo = Ref(min);
-    std::uint64_t cur = lo.load(kRelaxed);
-    while (value < cur && !lo.compare_exchange_weak(cur, value, kRelaxed)) {
+    if (value < lo.load(kRelaxed)) {
+      lo.store(value, kRelaxed);
     }
     std::atomic_ref<std::uint64_t> hi = Ref(max);
-    cur = hi.load(kRelaxed);
-    while (value > cur && !hi.compare_exchange_weak(cur, value, kRelaxed)) {
+    if (value > hi.load(kRelaxed)) {
+      hi.store(value, kRelaxed);
     }
-    Ref(sum).fetch_add(value, kRelaxed);
-    Ref(buckets[static_cast<std::size_t>(HistogramBucketOf(value))]).fetch_add(1, kRelaxed);
   }
 
   // Point-in-time copy of a shared histogram; safe while writers run, and

@@ -47,8 +47,11 @@ struct PoolThreadStats {
 class PayloadBufferPool {
  public:
   // One refcounted backing buffer.  PayloadRef (src/base/bytes.h) holds a
-  // Node* plus a window; the last ref to drop calls ReleaseNode.
-  struct Node {
+  // Node* plus a window; the last ref to drop calls ReleaseNode.  A node is
+  // written by the thread that frames a message and read by the one that
+  // receives it; a cache line of its own keeps a neighbour's refcount traffic
+  // from invalidating it in between.
+  struct alignas(64) Node {
     std::atomic<std::uint32_t> refs{1};
     Bytes bytes;
   };

@@ -299,13 +299,14 @@ class Kernel {
   bool HasMigrationInProgress() const {
     return !migration_sources_.empty() || !migration_dests_.empty();
   }
-  // True while this kernel runs a virtual-time policy that needs strictly
-  // conservative sync bounds: a migration in either role (each phase arms a
-  // progress-measured deadline watchdog, and the source entry exists before
-  // the offer frame even leaves the machine).  The parallel engine polls
-  // this per scheduling round to decide when relaxed LBTS windows must
-  // collapse back to the static lookahead -- see docs/PROTOCOL.md,
-  // "Adaptive lookahead".
+  // True while this kernel has a migration in either role (the source entry
+  // exists before the offer frame even leaves the machine).  The parallel
+  // engine polls this per scheduling round and, while any shard is tight,
+  // collapses relaxed LBTS windows back to the static lookahead.  Tight
+  // windows keep migration-era delivery timing exact, and bound clock skew
+  // for the deadline watchdogs when any are armed; with the default all-zero
+  // MigrationDeadlines no watchdog arms.  See docs/PROTOCOL.md, "Adaptive
+  // lookahead".
   bool NeedsTightTime() const { return HasMigrationInProgress(); }
 
   // Periodically report load to `collector` (the process manager).  NOTE:

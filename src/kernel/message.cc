@@ -90,26 +90,6 @@ constexpr std::size_t kOffVia = 29;  // Message::kMaxViaSlots x u16
 constexpr std::size_t kOffLinkCount = kOffVia + Message::kMaxViaSlots * 2;
 constexpr std::size_t kOffLinks = kOffLinkCount + 1;
 
-std::uint16_t GetLE16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t GetLE32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void PutLE16(std::uint8_t* p, std::uint16_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-}
-
-void PutLE64(std::uint8_t* p, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
 }  // namespace
 
 Bytes Message::Serialize() const {
@@ -140,12 +120,13 @@ bool Message::FrameReusable() const {
     return false;
   }
   const std::uint8_t* base = wire_.data();
-  if (GetLE16(base + 0) != sender.last_known_machine ||
-      GetLE16(base + 2) != sender.pid.creating_machine ||
-      GetLE32(base + 4) != sender.pid.local_id ||
-      GetLE16(base + kOffReceiverPid) != receiver.pid.creating_machine ||
-      GetLE32(base + kOffReceiverPid + 2) != receiver.pid.local_id ||
-      base[kOffFlags] != flags || GetLE16(base + kOffType) != static_cast<std::uint16_t>(type) ||
+  if (LoadLE<std::uint16_t>(base + 0) != sender.last_known_machine ||
+      LoadLE<std::uint16_t>(base + 2) != sender.pid.creating_machine ||
+      LoadLE<std::uint32_t>(base + 4) != sender.pid.local_id ||
+      LoadLE<std::uint16_t>(base + kOffReceiverPid) != receiver.pid.creating_machine ||
+      LoadLE<std::uint32_t>(base + kOffReceiverPid + 2) != receiver.pid.local_id ||
+      base[kOffFlags] != flags ||
+      LoadLE<std::uint16_t>(base + kOffType) != static_cast<std::uint16_t>(type) ||
       base[kOffLinkCount] != carried_links.size()) {
     return false;
   }
@@ -153,10 +134,10 @@ bool Message::FrameReusable() const {
       (!payload.empty() && payload.data() != base + payload_off_)) {
     return false;
   }
-  if (GetLE32(base + payload_off_ - 4) != payload.size()) {
+  if (LoadLE<std::uint32_t>(base + payload_off_ - 4) != payload.size()) {
     return false;
   }
-  ByteReader links(wire_.Slice(kOffLinks, carried_links.size() * kLinkWireSize));
+  ByteReader links(base + kOffLinks, carried_links.size() * kLinkWireSize);
   for (const Link& link : carried_links) {
     if (!(Link::Deserialize(links) == link)) {
       return false;
@@ -179,71 +160,63 @@ PayloadRef Message::Frame() {
   // frame is still aliased elsewhere (e.g. a reliable-layer retransmit
   // buffer), so prior owners keep seeing the bytes they captured.
   std::uint8_t* base = wire_.MutableData();
-  PutLE16(base + kOffReceiverMachine, receiver.last_known_machine);
+  StoreLE<std::uint16_t>(base + kOffReceiverMachine, receiver.last_known_machine);
   base[kOffHopCount] = hop_count;
-  PutLE64(base + kOffTraceId, trace_id);
+  StoreLE<std::uint64_t>(base + kOffTraceId, trace_id);
   base[kOffViaCount] = via_count;
   for (std::size_t i = 0; i < kMaxViaSlots; ++i) {
-    PutLE16(base + kOffVia + i * 2, via[i]);
+    StoreLE<std::uint16_t>(base + kOffVia + i * 2, via[i]);
   }
   payload = wire_.Slice(payload_off_, wire_.size() - payload_off_);
   return wire_;
 }
 
-Result<MessageView> MessageView::Parse(PayloadRef frame) {
-  ByteReader r(frame);
-  MessageView v;
-  v.sender_ = r.Address();
-  v.receiver_ = r.Address();
-  v.flags_ = r.U8();
-  v.type_ = static_cast<MsgType>(r.U16());
-  v.hop_count_ = r.U8();
-  v.trace_id_ = r.U64();
-  v.via_count_ = r.U8();
-  for (std::size_t i = 0; i < Message::kMaxViaSlots; ++i) {
-    v.via_[i] = r.U16();
-  }
-  const std::uint8_t n_links = r.U8();
-  v.links_.reserve(n_links);
-  for (std::uint8_t i = 0; i < n_links && r.ok(); ++i) {
-    v.links_.push_back(Link::Deserialize(r));
-  }
-  const std::uint32_t payload_len = r.U32();
-  if (!r.ok() || r.remaining() < payload_len) {
-    return InvalidArgumentError("truncated message frame (" + std::to_string(frame.size()) +
-                                " bytes)");
-  }
-  v.payload_off_ = r.pos();
-  v.payload_len_ = payload_len;
-  v.frame_ = std::move(frame);
-  return v;
-}
-
-Message MessageView::ToMessage() const {
-  Message m;
-  m.sender = sender_;
-  m.receiver = receiver_;
-  m.flags = flags_;
-  m.type = type_;
-  m.hop_count = hop_count_;
-  m.via_count = via_count_;
-  for (std::size_t i = 0; i < Message::kMaxViaSlots; ++i) {
-    m.via[i] = via_[i];
-  }
-  m.trace_id = trace_id_;
-  m.carried_links = links_;
-  m.payload = payload();
-  m.wire_ = frame_;
-  m.payload_off_ = payload_off_;
-  return m;
-}
-
 Result<Message> Message::Deserialize(PayloadRef wire) {
-  Result<MessageView> view = MessageView::Parse(std::move(wire));
-  if (!view.ok()) {
-    return view.status();
+  const std::size_t size = wire.size();
+  const std::uint8_t* base = wire.data();
+  const auto truncated = [size] {
+    return InvalidArgumentError("truncated message frame (" + std::to_string(size) + " bytes)");
+  };
+  // Section 1: the fixed header.
+  if (size < kOffLinks) {
+    return truncated();
   }
-  return view->ToMessage();
+  // Section 2: the carried links and the payload length prefix.
+  const std::uint8_t n_links = base[kOffLinkCount];
+  const std::size_t links_len = n_links * kLinkWireSize;
+  const std::size_t payload_off = kOffLinks + links_len + 4;
+  if (size < payload_off) {
+    return truncated();
+  }
+  // Section 3: the payload.
+  const std::uint32_t payload_len = LoadLE<std::uint32_t>(base + payload_off - 4);
+  if (size - payload_off < payload_len) {
+    return truncated();
+  }
+  Message m;
+  m.sender.last_known_machine = LoadLE<std::uint16_t>(base + 0);
+  m.sender.pid.creating_machine = LoadLE<std::uint16_t>(base + 2);
+  m.sender.pid.local_id = LoadLE<std::uint32_t>(base + 4);
+  m.receiver.last_known_machine = LoadLE<std::uint16_t>(base + kOffReceiverMachine);
+  m.receiver.pid.creating_machine = LoadLE<std::uint16_t>(base + kOffReceiverPid);
+  m.receiver.pid.local_id = LoadLE<std::uint32_t>(base + kOffReceiverPid + 2);
+  m.flags = base[kOffFlags];
+  m.type = static_cast<MsgType>(LoadLE<std::uint16_t>(base + kOffType));
+  m.hop_count = base[kOffHopCount];
+  m.trace_id = LoadLE<std::uint64_t>(base + kOffTraceId);
+  m.via_count = base[kOffViaCount];
+  for (std::size_t i = 0; i < kMaxViaSlots; ++i) {
+    m.via[i] = LoadLE<std::uint16_t>(base + kOffVia + i * 2);
+  }
+  ByteReader links(base + kOffLinks, links_len);
+  m.carried_links.reserve(n_links);
+  for (std::uint8_t i = 0; i < n_links; ++i) {
+    m.carried_links.push_back(Link::Deserialize(links));
+  }
+  m.payload_off_ = payload_off;
+  m.wire_ = std::move(wire);
+  m.payload = m.wire_.Slice(payload_off, payload_len);
+  return m;
 }
 
 std::size_t Message::WireHeaderSize() {

@@ -99,8 +99,6 @@ inline bool IsMigrationAdminType(MsgType t) {
 
 const char* MsgTypeName(MsgType t);
 
-class MessageView;
-
 struct Message {
   ProcessAddress sender;    // who sent it (kernel pseudo-address for kernel traffic)
   ProcessAddress receiver;  // where it is going; last_known_machine is rewritten on forward
@@ -154,6 +152,10 @@ struct Message {
   // immutable field or the payload changed since parse).
   PayloadRef Frame();
 
+  // Decode a wire frame.  The header is read at fixed offsets with one bounds
+  // check per section (fixed header, carried links + payload length,
+  // payload); the message keeps the frame and its payload aliases it, so
+  // nothing is copied.
   static Result<Message> Deserialize(PayloadRef wire);
 
   // Size of the serialized fixed header (everything except payload bytes and
@@ -167,56 +169,12 @@ struct Message {
   std::string ToString() const;
 
  private:
-  friend class MessageView;
-
   bool FrameReusable() const;
 
   // Cached wire frame this message was parsed from (or last encoded to) and
   // the byte offset of the payload within it.
   PayloadRef wire_;
   std::size_t payload_off_ = 0;
-};
-
-// Non-owning (well, refcount-sharing) in-place decoder for a wire frame: the
-// header fields are read once, the payload is aliased, nothing is copied.
-// `Parse` is the single entry point off the wire; `ToMessage()` materializes
-// a Message whose payload still aliases the frame.
-class MessageView {
- public:
-  static Result<MessageView> Parse(PayloadRef frame);
-
-  const ProcessAddress& sender() const { return sender_; }
-  const ProcessAddress& receiver() const { return receiver_; }
-  std::uint8_t flags() const { return flags_; }
-  MsgType type() const { return type_; }
-  std::uint8_t hop_count() const { return hop_count_; }
-  std::uint8_t via_count() const { return via_count_; }
-  std::uint16_t via(std::size_t i) const { return via_[i]; }
-  std::uint64_t trace_id() const { return trace_id_; }
-  const std::vector<Link>& carried_links() const { return links_; }
-  bool deliver_to_kernel() const { return (flags_ & kLinkDeliverToKernel) != 0; }
-
-  // Aliases the frame: no payload allocation.
-  PayloadRef payload() const { return frame_.Slice(payload_off_, payload_len_); }
-  const PayloadRef& frame() const { return frame_; }
-
-  Message ToMessage() const;
-
- private:
-  MessageView() = default;
-
-  PayloadRef frame_;
-  ProcessAddress sender_;
-  ProcessAddress receiver_;
-  std::uint8_t flags_ = kLinkNone;
-  MsgType type_ = MsgType::kInvalid;
-  std::uint8_t hop_count_ = 0;
-  std::uint8_t via_count_ = 0;
-  std::uint16_t via_[Message::kMaxViaSlots] = {};
-  std::uint64_t trace_id_ = 0;
-  std::vector<Link> links_;
-  std::size_t payload_off_ = 0;
-  std::size_t payload_len_ = 0;
 };
 
 // Convenience: make the pseudo-address of machine `m`'s kernel.

@@ -2,12 +2,15 @@
 // parallel execution engine and the chaos harness.
 //
 // Design rules, in order:
-//   - No shared cache lines on the hot path.  Each shard owns one
-//     cache-line-aligned MetricShard slab; the owning thread is the only
-//     writer (relaxed atomic adds on memory no other core touches).
-//     Readers -- the periodic sampler and end-of-run snapshots -- do relaxed
-//     loads at any time, so a snapshot taken mid-run is a coherent-enough
-//     point-in-time view without a single lock anywhere.
+//   - No shared cache lines and no locked instructions on the hot path.
+//     Each shard owns one cache-line-aligned MetricShard slab; the owning
+//     thread is its only writer, so an update is a relaxed load + store on
+//     memory no other core touches.  The one counter a foreign thread bumps,
+//     condvar_notifies (written by whoever wakes the shard), goes through
+//     IncShared, a locked add.  Readers -- the periodic sampler and
+//     end-of-run snapshots -- do relaxed loads at any time, so a snapshot
+//     taken mid-run is a coherent-enough point-in-time view without a
+//     single lock anywhere.
 //   - No string lookups on the hot path.  The metric catalogs below are
 //     X-macro lists, one entry per metric with its export name; the enums
 //     and the name tables are generated from them, as StatId is from
@@ -30,6 +33,7 @@
 
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -125,19 +129,29 @@ inline const char* HistogramName(HistogramId id) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard slab.  Single writer (the owning shard thread), any reader.
+// Per-shard slab.  Single writer (the owning shard thread, or for the window
+// slot whichever closer holds the closers' mutex), any reader.  Inc and
+// Observe are a relaxed load + store: two writers at once would lose updates.
 // ---------------------------------------------------------------------------
 
 class alignas(64) MetricShard {
  public:
   void Inc(CounterId id, std::uint64_t delta = 1) {
+    std::atomic<std::uint64_t>& counter = counters_[static_cast<std::size_t>(id)];
+    counter.store(counter.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+  }
+  // Any thread: a locked add, for the one counter written from outside its
+  // shard (condvar_notifies).  A counter is written through Inc or through
+  // IncShared, never both.
+  void IncShared(CounterId id, std::uint64_t delta = 1) {
+    assert(id == CounterId::kCondvarNotifies);
     counters_[static_cast<std::size_t>(id)].fetch_add(delta, std::memory_order_relaxed);
   }
   void Set(GaugeId id, std::int64_t value) {
     gauges_[static_cast<std::size_t>(id)].store(value, std::memory_order_relaxed);
   }
   void Observe(HistogramId id, std::uint64_t value) {
-    histograms_[static_cast<std::size_t>(id)].AtomicRecord(value);
+    histograms_[static_cast<std::size_t>(id)].OwnerRecord(value);
   }
 
   std::uint64_t Counter(CounterId id) const {

@@ -594,6 +594,39 @@ TEST(PayloadCountersTest, ReadsWhileWritersRunAreMonotoneAndExactAfterJoin) {
   EXPECT_EQ(PayloadCounters::allocations, 0u);
 }
 
+// A stripe is claimed by one live thread and handed back, value kept, when
+// it exits.  More threads alive at once than there are owned stripes share
+// the overflow stripe.  Rounds of short-lived threads reuse the stripes the
+// previous round handed back; every round's total must stay exact.
+TEST(PayloadCountersTest, StripesHandedBackAtThreadExitKeepTheirCounts) {
+  constexpr int kRounds = 3;
+  constexpr int kThreads = 80;  // more than the owned stripes
+  constexpr int kPerThread = 1000;
+  PayloadCounters::Reset();
+  for (int round = 1; round <= kRounds; ++round) {
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&go] {
+        while (!go.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        for (int i = 0; i < kPerThread; ++i) {
+          PayloadCounters::CountAllocation();
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(PayloadCounters::allocations.load(),
+              static_cast<std::uint64_t>(round) * kThreads * kPerThread)
+        << "round " << round;
+  }
+  PayloadCounters::Reset();
+}
+
 // DEMOS_LOG tests the level before building the line, so operands of a
 // disabled line never run.
 class LogTest : public ::testing::Test {

@@ -146,40 +146,77 @@ TEST(MessageTest, ViaPathSaturatesSlotsButKeepsTrueCount) {
   }
 }
 
-// --- MessageView: in-place header decoding over a shared frame. ---
+// --- Deserialize: in-place header decoding over a shared frame. ---
 
-TEST(MessageViewTest, ParseAliasesTheFrameBuffer) {
+TEST(MessageDeserializeTest, PayloadAliasesTheFrameBuffer) {
   Message m = SampleMessage();
   PayloadRef frame(m.Serialize());
-  Result<MessageView> view = MessageView::Parse(frame);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view->sender(), m.sender);
-  EXPECT_EQ(view->receiver(), m.receiver);
-  EXPECT_EQ(view->type(), m.type);
-  EXPECT_EQ(view->hop_count(), m.hop_count);
-  EXPECT_TRUE(view->deliver_to_kernel());
-  // The payload accessor is a window into the frame, not a copy.
-  EXPECT_EQ(view->payload(), m.payload);
-  EXPECT_TRUE(view->payload().SharesBufferWith(frame));
+  Result<Message> back = Message::Deserialize(frame);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->sender, m.sender);
+  EXPECT_EQ(back->receiver, m.receiver);
+  EXPECT_EQ(back->type, m.type);
+  EXPECT_EQ(back->hop_count, m.hop_count);
+  EXPECT_TRUE(back->deliver_to_kernel());
+  // The payload is a window into the frame, not a copy.
+  EXPECT_EQ(back->payload, m.payload);
+  EXPECT_TRUE(back->payload.SharesBufferWith(frame));
 }
 
-TEST(MessageViewTest, ToMessageKeepsPayloadZeroCopy) {
+TEST(MessageDeserializeTest, PayloadIsZeroCopy) {
   Message m = SampleMessage();
   PayloadRef frame(m.Serialize());
-  Result<MessageView> view = MessageView::Parse(frame);
-  ASSERT_TRUE(view.ok());
-  Message back = view->ToMessage();
-  EXPECT_EQ(back.payload, m.payload);
-  EXPECT_TRUE(back.payload.SharesBufferWith(frame));
+  const std::uint64_t allocations = PayloadCounters::allocations.load();
+  const std::uint64_t copied = PayloadCounters::copied_bytes.load();
+  Result<Message> back = Message::Deserialize(frame);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(PayloadCounters::allocations.load(), allocations);
+  EXPECT_EQ(PayloadCounters::copied_bytes.load(), copied);
+  EXPECT_EQ(back->payload, m.payload);
+  EXPECT_TRUE(back->payload.SharesBufferWith(frame));
 }
 
-TEST(MessageViewTest, TruncatedFrameReportsError) {
+TEST(MessageDeserializeTest, TruncatedFrameReportsError) {
   Message m = SampleMessage();
   Bytes wire = m.Serialize();
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     Bytes truncated(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(cut));
-    Result<MessageView> view = MessageView::Parse(PayloadRef(std::move(truncated)));
-    EXPECT_FALSE(view.ok()) << "cut at " << cut;
+    Result<Message> back = Message::Deserialize(PayloadRef(std::move(truncated)));
+    EXPECT_FALSE(back.ok()) << "cut at " << cut;
+  }
+}
+
+// With no carried links the frame is the fixed header, the link count, the
+// 4-byte payload length and the payload.
+constexpr std::size_t kLinkCountOffset = 37;
+constexpr std::size_t kPayloadLengthOffset = kLinkCountOffset + 1;
+
+TEST(MessageDeserializeTest, LinkCountPastTheEndReportsError) {
+  Message m = SampleMessage();
+  m.carried_links.clear();
+  Bytes wire = m.Serialize();
+  ASSERT_EQ(wire.size(), Message::WireHeaderSize() + m.payload.size());
+  ASSERT_EQ(wire[kLinkCountOffset], 0);
+  for (const std::uint8_t links : {1, 255}) {
+    Bytes bad = wire;
+    bad[kLinkCountOffset] = links;
+    EXPECT_FALSE(Message::Deserialize(PayloadRef(std::move(bad))).ok())
+        << static_cast<int>(links) << " links";
+  }
+}
+
+TEST(MessageDeserializeTest, PayloadLengthPastTheEndReportsError) {
+  Message m = SampleMessage();
+  m.carried_links.clear();
+  Bytes wire = m.Serialize();
+  ASSERT_EQ(wire[kPayloadLengthOffset], m.payload.size());
+  for (const std::uint32_t len :
+       {static_cast<std::uint32_t>(m.payload.size() + 1), std::uint32_t{0xFFFFFFFF}}) {
+    Bytes bad = wire;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bad[kPayloadLengthOffset + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    }
+    EXPECT_FALSE(Message::Deserialize(PayloadRef(std::move(bad))).ok()) << len << " bytes";
   }
 }
 

@@ -894,5 +894,78 @@ TEST_F(ParallelClusterTest, BatchedSyncRunNeverClampsAndExportsHotPathCounters) 
   (void)spin_iters;
 }
 
+// Slab counters are written by one thread with a plain load + store; the
+// one foreign write, a waker bumping the target's condvar_notifies, must stay
+// exact when many threads wake the same shards at once.  An idle running
+// cluster: its shards are parked and issue no wakes of their own.
+TEST_F(ParallelClusterTest, ForeignWakeStressCountsNotifiesExactly) {
+  constexpr int kMachines = 2;
+  constexpr int kWakers = 4;
+  constexpr int kWakesPerShard = 5000;
+  ParallelCluster cluster(ParallelClusterConfig{.machines = kMachines});
+  ASSERT_TRUE(cluster.RunUntilQuiescent());
+  MetricsEngine* metrics = cluster.metrics();
+  ASSERT_NE(metrics, nullptr);
+  const auto notifies = [metrics](int m) {
+    return metrics->shard(m).Counter(CounterId::kCondvarNotifies);
+  };
+  std::vector<std::uint64_t> before;
+  for (int m = 0; m < kMachines; ++m) {
+    before.push_back(notifies(m));
+  }
+  std::vector<std::thread> wakers;
+  for (int t = 0; t < kWakers; ++t) {
+    wakers.emplace_back([&cluster] {
+      for (int i = 0; i < kWakesPerShard; ++i) {
+        for (int m = 0; m < kMachines; ++m) {
+          cluster.router().Wake(static_cast<MachineId>(m));
+        }
+      }
+    });
+  }
+  for (std::thread& t : wakers) {
+    t.join();
+  }
+  for (int m = 0; m < kMachines; ++m) {
+    EXPECT_EQ(notifies(m) - before[static_cast<std::size_t>(m)],
+              static_cast<std::uint64_t>(kWakers) * kWakesPerShard)
+        << "shard " << m;
+  }
+  cluster.Stop();
+}
+
+// Each shard counts its own drains and its own published batches into its
+// slab; summed over the slabs they must equal the router's flow slots, which
+// count the same frames independently.
+TEST_F(ParallelClusterTest, SyncTokenRingSlabCountsMatchRouterFlow) {
+  constexpr int kMachines = 3;
+  ParallelClusterConfig config;
+  config.machines = kMachines;
+  config.sync.enabled = true;
+  ParallelCluster cluster(config);
+  TokenRingSpec spec;
+  spec.rings = 3;
+  spec.nodes_per_ring = 6;
+  spec.tokens_per_node = 2;
+  spec.hops_per_token = 60;
+  const std::vector<TokenRing> rings = BuildTokenRings(cluster, spec);
+  ASSERT_EQ(rings.size(), 3u);
+  KickTokenRings(cluster, rings, spec.tokens_per_node, spec.hops_per_token);
+  ASSERT_TRUE(cluster.RunUntilQuiescent());
+  cluster.Stop();
+
+  MetricsEngine* metrics = cluster.metrics();
+  ASSERT_NE(metrics, nullptr);
+  std::uint64_t drained = 0;
+  HistogramSnapshot batches;
+  for (int m = 0; m < metrics->shards(); ++m) {
+    drained += metrics->shard(m).Counter(CounterId::kMsgsDrained);
+    batches.Merge(metrics->shard(m).Histogram(HistogramId::kBatchSize));
+  }
+  EXPECT_GT(cluster.router().consumed(), 0u);
+  EXPECT_EQ(drained, cluster.router().consumed());
+  EXPECT_EQ(batches.sum, cluster.router().sent());
+}
+
 }  // namespace
 }  // namespace demos
