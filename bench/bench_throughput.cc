@@ -51,10 +51,9 @@ struct ShardBreakdown {
   std::uint64_t pool_misses = 0;
   std::uint64_t batches = 0;
   double batch_mean = 0;
-  // Conservative-sync receive/learn counters (parallel_sync rows only).
+  // Conservative-sync receive counters (parallel_sync rows only).
   std::uint64_t sync_clamped = 0;
   std::uint64_t wide_clamped = 0;
-  std::uint64_t lookahead_shrinks = 0;
 };
 
 // Coordinator-slot LBTS stats for a sync-enabled parallel phase.
@@ -153,7 +152,7 @@ bool RunSequentialPhase(int machines, const TokenRingSpec& spec, const std::stri
 // One phase on the parallel engine: M shards, one worker thread each.
 // `series_out` non-null attaches the periodic sampler and hands back the
 // demos-metrics-v2 time series for this phase.  `sync_on` runs the phase
-// under conservative virtual-time sync (adaptive lookahead on by default);
+// under conservative virtual-time sync (wide windows on by default);
 // the row is labelled "parallel_sync" so sync-off baselines stay comparable.
 bool RunParallelPhase(int machines, const TokenRingSpec& spec, const std::string& phase,
                       bool metrics_on, bool sync_on, MetricsTimeSeries* series_out,
@@ -206,7 +205,6 @@ bool RunParallelPhase(int machines, const TokenRingSpec& spec, const std::string
       if (sync_on) {
         b.sync_clamped = slab.Counter(CounterId::kSyncFramesClamped);
         b.wide_clamped = slab.Counter(CounterId::kWideFramesClamped);
-        b.lookahead_shrinks = slab.Counter(CounterId::kLookaheadShrinks);
       }
       out.per_shard.push_back(b);
     }
@@ -272,7 +270,7 @@ bool WriteJson(const std::string& path, const std::vector<PhaseResult>& results,
   out << "    \"parallel_vs_sequential_4\": " << buf;
   if (sync_overhead_ratio > 0) {
     // sync-on over sync-off parallel msgs/sec at 4 shards: what conservative
-    // virtual-time sync (with adaptive lookahead) costs.  Additive field --
+    // virtual-time sync (with wide windows) costs.  Additive field --
     // absent when the run did not cover both sides of the --sync axis.
     out << ",\n";
     std::snprintf(buf, sizeof(buf), "%.4f", sync_overhead_ratio);
@@ -311,8 +309,7 @@ bool WriteJson(const std::string& path, const std::vector<PhaseResult>& results,
         out << ", \"batch_mean\": " << buf;
         if (r.has_sync) {
           out << ", \"sync_frames_clamped\": " << b.sync_clamped
-              << ", \"wide_frames_clamped\": " << b.wide_clamped
-              << ", \"lookahead_shrinks\": " << b.lookahead_shrinks;
+              << ", \"wide_frames_clamped\": " << b.wide_clamped;
         }
         out << "}";
       }
@@ -391,7 +388,7 @@ int Main(int argc, char** argv) {
   MetricsTimeSeries metrics_series;
   bool have_metrics_series = false;
   // Engine axis per shard count: sequential, free-running parallel, and
-  // sync-enabled parallel (adaptive lookahead default-on) as --sync selects.
+  // sync-enabled parallel (wide windows default-on) as --sync selects.
   std::vector<std::string> engines = {"sequential"};
   if (run_sync_off) {
     engines.push_back("parallel");

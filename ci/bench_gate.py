@@ -74,8 +74,8 @@ def main():
           f"baseline {base_ratio:.3f}, floor {floor_ratio:.3f} -- ok")
 
     # sync_overhead_ratio: sync-on vs free-running parallel msgs/sec at 4
-    # shards.  Additive field -- absent in a baseline recorded before the
-    # adaptive-lookahead work: record the fresh value, don't fail; the next
+    # shards.  Additive field -- absent in a baseline recorded before wide
+    # windows and the tight gate: record the fresh value, don't fail; the next
     # re-baseline picks it up.  Absent in the *current* run only when the run
     # skipped a sync axis (--sync=off/on), which is fine for ad-hoc runs but
     # means the gate has nothing to check.

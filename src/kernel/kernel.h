@@ -301,12 +301,12 @@ class Kernel {
   }
   // True while this kernel has a migration in either role (the source entry
   // exists before the offer frame even leaves the machine).  The parallel
-  // engine polls this per scheduling round and, while any shard is tight,
-  // collapses relaxed LBTS windows back to the static lookahead.  Tight
-  // windows keep migration-era delivery timing exact, and bound clock skew
-  // for the deadline watchdogs when any are armed; with the default all-zero
-  // MigrationDeadlines no watchdog arms.  See docs/PROTOCOL.md, "Adaptive
-  // lookahead".
+  // engine publishes this with the shard's LBTS floor each time the shard
+  // blocks; while any shard is tight, every window spans only the link
+  // latency instead of the wide span.  Tight windows keep migration-era
+  // delivery timing exact, and bound clock skew for the deadline watchdogs
+  // when any are armed; with the default all-zero MigrationDeadlines no
+  // watchdog arms.  See docs/PROTOCOL.md, "Wide windows".
   bool NeedsTightTime() const { return HasMigrationInProgress(); }
 
   // Periodically report load to `collector` (the process manager).  NOTE:

@@ -80,9 +80,9 @@ namespace demos {
   X(kNotifiesElided, "notifies_elided")         /* publishes to an awake consumer */       \
   X(kPoolHits, "pool_hits")                     /* pooled allocations from a free-list */  \
   X(kPoolMisses, "pool_misses")                 /* pooled allocations from the heap */     \
-  /* Adaptive lookahead (relaxed LBTS windows; src/run/virtual_time.h). */                 \
-  X(kWideWindowsOpened, "wide_windows_opened")  /* wider than the static bound */          \
-  X(kLookaheadShrinks, "lookahead_shrinks")     /* learned-lookahead walk-backs */         \
+  /* Wide windows (relaxed LBTS windows; src/run/virtual_time.h). */                       \
+  X(kWideWindowsOpened, "wide_windows_opened")  /* span wider than the link latency */     \
+  X(kLookaheadShrinks, "lookahead_shrinks")     /* retired: always 0 */                    \
   /* Clamped arrivals after a wide window: the expected residue of relaxed */              \
   /* timing (sync_frames_clamped stays the zero-invariant otherwise). */                   \
   X(kWideFramesClamped, "wide_frames_clamped")

@@ -10,6 +10,12 @@ namespace demos {
 
 namespace {
 
+// Local events run per round before the mailbox is polled again.
+constexpr std::size_t kEventBatch = 256;
+// How long a shard with nothing to do parks before rechecking (also the
+// recovery bound for a theoretically lost wakeup).
+constexpr std::chrono::microseconds kIdlePark{200};
+
 bool DeadlinesArmed(const KernelConfig& kc) {
   return kc.migration_deadlines.offer_accept_us != 0 ||
          kc.migration_deadlines.transfer_progress_us != 0 ||
@@ -60,38 +66,15 @@ ParallelCluster::ParallelCluster(ParallelClusterConfig config) : config_(config)
   // when the shard clocks agree, so arming any phase forces sync on.
   sync_enabled_ = config.sync.enabled || DeadlinesArmed(config.kernel);
   if (sync_enabled_) {
-    latency_ = std::make_unique<LinkLatencyTable>(config.machines,
-                                                  config.sync.min_link_latency_us);
-    for (const auto& link : config.sync.links) {
-      if (link.src < static_cast<MachineId>(config.machines) &&
-          link.dst < static_cast<MachineId>(config.machines)) {
-        latency_->SetLink(link.src, link.dst, link.min_latency_us);
-      }
-    }
-    // Adaptive lookahead: relaxed windows are capped at wide_window_spans x
-    // the static base span, and -- when deadline watchdogs can arm -- at a
-    // quarter of the shortest armed deadline, so the one-window clock skew a
-    // wide era can leave behind stays far below anything a watchdog measures.
-    const SimDuration base = latency_->MinLookahead();
-    SimDuration wide_span =
-        static_cast<SimDuration>(config.sync.wide_window_spans) * base;
-    if (wide_span > 0 && DeadlinesArmed(config.kernel)) {
-      wide_span = std::min(wide_span, MinArmedDeadline(config.kernel) / 4);
-    }
-    if (wide_span <= base) {
-      wide_span = 0;  // no wider than a tight window: relaxing buys nothing
-    }
-    wide_span_ = wide_span;
-    if (wide_span_ > 0) {
-      // Keep the learned-lookahead ceiling consistent with the wide-span cap
-      // (both feed the same skew bound).
-      const std::uint32_t span_cap =
-          static_cast<std::uint32_t>(std::min<SimDuration>(wide_span_ / base, 1u << 20));
-      const std::uint32_t growth_cap =
-          std::max(1u, std::min(config.sync.lookahead_growth_cap, span_cap));
-      adaptive_ = std::make_unique<AdaptiveLookahead>(*latency_, growth_cap,
-                                                      config.sync.lookahead_window);
-      router_->SetLookahead(adaptive_.get());
+    // A zero-latency link would make the LBTS bound unable to advance.
+    lookahead_ = std::max<SimDuration>(1, config.sync.min_link_latency_us);
+    // Wide windows are capped at wide_window_spans x L, and -- when deadline
+    // watchdogs can arm -- at a quarter of the shortest armed deadline, so the
+    // one-window clock skew a wide era can leave behind stays far below
+    // anything a watchdog measures.  A span no wider than L never widens.
+    wide_span_ = static_cast<SimDuration>(config.sync.wide_window_spans) * lookahead_;
+    if (DeadlinesArmed(config.kernel)) {
+      wide_span_ = std::min(wide_span_, MinArmedDeadline(config.kernel) / 4);
     }
   }
   // Free-running: one window over all of virtual time.
@@ -231,7 +214,7 @@ std::size_t ParallelCluster::DrainPosted(Shard& shard) {
 
 void ParallelCluster::ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts,
                                        PayloadRef payload) {
-  SimTime arrival = send_ts + latency_->Latency(src, shard.machine);
+  SimTime arrival = send_ts + lookahead_;
   if (arrival < shard.queue.Now()) {
     // A frame from the receiver's virtual past.  Never deliver backwards in
     // time: clamp to now (exactly-once and per-link FIFO are unaffected) and
@@ -267,7 +250,6 @@ void ParallelCluster::ShardMain(Shard& shard) {
   const auto has_work = [this, &shard] {
     return HasWork(shard) || stop_.load(std::memory_order_relaxed);
   };
-  bool was_tight = false;
   while (!stop_.load(std::memory_order_acquire)) {
     // The round may run events up to the current window's bound.
     const SimTime bound = lbts_->bound();
@@ -276,21 +258,10 @@ void ParallelCluster::ShardMain(Shard& shard) {
     const std::size_t posted = DrainPosted(shard);
     did += posted;
     std::size_t steps = 0;
-    while (steps < config_.event_batch && shard.queue.StepIfAtMost(bound)) {
+    while (steps < kEventBatch && shard.queue.StepIfAtMost(bound)) {
       ++steps;
     }
     did += steps;
-    // Tight-consumer poll, every round and *before* this round's lanes
-    // publish: if an event above just started a migration, the learned
-    // lookahead collapses to the static minimum before the offer frame is
-    // even visible to its destination.
-    const bool tight = sync_enabled_ && shard.kernel->NeedsTightTime();
-    if (tight && !was_tight && adaptive_ != nullptr) {
-      if (adaptive_->Collapse(me) && metrics != nullptr) {
-        metrics->Inc(CounterId::kLookaheadShrinks);
-      }
-    }
-    was_tight = tight;
     // End of the scheduling round: publish every destination lane this round
     // staged (one mailbox push per destination).  A did==0 round staged
     // nothing, so a blocked shard never sits on unpublished frames and its
@@ -320,11 +291,14 @@ void ParallelCluster::ShardMain(Shard& shard) {
     }
     tracer.RecordClockSync(shard.queue.Now(), FrSteadyClock(nullptr));
     FoldPoolStats(metrics, pool_last);
+    // Tight-consumer poll: a shard with a migration in flight holds every
+    // window the closer opens to the link latency.
+    const bool tight = sync_enabled_ && shard.kernel->NeedsTightTime();
     if (const std::uint64_t word = lbts_->Block(me, shard.queue.NextEventTime(), tight)) {
       Close(word);
     }
     do {
-      router_->IdleWait(me, config_.idle_park, has_work);
+      router_->IdleWait(me, kIdlePark, has_work);
     } while (!has_work());
     lbts_->Wake();
   }
@@ -357,8 +331,7 @@ void ParallelCluster::Close(std::uint64_t word) {
     return;
   }
   bool widened = false;
-  const SimTime next =
-      lbts_->NextWindow(round, *latency_, adaptive_.get(), wide_span_, &widened);
+  const SimTime next = lbts_->NextWindow(round, lookahead_, wide_span_, &widened);
   const std::uint64_t epoch = lbts_->OpenWindow(round.bound, next, widened);
   if (epoch == 0) {
     return;

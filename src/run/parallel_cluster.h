@@ -77,11 +77,6 @@ struct ParallelClusterConfig {
   // Mailbox messages handled per scheduling round before the shard looks at
   // its event queue again (receive-side batching).
   std::size_t drain_batch = 128;
-  // Local events run per round before the mailbox is polled again.
-  std::size_t event_batch = 256;
-  // How long a shard with nothing to do parks before rechecking (also the
-  // recovery bound for a theoretically lost wakeup).
-  std::chrono::microseconds idle_park{200};
   // Per-kernel tracers (each written only by its shard thread).
   bool trace_enabled = false;
   // Shard-local metrics slabs + always-on flight recorder (src/obs).  Both
@@ -98,38 +93,23 @@ struct ParallelClusterConfig {
   // against free-running clocks.
   struct TimeSyncConfig {
     bool enabled = false;
-    // Minimum virtual latency of every cross-shard link, and therefore the
-    // cluster's lookahead.  Clamped to >= 1us; larger values mean wider
+    // Virtual latency of every cross-shard link, and therefore the
+    // cluster's lookahead L.  Clamped to >= 1us; larger values mean wider
     // windows (fewer sync rounds) but coarser delivery timing.
     SimDuration min_link_latency_us = 100;
-    // Per-link overrides (both directions must be set separately).
-    struct LinkOverride {
-      MachineId src = kNoMachine;
-      MachineId dst = kNoMachine;
-      SimDuration min_latency_us = 1;
-    };
-    std::vector<LinkOverride> links;
 
-    // ---- Adaptive lookahead (docs/PROTOCOL.md, "Adaptive lookahead"). ----
-    // While no shard needs tight bounds (no migration in flight, no armed
-    // deadline watchdog -- Kernel::NeedsTightTime), windows may open up to
-    // wide_window_spans x the static base lookahead past the minimum floor,
-    // and per-source lookahead follows the learned send-gap estimate instead
-    // of the static link minimum.  0 disables widening entirely (every
-    // window is strictly conservative -- the pre-adaptive behaviour).  When
-    // deadlines are armed the effective wide span is additionally capped at
-    // a quarter of the shortest armed deadline, so the one-window clock skew
-    // a wide era can leave behind stays far below what a watchdog measures.
-    // The default is sized for the relaxed regime where skew is harmless --
-    // each window barrier costs real context switches, so span directly buys
-    // throughput; the deadline/4 cap is what keeps tight-consumer runs honest.
+    // ---- Wide windows (docs/PROTOCOL.md, "Wide windows"). ----
+    // While no shard needs tight bounds (no migration in flight --
+    // Kernel::NeedsTightTime), windows may open up to wide_window_spans x L
+    // past the minimum floor.  0 disables widening entirely (every window is
+    // strictly conservative).  When deadlines are armed the effective wide
+    // span is additionally capped at a quarter of the shortest armed
+    // deadline, so the one-window clock skew a wide era can leave behind
+    // stays far below what a watchdog measures.  The default is sized for
+    // the relaxed regime where skew is harmless -- each window barrier costs
+    // real context switches, so span directly buys throughput; the
+    // deadline/4 cap is what keeps tight-consumer runs honest.
     std::uint32_t wide_window_spans = 512;
-    // Ceiling on the learned per-link lookahead, as a multiple of the static
-    // link minimum.
-    std::uint32_t lookahead_growth_cap = 64;
-    // Sends per (src, dst) learning window: how much evidence one 2x growth
-    // step of the learned estimate requires.
-    std::uint32_t lookahead_window = 32;
   };
   TimeSyncConfig sync;
   // Wall-clock budget for RunUntilSettled (the Engine-interface entry point;
@@ -170,11 +150,9 @@ class ParallelCluster final : public Engine {
   EventQueue& queue(MachineId m) { return shards_[m]->queue; }
   ShardRouter& router() { return *router_; }
   bool sync_enabled() const { return sync_enabled_; }
-  // Close-protocol and sync internals, exposed for tests.  In free-running
-  // mode the one window covers all of virtual time; adaptive_lookahead() is
-  // null there and when wide_window_spans == 0.
+  // Close-protocol internals, exposed for tests.  In free-running mode the
+  // one window covers all of virtual time.
   const LbtsState* lbts() const { return lbts_.get(); }
-  const AdaptiveLookahead* adaptive_lookahead() const { return adaptive_.get(); }
 
   // Launch the worker threads (idempotent).
   void Start();
@@ -229,7 +207,7 @@ class ParallelCluster final : public Engine {
   // The close step of the shard whose block made `word` (virtual_time.h).
   void Close(std::uint64_t word);
   // Deferred delivery half of DrainTimed: schedule the frame's delivery at
-  // send_ts + link latency on the receiving shard's clock.
+  // send_ts + lookahead_ on the receiving shard's clock.
   void ScheduleDelivery(Shard& shard, MachineId src, SimTime send_ts, PayloadRef payload);
   std::size_t DrainPosted(Shard& shard);
   std::uint64_t TotalEventsExecuted() const;
@@ -240,11 +218,13 @@ class ParallelCluster final : public Engine {
   std::unique_ptr<FlightRecorderHub> flight_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<LbtsState> lbts_;
-  // Conservative-sync state; null in free-running mode.
+  // Conservative-sync state; unused in free-running mode.
   bool sync_enabled_ = false;
-  std::unique_ptr<LinkLatencyTable> latency_;
-  std::unique_ptr<AdaptiveLookahead> adaptive_;
-  // Effective wide-window span in virtual us (0 = widening disabled).
+  // The link latency L in virtual us (>= 1): every frame's delivery delay
+  // and the span of a tight window.
+  SimDuration lookahead_ = 1;
+  // Effective wide-window span in virtual us; at most lookahead_ means
+  // widening is off.
   SimDuration wide_span_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> posted_{0};

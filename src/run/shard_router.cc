@@ -7,11 +7,14 @@
 #include "src/base/log.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/run/virtual_time.h"
 
 namespace demos {
 
 namespace {
+
+// A producer blocked this long on one push logs a stall diagnostic (it keeps
+// waiting; the harness timeout is the actual deadline).
+constexpr std::chrono::milliseconds kStallWarning{5000};
 
 // Both observability sinks are optional and sized by their owner; out-of-range
 // machines (unit tests drive the router standalone) just go unobserved.
@@ -133,13 +136,6 @@ void ShardRouter::Send(MachineId src, MachineId dst, PayloadRef payload) {
     }
     PublishItem(src, dst, std::move(item), metrics, flight);
     return;
-  }
-
-  // Running-engine sends feed the adaptive-lookahead learner (src-owned
-  // state; staging-mode sends are skipped above, their timestamps are not
-  // real traffic gaps).
-  if (lookahead_ != nullptr && lookahead_->Observe(src, dst, send_ts) && metrics != nullptr) {
-    metrics->Inc(CounterId::kLookaheadShrinks);
   }
 
   Outbox& outbox = *outboxes_[src];
@@ -283,11 +279,11 @@ void ShardRouter::PublishItem(MachineId src, MachineId dst, MailItem item, Metri
         } else {
           std::this_thread::yield();
           if (!warned &&
-              std::chrono::steady_clock::now() - blocked_since > config_.stall_warning) {
+              std::chrono::steady_clock::now() - blocked_since > kStallWarning) {
             warned = true;
             DEMOS_LOG(kWarn, "router")
                 << "send m" << src << "->m" << dst << " blocked >"
-                << config_.stall_warning.count() << "ms on a full mailbox; still waiting";
+                << kStallWarning.count() << "ms on a full mailbox; still waiting";
           }
         }
       }

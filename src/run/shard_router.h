@@ -71,16 +71,12 @@ class MetricsEngine;
 class MetricShard;
 class FlightRecorder;
 class FlightRecorderHub;
-class AdaptiveLookahead;
 
 struct ShardRouterConfig {
   // Mailbox ring capacity per shard (rounded up to a power of two).
   std::size_t mailbox_capacity = 1 << 14;
   // Failed pushes before a blocked producer starts yielding the CPU.
   std::size_t spin_before_yield = 64;
-  // A producer blocked this long on one push logs a stall diagnostic (it
-  // keeps waiting; the harness timeout is the actual deadline).
-  std::chrono::milliseconds stall_warning{5000};
   // Frames staged per destination lane before the lane is force-published
   // mid-round (Flush publishes whatever is staged regardless).  1 disables
   // batching: every Send publishes immediately.
@@ -138,14 +134,6 @@ class ShardRouter final : public Transport {
   // send_ts + link latency on the receiver's clock.  Unregistered senders
   // (standalone router tests, harness staging) stamp 0.  Set before Start.
   void SetClock(MachineId node, const EventQueue* clock);
-
-  // Feed every batched Send's (src, dst, send_ts) into the adaptive-lookahead
-  // learner (src/run/virtual_time.h).  May be null (the default); set before
-  // Start, never while shard threads run.  Observe() mutates only src-owned
-  // state, which the Send threading contract already guarantees.  A shrink
-  // (the learner walked its estimate back) is counted to the sending shard as
-  // lookahead_shrinks.
-  void SetLookahead(AdaptiveLookahead* lookahead) { lookahead_ = lookahead; }
 
   // ---- Consumer side; every call below is shard-thread-only for `node`. ----
   // Pop messages and run the attached handler on each; returns the number of
@@ -315,7 +303,6 @@ class ShardRouter final : public Transport {
   std::vector<const EventQueue*> clocks_;
   MetricsEngine* metrics_ = nullptr;
   FlightRecorderHub* flight_ = nullptr;
-  AdaptiveLookahead* lookahead_ = nullptr;
   std::unique_ptr<FlowSlot[]> flow_;  // machines + 1 slots
   std::atomic<std::uint64_t> backpressure_hits_{0};
   std::atomic<std::uint64_t> spill_rescues_{0};

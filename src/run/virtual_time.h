@@ -9,17 +9,17 @@
 // spuriously.
 //
 // The fix here is lookahead-based conservative windows (YAWNS-style rounds,
-// not per-link null messages).  Every cross-shard frame takes a known minimum
-// virtual latency L(src, dst) >= 1us, so once every shard is blocked with its
-// next local event at floor_i, no event anywhere in the cluster can be
-// affected by another shard before
+// not per-link null messages).  Every cross-shard frame takes the same known
+// virtual latency L >= 1us, so once every shard is blocked with its next
+// local event at floor_i, no event anywhere in the cluster can be affected by
+// another shard before
 //
-//     LBTS = min_i (floor_i + min_dst L(i, dst))
+//     LBTS = min_i floor_i + L
 //
 // A window with bound = LBTS - 1 therefore lets every shard execute all
 // events with timestamp <= bound without ever receiving a frame in its past:
 // a shard executing at t >= floor_src produces an arrival
-// t + L(src, dst) >= floor_src + min-lookahead(src) >= bound + 1.
+// t + L >= min_floor + L = bound + 1.
 //
 // Nothing coordinates the rounds: the shards close them themselves (the
 // close protocol, LbtsState below).  A shard whose round did nothing
@@ -45,23 +45,20 @@
 // word that moved means a shard woke, and a failed check (2) or (3) means a
 // shard has work and will wake -- and that shard's next block closes again.
 //
-// Adaptive lookahead (docs/PROTOCOL.md, "Adaptive lookahead") relaxes the
-// static bound in two ways when -- and only when -- no shard has published a
-// *tight* flag (a migration in flight or an armed deadline watchdog):
-//   - per-link learned lookahead: each source shard observes the virtual-time
-//     gaps between its own consecutive sends and publishes a per-source
-//     estimate that may exceed the static link minimum (AdaptiveLookahead);
-//   - wide windows: the bound may additionally jump to
-//     min_floor + wide_span - 1, where wide_span is a configured multiple of
-//     the static base lookahead.
+// Wide windows (docs/PROTOCOL.md, "Wide windows") relax that bound when --
+// and only when -- no shard has published a *tight* flag (a migration in
+// flight): the bound becomes min_floor + wide_span - 1, where wide_span is a
+// configured multiple of L.  One rule covers both cases,
+//
+//     bound = min_floor + span - 1,   span = any_tight ? L : wide_span.
+//
 // Relaxed windows trade exact delivery timing for fewer coordination rounds:
 // a frame whose latency-adjusted arrival lands at or before the receiver's
 // clock is clamped forward to "now" (never delivered into the past, so
 // exactly-once and per-link FIFO are untouched), and cross-shard clock skew
 // stays bounded by one window span because every clock is capped by
 // min_floor + span.  The instant any shard turns tight the closer falls back
-// to the strictly conservative bound above, for which the zero-clamp proof
-// holds window by window.
+// to span = L, for which the zero-clamp proof holds window by window.
 
 #ifndef DEMOS_RUN_VIRTUAL_TIME_H_
 #define DEMOS_RUN_VIRTUAL_TIME_H_
@@ -76,113 +73,6 @@
 #include "src/sim/event_queue.h"
 
 namespace demos {
-
-// Minimum virtual latency of every shard-to-shard link, and the per-shard
-// outgoing lookahead derived from it.  Latencies are clamped to >= 1us:
-// a zero-lookahead link would make the LBTS bound unable to advance.
-class LinkLatencyTable {
- public:
-  LinkLatencyTable(int machines, SimDuration uniform_us);
-
-  // Override one link's minimum latency (0 is clamped to 1us).  Cold path:
-  // recomputes the source's cached lookahead.
-  void SetLink(MachineId src, MachineId dst, SimDuration latency_us);
-
-  SimDuration Latency(MachineId src, MachineId dst) const {
-    if (src >= machines_ || dst >= machines_) {
-      return uniform_;
-    }
-    const SimDuration link = overrides_[Index(src, dst)];
-    return link == 0 ? uniform_ : link;
-  }
-
-  // min over destinations of Latency(src, dst): how far past its own next
-  // event this shard is guaranteed not to affect anyone.  Cached per source
-  // and maintained by SetLink, so NextBound costs O(shards) per window
-  // instead of O(shards^2) row rescans.
-  SimDuration LookaheadFrom(MachineId src) const {
-    return src < machines_ ? lookahead_[src] : uniform_;
-  }
-
-  // min over sources of LookaheadFrom: the cluster's base window span.
-  SimDuration MinLookahead() const;
-
-  int machines() const { return machines_; }
-
- private:
-  std::size_t Index(MachineId src, MachineId dst) const {
-    return static_cast<std::size_t>(src) * static_cast<std::size_t>(machines_) +
-           static_cast<std::size_t>(dst);
-  }
-  void RecomputeLookahead(MachineId src);
-
-  int machines_;
-  SimDuration uniform_;
-  std::vector<SimDuration> overrides_;  // 0 = use the uniform latency
-  std::vector<SimDuration> lookahead_;  // cached per-source min over dst
-};
-
-// Learned per-link lookahead for relaxed LBTS windows.  Each source shard
-// observes the virtual-time gap between its own consecutive sends per
-// destination (owner-thread-only, one compare per Send) and publishes a
-// per-source lookahead a closing shard may use instead of the static link
-// minimum while no consumer needs tight bounds.  The estimate starts at the
-// static minimum, grows at most 2x per observation window (a windowed min
-// over actual send_ts deltas, capped at growth_cap x static), shrinks
-// immediately when a shorter gap shows up, and collapses back to the static
-// minimum the moment its shard turns tight (a migration offer leaves, a
-// deadline watchdog arms).  The published value is a heuristic: relaxed-mode
-// correctness comes from consumer gating plus forward clamping
-// (docs/PROTOCOL.md), not from this estimate -- a good estimate just keeps
-// the clamp count near zero.
-class AdaptiveLookahead {
- public:
-  AdaptiveLookahead(const LinkLatencyTable& table, std::uint32_t growth_cap,
-                    std::uint32_t window);
-
-  // Owner-thread-only for shard `src`: record one send.  Returns true when
-  // the observation shrank the published lookahead (counted by the caller as
-  // lookahead_shrinks).
-  bool Observe(MachineId src, MachineId dst, SimTime send_ts);
-
-  // Owner-thread-only for shard `src`: forget everything learned and publish
-  // the static minimum again (the shard turned tight).  Returns true when
-  // the published value actually shrank.
-  bool Collapse(MachineId src);
-
-  // Any thread (a closing shard): current published lookahead for `src`.
-  // Always >= the static LookaheadFrom(src).
-  SimDuration FromSource(MachineId src) const {
-    return published_[src]->value.load(std::memory_order_seq_cst);
-  }
-
-  int machines() const { return static_cast<int>(sources_.size()); }
-
- private:
-  struct LinkState {
-    SimTime last_send_ts = kSimTimeNever;  // kSimTimeNever: no send observed
-    SimDuration learned = 0;
-    SimDuration window_min = kSimTimeNever;
-    std::uint32_t window_count = 0;
-  };
-  // Owner-thread-only learning state for one source shard.
-  struct SourceState {
-    SimDuration static_la = 1;  // LookaheadFrom(src), the floor
-    SimDuration cap = 1;        // static_la * growth_cap, the ceiling
-    std::vector<LinkState> links;
-  };
-  struct alignas(64) Published {
-    std::atomic<SimDuration> value{1};
-  };
-
-  // Recompute src's published value (min learned over observed links, or the
-  // static floor when nothing was observed).  Returns true when it shrank.
-  bool Republish(MachineId src);
-
-  std::uint32_t window_;
-  std::vector<SourceState> sources_;
-  std::vector<std::unique_ptr<Published>> published_;
-};
 
 // The close protocol's shared state: the idle word, the window (bound), and
 // one (floor, tight) slot per shard.  All accesses are seq_cst; they run once
@@ -209,9 +99,9 @@ class LbtsState {
   // Windows opened so far.
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_seq_cst); }
 
-  // True once any relaxed (wider-than-static) window was opened this run.
-  // Receivers use it to classify a clamped arrival as the expected residue of
-  // a wide era (wide_frames_clamped) instead of a conservative-sync bug
+  // True once any wide (span > L) window was opened this run.  Receivers use
+  // it to classify a clamped arrival as the expected residue of a wide era
+  // (wide_frames_clamped) instead of a conservative-sync bug
   // (sync_frames_clamped, which must stay 0 in a never-widened run).
   bool ever_wide() const { return ever_wide_.load(std::memory_order_seq_cst); }
 
@@ -235,31 +125,16 @@ class LbtsState {
   // and every floor lies past the window (no shard holds a runnable event).
   bool Confirm(const Round& round) const;
 
-  // New bound from a validated set of floors: min_i(floor_i + lookahead_i) - 1,
-  // skipping drained shards.  Returns kSimTimeNever when every queue is empty
-  // (the cluster is quiescent).  The result is always > the current bound:
-  // Confirm admits only floors past it, and lookahead is >= 1us.
-  SimTime NextBound(const std::vector<SimTime>& floors, const LinkLatencyTable& latency) const;
-
-  // Relaxed variant for windows where no shard is tight: lookahead per source
-  // is the learned estimate (>= static; `adaptive` may be null), and the
-  // bound may additionally widen to min_floor + wide_span - 1.  Never returns
-  // less than NextBound.  `*widened` reports whether the result actually
-  // exceeds the strictly conservative bound (the caller counts
-  // wide_windows_opened and marks the run ever-wide).
-  SimTime NextRelaxedBound(const std::vector<SimTime>& floors, const LinkLatencyTable& latency,
-                           const AdaptiveLookahead* adaptive, SimDuration wide_span,
-                           bool* widened) const;
-
-  // The next window for a confirmed round: NextBound while any shard is
-  // tight, NextRelaxedBound otherwise.
-  SimTime NextWindow(const Round& round, const LinkLatencyTable& latency,
-                     const AdaptiveLookahead* adaptive, SimDuration wide_span,
-                     bool* widened) const {
-    *widened = false;
-    return round.any_tight ? NextBound(round.floors, latency)
-                           : NextRelaxedBound(round.floors, latency, adaptive, wide_span, widened);
-  }
+  // The next window for a confirmed round: min_floor + span - 1 over the
+  // undrained shards, where span is `lookahead` (the link latency L) while
+  // any shard is tight and max(lookahead, wide_span) otherwise.  Returns
+  // kSimTimeNever when every queue is empty (the cluster is quiescent).  The
+  // result is always > the current bound: Confirm admits only floors past
+  // it, lookahead is >= 1us, and a guard enforces it regardless.  `*widened`
+  // reports whether the result exceeds the bound a span of `lookahead` would
+  // give (the caller counts wide_windows_opened and marks the run ever-wide).
+  SimTime NextWindow(const Round& round, SimDuration lookahead, SimDuration wide_span,
+                     bool* widened) const;
 
   // Open the window ending at `new_bound`, a compare-and-swap from `seen`,
   // the bound the closer read.  Returns the new window's epoch, or 0 when

@@ -264,10 +264,10 @@ TEST_F(EngineTest, LbtsBoundNeverAdmitsAFrameIntoThePast) {
 }
 
 TEST_F(EngineTest, AdaptiveLbtsOpensWideWindowsAndKeepsDeliveryExact) {
-  // Default sync config: adaptive lookahead and wide windows are ON.  With no
-  // migration in flight no shard is ever tight, so the closing shards should
-  // be opening wide windows -- and every delivery must still be exactly-once,
-  // with clamped arrivals (if any) accounted as wide-era residue, never as a
+  // Default sync config: wide windows are ON.  With no migration in flight
+  // no shard is ever tight, so the closing shards should be opening wide
+  // windows -- and every delivery must still be exactly-once, with clamped
+  // arrivals (if any) accounted as wide-era residue, never as a
   // conservative-sync violation.
   ParallelClusterConfig config;
   config.machines = 4;
@@ -293,6 +293,54 @@ TEST_F(EngineTest, AdaptiveLbtsOpensWideWindowsAndKeepsDeliveryExact) {
   EXPECT_EQ(snap.total.counters[static_cast<std::size_t>(CounterId::kSyncFramesClamped)], 0u)
       << "clamps in an ever-wide run belong to wide_frames_clamped";
   cluster.Stop();
+}
+
+// The deadline/4 cap end to end: armed deadlines cap the wide span at a
+// quarter of the shortest one.  At 400us the cap (100us) is no wider than the
+// 100us link latency, so widening is off and every window is strictly
+// conservative; at 2s the cap (500ms) sits above the default 512 x 100us span,
+// so the same migration-free rings open wide windows.
+TEST_F(EngineTest, LbtsDeadlineQuarterCapGatesWideWindows) {
+  const auto run = [](SimDuration deadline_us) {
+    ParallelClusterConfig config;
+    config.machines = 4;
+    config.kernel.migration_deadlines.offer_accept_us = deadline_us;
+    config.kernel.migration_deadlines.transfer_progress_us = deadline_us;
+    config.kernel.migration_deadlines.handoff_us = deadline_us;
+    config.settle_timeout = std::chrono::milliseconds(60000);
+    ParallelCluster cluster(config);
+    EXPECT_TRUE(cluster.sync_enabled()) << "armed deadlines force sync on";
+
+    TokenRingSpec spec;
+    spec.rings = 4;
+    spec.nodes_per_ring = 4;
+    spec.tokens_per_node = 1;
+    spec.hops_per_token = 30;
+    const std::vector<TokenRing> rings = BuildTokenRings(cluster, spec);
+    EXPECT_FALSE(rings.empty());
+    KickTokenRings(cluster, rings, spec.tokens_per_node, spec.hops_per_token);
+    EXPECT_TRUE(cluster.RunUntilSettled().settled);
+    EXPECT_EQ(cluster.TotalStat(stat::kMsgsDelivered), ExpectedRingDeliveries(spec));
+    EXPECT_EQ(cluster.TotalStat(stat::kMigrationsTimedOut), 0);
+    const MetricsSnapshot snap = cluster.metrics()->Snapshot();
+    cluster.Stop();
+    return snap;
+  };
+  const auto counter = [](const MetricsSnapshot& snap, CounterId id) {
+    return snap.total.counters[static_cast<std::size_t>(id)];
+  };
+
+  const MetricsSnapshot capped = run(400);
+  EXPECT_GT(counter(capped, CounterId::kLbtsWindows), 0u);
+  EXPECT_EQ(counter(capped, CounterId::kWideWindowsOpened), 0u)
+      << "a 100us cap is no wider than the link latency: widening must be off";
+  EXPECT_EQ(counter(capped, CounterId::kSyncFramesClamped), 0u)
+      << "a never-widened run must never clamp";
+
+  const MetricsSnapshot wide = run(2'000'000);
+  EXPECT_GT(counter(wide, CounterId::kWideWindowsOpened), 0u)
+      << "a 500ms cap leaves the default wide span in force";
+  EXPECT_EQ(counter(wide, CounterId::kSyncFramesClamped), 0u);
 }
 
 // ---------------------------------------------------------------------------

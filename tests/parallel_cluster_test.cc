@@ -790,11 +790,10 @@ TEST_F(ParallelClusterTest, StressMigrationStormWithDeadlinesArmed) {
   }
 }
 
-// The shrink-mid-storm proof for adaptive lookahead: migration-free traffic
-// runs first, so wide windows open and per-link estimates grow -- then the
-// storm starts.  The moment a shard's kernel holds a migration offer it
-// publishes tight, its learned lookahead collapses to the static minimum, and
-// the closing shard falls back to strictly conservative bounds.  Frames
+// The shrink-mid-storm proof for wide windows: migration-free traffic runs
+// first, so wide windows open -- then the storm starts.  The moment a shard's
+// kernel holds a migration offer it publishes tight, and the closing shard
+// falls back to windows that span only the link latency.  Frames
 // timestamped inside the old wide windows must still land exactly once, no
 // healthy migration may trip its watchdog, and any clamp must be accounted as
 // wide-era residue, never as a conservative-sync violation.  TSan runs this

@@ -1,11 +1,12 @@
 // Units for the conservative virtual-time sync layer (src/run/virtual_time.h)
 // and the pieces of EventQueue / ShardRouter it builds on: bounded stepping,
-// floors, link lookahead, the LBTS bound derivation, the busy/floor publish
-// protocol, and timestamped frame draining.
+// floors, the LBTS window rule, the close protocol, and timestamped frame
+// draining.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -66,59 +67,12 @@ TEST(VirtualTimeQueueTest, PastSchedulesClampToNow) {
   EXPECT_EQ(observed, 1000u);
 }
 
-// ---------------------------------------------------------------------------
-// LinkLatencyTable: clamping, overrides, lookahead.
-// ---------------------------------------------------------------------------
-
-TEST(LinkLatencyTableTest, UniformLatencyAndZeroClamp) {
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  EXPECT_EQ(table.Latency(0, 1), 100u);
-  EXPECT_EQ(table.Latency(2, 0), 100u);
-  EXPECT_EQ(table.LookaheadFrom(1), 100u);
-
-  LinkLatencyTable clamped(2, /*uniform_us=*/0);
-  EXPECT_EQ(clamped.Latency(0, 1), 1u) << "zero lookahead would stall LBTS";
-  EXPECT_EQ(clamped.LookaheadFrom(0), 1u);
-}
-
-TEST(LinkLatencyTableTest, OverridesAreDirectionalAndShrinkLookahead) {
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  table.SetLink(0, 1, 10);
-  table.SetLink(1, 0, 0);  // clamps to 1
-  EXPECT_EQ(table.Latency(0, 1), 10u);
-  EXPECT_EQ(table.Latency(1, 0), 1u);
-  EXPECT_EQ(table.Latency(1, 2), 100u) << "override is per-link, not per-shard";
-  // Lookahead is the min over outgoing links.
-  EXPECT_EQ(table.LookaheadFrom(0), 10u);
-  EXPECT_EQ(table.LookaheadFrom(1), 1u);
-  EXPECT_EQ(table.LookaheadFrom(2), 100u);
-}
-
-TEST(LinkLatencyTableTest, CachedLookaheadTracksRaisedAndLoweredLinks) {
-  // LookaheadFrom is cached per source (NextBound used to rescan the full
-  // latency row per shard per window); SetLink must keep the cache exact in
-  // both directions, including raising the link that *was* the minimum.
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  table.SetLink(0, 1, 10);
-  EXPECT_EQ(table.LookaheadFrom(0), 10u);
-  table.SetLink(0, 2, 5);
-  EXPECT_EQ(table.LookaheadFrom(0), 5u);
-  table.SetLink(0, 2, 500);  // the old minimum goes away
-  EXPECT_EQ(table.LookaheadFrom(0), 10u) << "raising a link must rescan, not keep the stale min";
-  table.SetLink(0, 1, 700);
-  EXPECT_EQ(table.LookaheadFrom(0), 100u) << "all overrides above uniform: uniform wins";
-  EXPECT_EQ(table.MinLookahead(), 100u);
-  table.SetLink(2, 0, 3);
-  EXPECT_EQ(table.MinLookahead(), 3u);
-}
-
-// Drive `count` sends on src->dst spaced `gap` apart, starting after whatever
-// timestamp the link last saw.
-void SendsWithGap(AdaptiveLookahead& adaptive, MachineId src, MachineId dst, SimTime start,
-                  SimDuration gap, int count) {
-  for (int i = 0; i < count; ++i) {
-    adaptive.Observe(src, dst, start + static_cast<SimTime>(i) * gap);
-  }
+// A confirmed round's floors as the closer reads them.
+LbtsState::Round RoundOf(std::vector<SimTime> floors, bool tight) {
+  LbtsState::Round round;
+  round.any_tight = tight;
+  round.floors = std::move(floors);
+  return round;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,36 +81,56 @@ void SendsWithGap(AdaptiveLookahead& adaptive, MachineId src, MachineId dst, Sim
 
 TEST(LbtsStateTest, NextBoundIsMinFloorPlusLookaheadMinusOne) {
   LbtsState lbts(3);
-  LinkLatencyTable latency(3, /*uniform_us=*/100);
-  // floors 1000/5000/2000 with uniform 100us lookahead: bound = 1099.
-  const SimTime next = lbts.NextBound({1000, 5000, 2000}, latency);
+  bool widened = true;
+  // floors 1000/5000/2000 with a 100us link latency: bound = 1099.
+  const SimTime next = lbts.NextWindow(RoundOf({1000, 5000, 2000}, /*tight=*/true), 100, 0,
+                                       &widened);
   EXPECT_EQ(next, 1099u);
+  EXPECT_FALSE(widened);
+  // A tight round spans exactly L, whatever the wide span.
+  EXPECT_EQ(lbts.NextWindow(RoundOf({3000, 1200, 5000}, /*tight=*/true), 100, 51'200, &widened),
+            1299u);
+  EXPECT_FALSE(widened);
 }
 
 TEST(LbtsStateTest, NextBoundSkipsDrainedShardsAndDetectsQuiescence) {
   LbtsState lbts(3);
-  LinkLatencyTable latency(3, /*uniform_us=*/50);
-  EXPECT_EQ(lbts.NextBound({kSimTimeNever, 400, kSimTimeNever}, latency), 449u);
-  EXPECT_EQ(lbts.NextBound({kSimTimeNever, kSimTimeNever, kSimTimeNever}, latency),
+  bool widened = true;
+  EXPECT_EQ(lbts.NextWindow(RoundOf({kSimTimeNever, 400, kSimTimeNever}, true), 50, 0, &widened),
+            449u);
+  EXPECT_EQ(lbts.NextWindow(RoundOf({kSimTimeNever, kSimTimeNever, kSimTimeNever}, true), 50, 0,
+                            &widened),
             kSimTimeNever)
       << "every queue drained = cluster quiescent";
+  EXPECT_FALSE(widened);
+  // The wide span measures from the undrained minimum too.
+  EXPECT_EQ(lbts.NextWindow(RoundOf({kSimTimeNever, 400, kSimTimeNever}, false), 50, 800,
+                            &widened),
+            1199u);
+  EXPECT_TRUE(widened);
 }
 
 TEST(LbtsStateTest, NextBoundAlwaysAdvancesPastCurrentBound) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/1);
+  bool widened = true;
   ASSERT_NE(lbts.OpenWindow(lbts.bound(), 500), 0u);
   // Degenerate floors at/below the bound still yield strict progress.
-  EXPECT_GT(lbts.NextBound({400, 300}, latency), 500u);
+  EXPECT_GT(lbts.NextWindow(RoundOf({400, 300}, true), 1, 0, &widened), 500u);
+  // The guard holds for a relaxed round as well: a wide span that still
+  // lands at/below the bound yields bound + 1, which widened nothing.
+  EXPECT_EQ(lbts.NextWindow(RoundOf({400, 300}, false), 1, 100, &widened), 501u);
+  EXPECT_FALSE(widened);
+  EXPECT_EQ(lbts.NextWindow(RoundOf({400, 300}, false), 1, 800, &widened), 1099u);
+  EXPECT_TRUE(widened);
 }
 
 TEST(LbtsStateTest, WindowSequenceNeverRegresses) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/10);
   SimTime bound = lbts.bound();
   std::vector<SimTime> floors = {100, 130};
+  bool widened = false;
   for (int round = 0; round < 20; ++round) {
-    const SimTime next = lbts.NextBound(floors, latency);
+    const SimTime next = lbts.NextWindow(RoundOf(floors, true), 10, 0, &widened);
     ASSERT_NE(next, kSimTimeNever);
     ASSERT_GT(next, bound) << "LBTS bound regressed at round " << round;
     ASSERT_NE(lbts.OpenWindow(bound, next), 0u);
@@ -169,7 +143,6 @@ TEST(LbtsStateTest, WindowSequenceNeverRegresses) {
 
 TEST(LbtsStateTest, CloseFeedsPublishedFloorsIntoTheBound) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
   ASSERT_NE(lbts.OpenWindow(lbts.bound(), 2000), 0u);
   EXPECT_EQ(lbts.Block(0, 2100, /*tight=*/false), 0u) << "shard 1 still runs: nobody closes";
   const std::uint64_t word = lbts.Block(1, kSimTimeNever, /*tight=*/false);
@@ -182,8 +155,8 @@ TEST(LbtsStateTest, CloseFeedsPublishedFloorsIntoTheBound) {
   EXPECT_FALSE(round.Drained());
   ASSERT_TRUE(lbts.Confirm(round));
   bool widened = true;
-  const SimTime next = lbts.NextWindow(round, latency, nullptr, 0, &widened);
-  EXPECT_EQ(next, 2199u) << "min(floor + lookahead) - 1 over the undrained shards";
+  const SimTime next = lbts.NextWindow(round, 100, 0, &widened);
+  EXPECT_EQ(next, 2199u) << "min floor + lookahead - 1 over the undrained shards";
   EXPECT_FALSE(widened);
   EXPECT_EQ(lbts.OpenWindow(round.bound, next), 2u);
   EXPECT_EQ(lbts.bound(), 2199u);
@@ -201,16 +174,11 @@ TEST(LbtsStateTest, CloseFeedsPublishedFloorsIntoTheBound) {
 
 TEST(LbtsStateTest, TightFlagForcesTheConservativeBound) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(latency, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-
   lbts.Block(0, 1000, /*tight=*/false);
   const LbtsState::Round relaxed = lbts.Read(lbts.Block(1, 2000, /*tight=*/false));
   EXPECT_FALSE(relaxed.any_tight);
   bool widened = false;
-  EXPECT_EQ(lbts.NextWindow(relaxed, latency, &adaptive, 800, &widened), 1799u);
+  EXPECT_EQ(lbts.NextWindow(relaxed, 100, 800, &widened), 1799u);
   EXPECT_TRUE(widened);
 
   // A migration offer leaves shard 1: it wakes and re-blocks tight.
@@ -218,8 +186,8 @@ TEST(LbtsStateTest, TightFlagForcesTheConservativeBound) {
   const LbtsState::Round tight = lbts.Read(lbts.Block(1, 2000, /*tight=*/true));
   EXPECT_TRUE(tight.any_tight);
   ASSERT_TRUE(lbts.Confirm(tight));
-  EXPECT_EQ(lbts.NextWindow(tight, latency, &adaptive, 800, &widened), 1099u)
-      << "learned lookahead and the wide span are off while any shard is tight";
+  EXPECT_EQ(lbts.NextWindow(tight, 100, 800, &widened), 1099u)
+      << "the wide span is off while any shard is tight";
   EXPECT_FALSE(widened);
 }
 
@@ -257,7 +225,6 @@ TEST(LbtsStateTest, WakeOrRepublishBetweenTheClosersReadsVoidsTheClose) {
 
 TEST(LbtsStateTest, TwoClosersOfOneWindowCannotBothOpenTheNext) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
   lbts.Block(0, 1000, /*tight=*/false);
   const LbtsState::Round first = lbts.Read(lbts.Block(1, 2000, /*tight=*/false));
   // Shard 1 wakes and re-blocks before the first closer acts: a second
@@ -268,10 +235,9 @@ TEST(LbtsStateTest, TwoClosersOfOneWindowCannotBothOpenTheNext) {
   ASSERT_TRUE(lbts.Confirm(second));
 
   bool widened = false;
-  const SimTime next = lbts.NextWindow(second, latency, nullptr, 0, &widened);
+  const SimTime next = lbts.NextWindow(second, 100, 0, &widened);
   EXPECT_EQ(lbts.OpenWindow(second.bound, next), 1u);
-  EXPECT_EQ(lbts.OpenWindow(first.bound, lbts.NextWindow(first, latency, nullptr, 0, &widened)),
-            0u)
+  EXPECT_EQ(lbts.OpenWindow(first.bound, lbts.NextWindow(first, 100, 0, &widened)), 0u)
       << "the window was already opened";
   EXPECT_EQ(lbts.epoch(), 1u);
   EXPECT_EQ(lbts.bound(), next);
@@ -289,104 +255,31 @@ TEST(LbtsStateTest, EverWideLatchesOnFirstWideWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// AdaptiveLookahead: learning, shrinking, collapse.
+// The window rule: bound = min_floor + span - 1, span = L or the wide span.
 // ---------------------------------------------------------------------------
-
-TEST(AdaptiveLookaheadTest, StartsAtStaticFloorAndFirstSendOnlyRecords) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_FALSE(adaptive.Observe(0, 1, 5000)) << "a first send has no gap to learn from";
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-}
-
-TEST(AdaptiveLookaheadTest, GrowthIsWindowedAtMostDoublePerWindowAndCapped) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/4, /*window=*/4);
-  // 1 recording send + 4 gaps of 1000us = one full observation window.
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  EXPECT_EQ(adaptive.FromSource(0), 200u) << "one window may at most double the estimate";
-  SendsWithGap(adaptive, 0, 1, 10'000, 1000, 4);
-  EXPECT_EQ(adaptive.FromSource(0), 400u);
-  SendsWithGap(adaptive, 0, 1, 20'000, 1000, 4);
-  EXPECT_EQ(adaptive.FromSource(0), 400u) << "growth_cap * static is the ceiling";
-}
-
-TEST(AdaptiveLookaheadTest, ShrinkIsImmediateAndNeverBelowStatic) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-  // A single closer-spaced send shrinks mid-window -- no waiting.
-  EXPECT_TRUE(adaptive.Observe(0, 1, 4150));  // 150us after the last send at 4000
-  EXPECT_EQ(adaptive.FromSource(0), 150u);
-  EXPECT_TRUE(adaptive.Observe(0, 1, 4160));  // 10us gap clamps at the static floor
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_FALSE(adaptive.Observe(0, 1, 4165)) << "already at the floor: nothing shrank";
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-}
-
-TEST(AdaptiveLookaheadTest, CollapseResetsToStaticFloor) {
-  LinkLatencyTable table(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-  EXPECT_TRUE(adaptive.Collapse(0)) << "the published value shrank back to static";
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_FALSE(adaptive.Collapse(0)) << "already at the floor";
-  // Learning restarts cleanly after the collapse.
-  SendsWithGap(adaptive, 0, 1, 50'000, 1000, 4);
-  EXPECT_EQ(adaptive.FromSource(0), 200u);
-}
-
-TEST(AdaptiveLookaheadTest, PublishedIsMinOverObservedLinks) {
-  LinkLatencyTable table(3, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(table, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u) << "only 0->1 observed so far";
-  // A second destination with tight spacing drags the source estimate down:
-  // the published value must be safe for the busiest outgoing link.
-  adaptive.Observe(0, 2, 9000);
-  EXPECT_TRUE(adaptive.Observe(0, 2, 9010));
-  EXPECT_EQ(adaptive.FromSource(0), 100u);
-  EXPECT_EQ(adaptive.FromSource(1), 100u) << "other sources are untouched";
-}
 
 TEST(LbtsStateTest, RelaxedBoundNeverBelowTightAndReportsWidening) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
   const std::vector<SimTime> floors = {1000, 2000};
-  ASSERT_EQ(lbts.NextBound(floors, latency), 1099u);
-
   bool widened = true;
-  // No adaptive state and no wide span: identical to the conservative bound.
-  EXPECT_EQ(lbts.NextRelaxedBound(floors, latency, nullptr, 0, &widened), 1099u);
+  ASSERT_EQ(lbts.NextWindow(RoundOf(floors, /*tight=*/true), 100, 800, &widened), 1099u);
+
+  // No wide span: identical to the conservative bound.
+  EXPECT_EQ(lbts.NextWindow(RoundOf(floors, /*tight=*/false), 100, 0, &widened), 1099u);
   EXPECT_FALSE(widened);
   // A wide span measures from the minimum floor.
-  EXPECT_EQ(lbts.NextRelaxedBound(floors, latency, nullptr, 800, &widened), 1799u);
+  EXPECT_EQ(lbts.NextWindow(RoundOf(floors, /*tight=*/false), 100, 800, &widened), 1799u);
   EXPECT_TRUE(widened);
-}
-
-TEST(LbtsStateTest, RelaxedBoundUsesLearnedLookaheadPerSource) {
-  LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
-  AdaptiveLookahead adaptive(latency, /*growth_cap=*/64, /*window=*/4);
-  SendsWithGap(adaptive, 0, 1, 0, 1000, 5);
-  ASSERT_EQ(adaptive.FromSource(0), 200u);
-
-  const std::vector<SimTime> floors = {1000, 2000};
-  bool widened = false;
-  // min(1000 + 200 - 1, 2000 + 100 - 1) = 1199, above the tight 1099.
-  EXPECT_EQ(lbts.NextRelaxedBound(floors, latency, &adaptive, 0, &widened), 1199u);
-  EXPECT_TRUE(widened);
+  // A wide span no larger than L never widens.
+  EXPECT_EQ(lbts.NextWindow(RoundOf(floors, /*tight=*/false), 100, 100, &widened), 1099u);
+  EXPECT_FALSE(widened);
 }
 
 TEST(LbtsStateTest, RelaxedBoundPreservesQuiescenceSignal) {
   LbtsState lbts(2);
-  LinkLatencyTable latency(2, /*uniform_us=*/100);
   bool widened = true;
-  EXPECT_EQ(lbts.NextRelaxedBound({kSimTimeNever, kSimTimeNever}, latency, nullptr, 1'000'000,
-                                  &widened),
+  EXPECT_EQ(lbts.NextWindow(RoundOf({kSimTimeNever, kSimTimeNever}, /*tight=*/false), 100,
+                            1'000'000, &widened),
             kSimTimeNever)
       << "a wide span must not turn a quiescent cluster into a live one";
   EXPECT_FALSE(widened);
