@@ -207,11 +207,11 @@ void BM_SimulatedSecondOfRpc(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedSecondOfRpc)->Unit(benchmark::kMillisecond);
 
-// Guard for the EventQueue dispatch path: Step() must move each scheduled
-// callback out of its slot once, never copy it, and the heap must sift keys
-// rather than callbacks.  The probe's copy and move constructors bump
-// counters that are reported per event; the CI gate asserts 0 copies and at
-// most 2 moves (a heap of callbacks moves each about 2*log2(n) times).
+// Guard for the EventQueue dispatch path: Step() must run each callback in
+// the slot it was built in -- never copy it, never move it -- and the radix
+// heap must file slot indices rather than callbacks.  The probe's copy and
+// move constructors bump counters that are reported per event; the CI gate
+// asserts 0 copies and 0 moves per dispatched event.
 std::uint64_t g_probe_copies = 0;
 std::uint64_t g_probe_moves = 0;
 
@@ -231,7 +231,7 @@ struct CallbackCopyProbe {
 
 void BM_EventQueueStep(benchmark::State& state) {
   constexpr std::size_t kBatch = 1024;
-  // Shuffled schedule times, so both sift directions do real work.
+  // Shuffled schedule times, so the radix heap splits do real work.
   std::vector<SimTime> times(kBatch);
   for (std::size_t i = 0; i < kBatch; ++i) {
     times[i] = static_cast<SimTime>(i);

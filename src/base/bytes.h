@@ -234,12 +234,16 @@ class PayloadRef {
   PayloadRef(std::initializer_list<std::uint8_t> bytes)  // NOLINT
       : PayloadRef(Bytes(bytes.begin(), bytes.end())) {}
 
-  // Explicitly copy `len` bytes into a fresh buffer.
+  // Explicitly copy `len` bytes into a fresh (pooled) buffer.
   static PayloadRef Copy(const void* data, std::size_t len) {
+    if (len == 0) {
+      return PayloadRef{};
+    }
     const auto* p = static_cast<const std::uint8_t*>(data);
-    PayloadRef ref{Bytes(p, p + len)};
+    Bytes bytes = PayloadBufferPool::AcquireBytes(len);
+    bytes.assign(p, p + len);
     PayloadCounters::CountCopied(len);
-    return ref;
+    return PayloadRef(std::move(bytes));
   }
 
   // Alias a sub-range of this ref's window (clamped to it).  No allocation.
@@ -311,8 +315,11 @@ class PayloadRef {
 
  private:
   void Release() noexcept {
-    if (node_ != nullptr &&
-        node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // A count of 1 means this is the only reference, so no other thread can
+    // touch the count concurrently: recycle without a locked decrement (the
+    // acquire load still orders every earlier owner's release before reuse).
+    if (node_ != nullptr && (node_->refs.load(std::memory_order_acquire) == 1 ||
+                             node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)) {
       PayloadBufferPool::ReleaseNode(node_);
     }
     node_ = nullptr;
@@ -331,11 +338,19 @@ class PayloadRef {
 
 class ByteWriter {
  public:
-  // The default writer starts from a recycled buffer capacity (salvaged from
-  // released payload nodes), so steady-state message encoding reuses heap
-  // arrays instead of growing fresh vectors.
-  ByteWriter() : buf_(PayloadBufferPool::AcquireBytes()) {}
-  explicit ByteWriter(Bytes initial) : buf_(std::move(initial)) {}
+  // A writer starts from a recycled buffer with room for `expected_bytes`
+  // (salvaged from released payload nodes of that size class), so steady-
+  // state message encoding reuses heap arrays instead of growing fresh
+  // vectors.  Callers that know their size pass it; the default suits the
+  // small control and token payloads.
+  static constexpr std::size_t kDefaultExpectedBytes = 32;
+  explicit ByteWriter(std::size_t expected_bytes = kDefaultExpectedBytes)
+      : buf_(PayloadBufferPool::AcquireBytes(expected_bytes)) {}
+  // A writer whose bytes were never taken (read through bytes()) hands its
+  // buffer back to the pool.
+  ~ByteWriter() { PayloadBufferPool::RecycleBytes(std::move(buf_)); }
+  ByteWriter(ByteWriter&&) = default;
+  ByteWriter& operator=(ByteWriter&&) = default;
 
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void U16(std::uint16_t v) { AppendLE(v); }

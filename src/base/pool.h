@@ -16,15 +16,24 @@
 // list, and a thread whose local pool runs dry refills from it before
 // touching malloc.
 //
-// Observability: every acquire is a pool_hit (served from a free-list) or a
-// pool_miss (fell back to the heap).  Stats are per-thread; the shard loop
-// folds them into its MetricShard slab (pool_hits / pool_misses) at each
-// park, so exhaustion is visible per shard in demos-metrics-v2.
+// Buffers are cached by size class and acquired by the size the caller will
+// write, so a frame of n bytes is served a buffer that already holds n bytes
+// instead of whatever capacity happens to be on top (which it would then
+// grow on the heap).
+//
+// Observability: every acquire is a pool_hit (served from a free-list with
+// room for the request) or a pool_miss (fell back to the heap).  Stats are
+// per-thread; the shard loop folds them into its MetricShard slab
+// (pool_hits / pool_misses) at each park, so exhaustion is visible per shard
+// in demos-metrics-v2.
 
 #ifndef DEMOS_BASE_POOL_H_
 #define DEMOS_BASE_POOL_H_
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,10 +69,22 @@ class PayloadBufferPool {
   // (tests shrink the caps to force exhaustion).
   struct Limits {
     std::size_t local_nodes = 256;       // nodes cached per thread
-    std::size_t local_buffers = 256;     // capacities cached per thread
-    std::size_t global_entries = 1024;   // fallback cap (nodes and buffers each)
+    // Capacities cached per thread in each size class.  A class nobody asks
+    // for (adopted program buffers of an odd size) fills to this cap and
+    // stays there, so it is kept small: hoarded buffers fragment the heap
+    // for everything else.
+    std::size_t local_buffers = 64;
+    std::size_t global_entries = 1024;   // fallback cap: nodes, and buffers over all classes
     std::size_t max_buffer_bytes = 16384;  // don't cache giant capacities
   };
+
+  // Size classes: class k caches buffers whose capacity lies in
+  // [2^k, 2^(k+1)), so every buffer in class ClassFor(n) holds n bytes.
+  // A miss reserves the class's lower bound, which lands the buffer back in
+  // the class that asked for it when it is released.
+  static constexpr unsigned kMinClass = 4;   // 16 B
+  static constexpr unsigned kMaxClass = 14;  // 16 KiB
+  static constexpr unsigned kNumClasses = kMaxClass - kMinClass + 1;
   static Limits& limits() {
     static Limits limits;
     return limits;
@@ -95,23 +116,15 @@ class PayloadBufferPool {
   // Called by the last PayloadRef to drop its reference.  Salvages the
   // buffer's capacity for AcquireBytes and recycles the node object; both go
   // to the *calling* thread's pool (never a cross-thread free).
-  static void ReleaseNode(Node* node) {
+  [[gnu::noinline]] static void ReleaseNode(Node* node) {
     if (LocalDead()) {
       delete node;  // thread (or process) is tearing down; pools are gone
       return;
     }
+    RecycleBytes(std::move(node->bytes));
+    node->bytes = Bytes{};
     LocalCache& cache = Local();
     const Limits& lim = limits();
-    Bytes salvaged = std::move(node->bytes);
-    node->bytes = Bytes{};
-    if (salvaged.capacity() != 0 && salvaged.capacity() <= lim.max_buffer_bytes) {
-      salvaged.clear();
-      if (cache.buffers.size() < lim.local_buffers) {
-        cache.buffers.push_back(std::move(salvaged));
-      } else if (!PushGlobalBuffer(std::move(salvaged))) {
-        // Global full too: let the capacity die (the heap is the overflow).
-      }
-    }
     if (cache.nodes.size() < lim.local_nodes) {
       cache.nodes.push_back(node);
     } else if (!PushGlobalNode(node)) {
@@ -119,23 +132,52 @@ class PayloadBufferPool {
     }
   }
 
-  // Recycled empty buffer with leftover capacity for ByteWriter (falls back
-  // to a fresh Bytes).  Hit/miss counted like node acquisition.
-  static Bytes AcquireBytes() {
-    LocalCache& cache = Local();
-    if (!cache.buffers.empty()) {
-      Bytes out = std::move(cache.buffers.back());
-      cache.buffers.pop_back();
-      cache.stats.hits++;
-      return out;
+  // File a buffer's capacity under its size class in the calling thread's
+  // pool (spilling to the global fallback when the local class is full).
+  // Capacities outside the classes, or past max_buffer_bytes, are freed.
+  static void RecycleBytes(Bytes&& bytes) {
+    Bytes salvaged = std::move(bytes);
+    const std::size_t capacity = salvaged.capacity();
+    const Limits& lim = limits();
+    if (LocalDead() || capacity < (std::size_t{1} << kMinClass) ||
+        capacity > lim.max_buffer_bytes) {
+      return;
     }
-    Bytes global = PopGlobalBuffer();
-    if (global.capacity() != 0) {
-      cache.stats.hits++;
-      return global;
+    const unsigned k = std::min<unsigned>(std::bit_width(capacity) - 1, kMaxClass);
+    std::vector<Bytes>& local = Local().buffers[k - kMinClass];
+    salvaged.clear();
+    if (local.size() < lim.local_buffers) {
+      local.push_back(std::move(salvaged));
+    } else if (!PushGlobalBuffer(k, std::move(salvaged))) {
+      // Global full too: let the capacity die (the heap is the overflow).
+    }
+  }
+
+  // Empty buffer with capacity for at least `want` bytes (ByteWriter,
+  // Message::Serialize, PayloadRef::Copy):
+  // recycled from `want`'s size class (a hit) or freshly reserved (a miss).
+  // Requests past the largest class always miss and reserve exactly `want`.
+  static Bytes AcquireBytes(std::size_t want) {
+    LocalCache& cache = Local();
+    const unsigned k = ClassFor(want);
+    if (k <= kMaxClass) {
+      std::vector<Bytes>& local = cache.buffers[k - kMinClass];
+      if (!local.empty()) {
+        Bytes out = std::move(local.back());
+        local.pop_back();
+        cache.stats.hits++;
+        return out;
+      }
+      Bytes global = PopGlobalBuffer(k);
+      if (global.capacity() != 0) {
+        cache.stats.hits++;
+        return global;
+      }
     }
     cache.stats.misses++;
-    return Bytes{};
+    Bytes out;
+    out.reserve(k <= kMaxClass ? std::size_t{1} << k : want);
+    return out;
   }
 
   // This thread's cumulative acquire stats (monotonic; callers diff them).
@@ -149,7 +191,9 @@ class PayloadBufferPool {
       delete node;
     }
     cache.nodes.clear();
-    cache.buffers.clear();
+    for (std::vector<Bytes>& cls : cache.buffers) {
+      cls.clear();
+    }
     cache.stats = PoolThreadStats{};
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
@@ -157,13 +201,24 @@ class PayloadBufferPool {
       delete node;
     }
     global.nodes.clear();
-    global.buffers.clear();
+    for (std::vector<Bytes>& cls : global.buffers) {
+      cls.clear();
+    }
   }
 
  private:
+  // Smallest class whose every buffer holds `want` bytes: ceil(log2(want)),
+  // at least kMinClass.
+  static unsigned ClassFor(std::size_t want) {
+    return want <= (std::size_t{1} << kMinClass) ? kMinClass
+                                                 : static_cast<unsigned>(std::bit_width(want - 1));
+  }
+
+  using BufferClasses = std::array<std::vector<Bytes>, kNumClasses>;
+
   struct LocalCache {
     std::vector<Node*> nodes;
-    std::vector<Bytes> buffers;
+    BufferClasses buffers;
     PoolThreadStats stats;
 
     ~LocalCache() {
@@ -189,7 +244,7 @@ class PayloadBufferPool {
   struct GlobalCache {
     std::mutex mu;
     std::vector<Node*> nodes;
-    std::vector<Bytes> buffers;
+    BufferClasses buffers;
 
     ~GlobalCache() {
       for (Node* node : nodes) {
@@ -236,23 +291,25 @@ class PayloadBufferPool {
     global.nodes.push_back(node);
     return true;
   }
-  static Bytes PopGlobalBuffer() {
+  static Bytes PopGlobalBuffer(unsigned k) {
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
-    if (global.buffers.empty()) {
+    std::vector<Bytes>& cls = global.buffers[k - kMinClass];
+    if (cls.empty()) {
       return Bytes{};
     }
-    Bytes out = std::move(global.buffers.back());
-    global.buffers.pop_back();
+    Bytes out = std::move(cls.back());
+    cls.pop_back();
     return out;
   }
-  static bool PushGlobalBuffer(Bytes&& buffer) {
+  static bool PushGlobalBuffer(unsigned k, Bytes&& buffer) {
     GlobalCache& global = Global();
     std::lock_guard<std::mutex> lock(global.mu);
-    if (global.buffers.size() >= limits().global_entries) {
+    std::vector<Bytes>& cls = global.buffers[k - kMinClass];
+    if (cls.size() >= limits().global_entries / kNumClasses) {
       return false;
     }
-    global.buffers.push_back(std::move(buffer));
+    cls.push_back(std::move(buffer));
     return true;
   }
 };

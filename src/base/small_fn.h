@@ -4,8 +4,8 @@
 // larger than the libstdc++/libc++ small-object buffer (16 bytes) heap-
 // allocates, and the hot scheduling lambdas (kernel timers, the sync
 // engine's cross-shard delivery closures) all exceed it.  SmallFn trades
-// copyability (which the event heap never needed -- events are moved, run
-// once, destroyed) for a buffer sized to the real captures, so scheduling an
+// copyability (which the event queue never needed -- an event is built in its
+// slot, run there once, destroyed) for a buffer sized to the real captures, so scheduling an
 // event allocates nothing.  Oversized or over-aligned callables still fall
 // back to the heap transparently.
 
@@ -21,14 +21,24 @@ namespace demos {
 
 template <std::size_t kInlineBytes>
 class SmallFn {
+  // Any void() callable except SmallFn itself (which moves instead).
+  template <typename F>
+  static constexpr bool IsCallable =
+      !std::is_same_v<std::decay_t<F>, SmallFn> && std::is_invocable_r_v<void, std::decay_t<F>&>;
+
  public:
   SmallFn() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F, typename = std::enable_if_t<IsCallable<F>>>
   SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor)
+    Emplace(std::forward<F>(fn));
+  }
+
+  // Build `fn` directly in this (empty) SmallFn's storage: the event queue
+  // constructs each callback in its slot this way, so scheduling moves the
+  // capture once and dispatch moves it never.
+  template <typename F, typename = std::enable_if_t<IsCallable<F>>>
+  void Emplace(F&& fn) {
     using Decayed = std::decay_t<F>;
     if constexpr (sizeof(Decayed) <= kInlineBytes &&
                   alignof(Decayed) <= alignof(std::max_align_t) &&
@@ -63,7 +73,7 @@ class SmallFn {
 
   SmallFn& operator=(SmallFn&& other) noexcept {
     if (this != &other) {
-      Destroy();
+      Reset();
       MoveFrom(std::move(other));
     }
     return *this;
@@ -72,11 +82,20 @@ class SmallFn {
   SmallFn(const SmallFn&) = delete;
   SmallFn& operator=(const SmallFn&) = delete;
 
-  ~SmallFn() { Destroy(); }
+  ~SmallFn() { Reset(); }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
   void operator()() { invoke_(*this); }
+
+  // Destroy the held callable, leaving this SmallFn empty.
+  void Reset() noexcept {
+    if (manage_ != nullptr) {
+      manage_(nullptr, this);
+    }
+    invoke_ = nullptr;
+    manage_ = nullptr;
+  }
 
  private:
   using InvokeFn = void (*)(SmallFn&);
@@ -92,14 +111,6 @@ class SmallFn {
     }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;
-  }
-
-  void Destroy() noexcept {
-    if (manage_ != nullptr) {
-      manage_(nullptr, this);
-    }
-    invoke_ = nullptr;
-    manage_ = nullptr;
   }
 
   union Storage {

@@ -100,6 +100,9 @@ template <typename T>
 class [[nodiscard]] Result {
  public:
   Result(T value) : value_(std::move(value)) {}          // NOLINT(google-explicit-constructor)
+  // A default-constructed value built in place, for producers that fill it
+  // through value() and return the Result itself (no move of the value).
+  explicit Result(std::in_place_t) : value_(std::in_place) {}
   Result(Status status) : status_(std::move(status)) {  // NOLINT(google-explicit-constructor)
     assert(!status_.ok() && "Result constructed from OK status without a value");
   }

@@ -17,7 +17,7 @@ Link KernelContext::MakeLink(std::uint8_t flags, std::uint32_t data_offset,
 }
 
 Status KernelContext::SendOnLink(const Link& link, MsgType type, PayloadRef payload,
-                                 std::vector<Link> carry) {
+                                 CarriedLinks carry) {
   if (!link.address.valid()) {
     return InvalidArgumentError("send over an invalid link");
   }
@@ -42,7 +42,7 @@ Status KernelContext::SendOnLink(const Link& link, MsgType type, PayloadRef payl
 }
 
 Status KernelContext::Send(LinkId link_id, MsgType type, PayloadRef payload,
-                           std::vector<Link> carry) {
+                           CarriedLinks carry) {
   const Link* link = record_.links.Get(link_id);
   if (link == nullptr) {
     return NotFoundError("no link " + std::to_string(link_id) + " in table");
@@ -56,7 +56,7 @@ Status KernelContext::Send(LinkId link_id, MsgType type, PayloadRef payload,
 }
 
 Status KernelContext::Reply(const Message& request, MsgType type, PayloadRef payload,
-                            std::vector<Link> carry) {
+                            CarriedLinks carry) {
   if (request.carried_links.empty()) {
     return InvalidArgumentError("request carried no reply link");
   }

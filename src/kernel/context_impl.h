@@ -32,11 +32,11 @@ class KernelContext final : public Context {
   const Link* GetLink(LinkId id) const override { return record_.links.Get(id); }
   Status RemoveLink(LinkId id) override { return record_.links.Remove(id); }
 
-  Status Send(LinkId link, MsgType type, PayloadRef payload, std::vector<Link> carry) override;
+  Status Send(LinkId link, MsgType type, PayloadRef payload, CarriedLinks carry) override;
   Status SendOnLink(const Link& link, MsgType type, PayloadRef payload,
-                    std::vector<Link> carry) override;
+                    CarriedLinks carry) override;
   Status Reply(const Message& request, MsgType type, PayloadRef payload,
-               std::vector<Link> carry) override;
+               CarriedLinks carry) override;
 
   Status MoveDataTo(LinkId link, std::uint32_t area_offset, PayloadRef data,
                     std::uint64_t cookie) override;
@@ -45,6 +45,10 @@ class KernelContext final : public Context {
 
   Bytes ReadData(std::uint32_t offset, std::uint32_t length) const override {
     return record_.memory.ReadData(offset, length);
+  }
+  bool ReadDataInto(std::uint32_t offset, std::uint8_t* out,
+                    std::uint32_t length) const override {
+    return record_.memory.ReadDataInto(offset, out, length);
   }
   Status WriteData(std::uint32_t offset, const Bytes& bytes) override {
     return record_.memory.WriteData(offset, bytes);

@@ -89,7 +89,10 @@ struct DataPacket {
   std::uint64_t cookie = 0;
 
   Bytes Encode() const {
-    ByteWriter w;
+    // Header (15 B, plus 29 B of write context for a push), the chunk's
+    // length prefix and the chunk: sized up front so the pooled buffer never
+    // grows while the chunk is copied in.
+    ByteWriter w((mode == StreamMode::kPush ? 44 : 15) + 4 + chunk.size());
     w.U8(static_cast<std::uint8_t>(mode));
     w.U16(streamer);
     w.U32(transfer_id);

@@ -146,7 +146,7 @@ void Kernel::FinalizeExit(const ProcessId& pid) {
 // Message system: transmit and route (Sec. 2.1, 4).
 // ---------------------------------------------------------------------------
 
-void Kernel::Transmit(Message msg) {
+void Kernel::Transmit(Message&& msg) {
   stats_.Add(StatId::kMsgsSent);
   stats_.Add(StatId::kWireBytesSent, static_cast<std::int64_t>(msg.WireSize()));
   if (IsMigrationAdminType(msg.type)) {
@@ -174,11 +174,11 @@ void Kernel::Transmit(Message msg) {
   // Frame() reuses the frame the message arrived in (forwarding hops and
   // pending-queue re-sends patch the receiver machine in place); only
   // locally-built messages are encoded here.
-  transport_->Send(machine_, dst, msg.Frame());
+  transport_->Send(machine_, dst, std::move(msg).Frame());
 }
 
 void Kernel::SendFromKernel(ProcessAddress to, MsgType type, PayloadRef payload,
-                            std::vector<Link> carry, std::uint8_t flags) {
+                            CarriedLinks carry, std::uint8_t flags) {
   Message msg;
   msg.sender = kernel_address();
   msg.receiver = to;
@@ -242,10 +242,10 @@ void Kernel::OnWireDelivery(MachineId wire_src, PayloadRef wire) {
                                 << wire_src << ": " << msg.status().message();
     return;
   }
-  RouteIncoming(std::move(msg).value(), wire_src);
+  RouteIncoming(std::move(*msg), wire_src);
 }
 
-void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
+void Kernel::RouteIncoming(Message&& msg, MachineId wire_src) {
   // Amortized addressing-state sweep: TTL expiry, epoch reclamation of
   // forwarding records, and registry-tombstone GC are all lazy (checked when
   // traffic flows), which keeps them off any timer and free at quiescence.
@@ -306,11 +306,11 @@ void Kernel::RouteIncoming(Message msg, MachineId wire_src) {
   DeliverToProcess(record, std::move(msg));
 }
 
-void Kernel::EnqueueLocal(ProcessRecord& record, Message msg) {
+void Kernel::EnqueueLocal(ProcessRecord& record, Message&& msg) {
   record.queue.push_back(std::move(msg));
 }
 
-void Kernel::DeliverToProcess(ProcessRecord& record, Message msg) {
+void Kernel::DeliverToProcess(ProcessRecord& record, Message&& msg) {
   if (msg.type == MsgType::kNotDeliverable &&
       (config_.gossip_enabled || config_.forwarding_reclaim_enabled)) {
     // A death verdict is reaching a local process: negative-cache it so the
@@ -347,7 +347,7 @@ void Kernel::DeliverToProcess(ProcessRecord& record, Message msg) {
   MaybeScheduleDispatch(record);
 }
 
-void Kernel::HandleKernelMessage(Message msg, MachineId wire_src) {
+void Kernel::HandleKernelMessage(Message&& msg, MachineId wire_src) {
   switch (msg.type) {
     case MsgType::kMigrateOffer:
       HandleMigrateOffer(msg);
@@ -371,13 +371,13 @@ void Kernel::HandleKernelMessage(Message msg, MachineId wire_src) {
       HandleMigrateCancel(msg);
       return;
     case MsgType::kMoveDataPacket:
-      HandleDataPacket(std::move(msg));
+      HandleDataPacket(msg);
       return;
     case MsgType::kMoveDataAck:
       HandleDataAck(msg);
       return;
     case MsgType::kNotDeliverable:
-      HandleNotDeliverable(std::move(msg), wire_src);
+      HandleNotDeliverable(msg, wire_src);
       return;
     case MsgType::kLocateReq:
       HandleLocateReq(msg);
@@ -419,7 +419,7 @@ void Kernel::HandleKernelMessage(Message msg, MachineId wire_src) {
   }
 }
 
-void Kernel::HandleControlMessage(ProcessRecord& record, Message msg) {
+void Kernel::HandleControlMessage(ProcessRecord& record, Message&& msg) {
   switch (msg.type) {
     case MsgType::kMigrateRequest:
       HandleMigrateRequest(record, msg);
@@ -552,7 +552,9 @@ void Kernel::RunDispatch(ProcessId pid) {
           record->program->OnMessage(ctx, msg);
         });
     }
-    record = processes_.Find(pid);
+    // No re-lookup: a handler cannot erase or replace its own record
+    // synchronously.  Exit and kill finalize in a later event, and a
+    // migration it requests leaves in later events too.
   }
 
   if (record != nullptr && !record->queue.empty() &&
@@ -564,7 +566,8 @@ void Kernel::RunDispatch(ProcessId pid) {
   }
 }
 
-void Kernel::RunHandler(ProcessRecord& record, const std::function<void(Context&)>& body) {
+template <typename Body>
+void Kernel::RunHandler(ProcessRecord& record, const Body& body) {
   KernelContext ctx(this, &record);
   body(ctx);
 
@@ -660,7 +663,7 @@ std::uint32_t Kernel::StreamBytes(const PayloadRef& data, DataPacket prototype,
   return packets;
 }
 
-void Kernel::HandleDataPacket(Message msg) {
+void Kernel::HandleDataPacket(const Message& msg) {
   Result<DataPacket> decoded = DataPacket::Decode(msg.payload);
   if (!decoded.ok()) {
     DEMOS_LOG(kError, "kernel") << "m" << machine_ << ": " << decoded.status().message();
@@ -982,7 +985,7 @@ void Kernel::HandleCreateProcess(const Message& msg) {
   ByteWriter w;
   w.U64(cookie);
   w.U8(static_cast<std::uint8_t>(spawned.ok() ? StatusCode::kOk : spawned.status().code()));
-  std::vector<Link> carry;
+  CarriedLinks carry;
   if (spawned.ok()) {
     w.Address(*spawned);
     Link to_child;

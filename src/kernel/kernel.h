@@ -19,7 +19,6 @@
 #define DEMOS_KERNEL_KERNEL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -226,7 +225,7 @@ class Kernel {
 
   // Inject a message into the delivery system with the kernel as sender.
   void SendFromKernel(ProcessAddress to, MsgType type, PayloadRef payload,
-                      std::vector<Link> carry = {}, std::uint8_t flags = kLinkNone);
+                      CarriedLinks carry = {}, std::uint8_t flags = kLinkNone);
 
   // Every process created afterwards is born holding a link to the
   // switchboard in link-table slot 0 (the standard-link convention of
@@ -367,7 +366,7 @@ class Kernel {
   // ---- Message system entry points. ----
 
   // Transmit a fully-formed message toward receiver.last_known_machine.
-  void Transmit(Message msg);
+  void Transmit(Message&& msg);
 
   // Delivery from the transport.  The frame is adopted, not copied: the
   // parsed message's payload aliases it.
@@ -377,21 +376,25 @@ class Kernel {
   friend class KernelContext;
 
   // ---- Routing (Sec. 2.1, 4). ----
-  void RouteIncoming(Message msg, MachineId wire_src);
-  void DeliverToProcess(ProcessRecord& record, Message msg);
-  void ForwardThroughAddress(Message msg, MachineId next_machine);
-  void HandleAbsentReceiver(Message msg, MachineId wire_src);
-  void HandleKernelMessage(Message msg, MachineId wire_src);
-  void HandleControlMessage(ProcessRecord& record, Message msg);
+  // The message path takes each message by rvalue reference: the one decoded
+  // in OnWireDelivery is routed, queued or forwarded without moving it
+  // between stages.
+  void RouteIncoming(Message&& msg, MachineId wire_src);
+  void DeliverToProcess(ProcessRecord& record, Message&& msg);
+  void ForwardThroughAddress(Message&& msg, MachineId next_machine);
+  void HandleAbsentReceiver(Message&& msg, MachineId wire_src);
+  void HandleKernelMessage(Message&& msg, MachineId wire_src);
+  void HandleControlMessage(ProcessRecord& record, Message&& msg);
 
   // ---- Scheduling / CPU model. ----
   void MaybeScheduleDispatch(ProcessRecord& record);
   void RunDispatch(ProcessId pid);
-  void RunHandler(ProcessRecord& record, const std::function<void(Context&)>& body);
+  template <typename Body>
+  void RunHandler(ProcessRecord& record, const Body& body);
   void StartProgram(ProcessRecord& record);
   void FinalizeExit(const ProcessId& pid);
   void ArmTimer(ProcessRecord& record, const TimerEntry& entry);
-  void EnqueueLocal(ProcessRecord& record, Message msg);
+  void EnqueueLocal(ProcessRecord& record, Message&& msg);
 
   // ---- Bulk data movement (data_mover.h). ----
   std::uint32_t AllocateTransferId() { return next_transfer_id_++; }
@@ -400,7 +403,7 @@ class Kernel {
   // offset/total/chunk are filled per packet.  Returns the packet count.
   std::uint32_t StreamBytes(const PayloadRef& data, DataPacket prototype,
                             const ProcessAddress& to, std::uint8_t msg_flags);
-  void HandleDataPacket(Message msg);
+  void HandleDataPacket(const Message& msg);
   void HandleDataAck(const Message& msg);
   void HandleReadDataArea(ProcessRecord& record, const Message& msg);
   // Apply one self-describing push chunk to a local process's data area.
@@ -470,7 +473,7 @@ class Kernel {
 
   // ---- Forwarding & location (Sec. 4, 5; migration.cc). ----
   void HandleLinkUpdate(ProcessRecord& record, const Message& msg);
-  void HandleNotDeliverable(Message msg, MachineId wire_src);
+  void HandleNotDeliverable(const Message& msg, MachineId wire_src);
   void HandleLocateReq(const Message& msg);
   void HandleLocateResp(const Message& msg);
   void HandleLocationRegister(const Message& msg);
@@ -502,7 +505,7 @@ class Kernel {
   void FlushGossip();
   void HandleGossip(const Message& msg);
   // Locate retry/backoff.
-  void ParkForLocate(const ProcessId& pid, Message msg);
+  void ParkForLocate(const ProcessId& pid, Message&& msg);
   MachineId PickLocateTarget(std::uint32_t attempt, const ProcessId& pid);
   void ArmLocateRetry(const ProcessId& pid, std::uint32_t generation);
   void LocateRetryFired(const ProcessId& pid, std::uint32_t generation);

@@ -1,5 +1,7 @@
 #include "src/kernel/message.h"
 
+#include <cstring>
+
 namespace demos {
 
 const char* MsgTypeName(MsgType t) {
@@ -90,26 +92,46 @@ constexpr std::size_t kOffVia = 29;  // Message::kMaxViaSlots x u16
 constexpr std::size_t kOffLinkCount = kOffVia + Message::kMaxViaSlots * 2;
 constexpr std::size_t kOffLinks = kOffLinkCount + 1;
 
+void StoreAddress(std::uint8_t* p, const ProcessAddress& a) {
+  StoreLE<std::uint16_t>(p, a.last_known_machine);
+  StoreLE<std::uint16_t>(p + 2, a.pid.creating_machine);
+  StoreLE<std::uint32_t>(p + 4, a.pid.local_id);
+}
+
 }  // namespace
 
 Bytes Message::Serialize() const {
-  ByteWriter w;
-  w.Address(sender);
-  w.Address(receiver);
-  w.U8(flags);
-  w.U16(static_cast<std::uint16_t>(type));
-  w.U8(hop_count);
-  w.U64(trace_id);
-  w.U8(via_count);
+  // Stored at the same fixed offsets Deserialize reads, into a pooled buffer
+  // of exactly WireSize() bytes.  Links are laid out as Link::Serialize
+  // writes them.
+  const std::size_t payload_off = kOffLinks + carried_links.size() * kLinkWireSize + 4;
+  Bytes out = PayloadBufferPool::AcquireBytes(payload_off + payload.size());
+  out.resize(payload_off + payload.size());
+  std::uint8_t* base = out.data();
+  StoreAddress(base, sender);
+  StoreAddress(base + kOffReceiverMachine, receiver);
+  base[kOffFlags] = flags;
+  StoreLE<std::uint16_t>(base + kOffType, static_cast<std::uint16_t>(type));
+  base[kOffHopCount] = hop_count;
+  StoreLE<std::uint64_t>(base + kOffTraceId, trace_id);
+  base[kOffViaCount] = via_count;
   for (std::size_t i = 0; i < kMaxViaSlots; ++i) {
-    w.U16(via[i]);
+    StoreLE<std::uint16_t>(base + kOffVia + i * 2, via[i]);
   }
-  w.U8(static_cast<std::uint8_t>(carried_links.size()));
+  base[kOffLinkCount] = static_cast<std::uint8_t>(carried_links.size());
+  std::uint8_t* p = base + kOffLinks;
   for (const Link& link : carried_links) {
-    link.Serialize(w);
+    StoreAddress(p, link.address);
+    p[8] = link.flags;
+    StoreLE<std::uint32_t>(p + 9, link.data_offset);
+    StoreLE<std::uint32_t>(p + 13, link.data_length);
+    p += kLinkWireSize;
   }
-  w.BlobRef(payload);
-  return w.Take();
+  StoreLE<std::uint32_t>(p, static_cast<std::uint32_t>(payload.size()));
+  if (!payload.empty()) {
+    std::memcpy(base + payload_off, payload.data(), payload.size());
+  }
+  return out;
 }
 
 bool Message::FrameReusable() const {
@@ -146,14 +168,14 @@ bool Message::FrameReusable() const {
   return links.ok();
 }
 
-PayloadRef Message::Frame() {
+void Message::Reframe() {
   if (wire_.empty() || !FrameReusable()) {
     wire_ = PayloadRef(Serialize());
     payload_off_ = wire_.size() - payload.size();
+    payload = PayloadRef{};
   } else if (payload.SharesBufferWith(wire_)) {
     // The payload window is this message's own alias of the frame; release it
-    // so it does not look like a foreign owner to the COW check below.  It is
-    // re-established after the patch.
+    // so it does not look like a foreign owner to the COW check below.
     payload = PayloadRef{};
   }
   // Patch the hop-mutable fields in place.  MutableData() copies first if the
@@ -167,8 +189,17 @@ PayloadRef Message::Frame() {
   for (std::size_t i = 0; i < kMaxViaSlots; ++i) {
     StoreLE<std::uint16_t>(base + kOffVia + i * 2, via[i]);
   }
+}
+
+PayloadRef Message::Frame() & {
+  Reframe();
   payload = wire_.Slice(payload_off_, wire_.size() - payload_off_);
   return wire_;
+}
+
+PayloadRef Message::Frame() && {
+  Reframe();
+  return std::move(wire_);
 }
 
 Result<Message> Message::Deserialize(PayloadRef wire) {
@@ -193,7 +224,10 @@ Result<Message> Message::Deserialize(PayloadRef wire) {
   if (size - payload_off < payload_len) {
     return truncated();
   }
-  Message m;
+  // Decode straight into the returned Result (named return value), so the
+  // message is never moved on its way out.
+  Result<Message> out{std::in_place};
+  Message& m = *out;
   m.sender.last_known_machine = LoadLE<std::uint16_t>(base + 0);
   m.sender.pid.creating_machine = LoadLE<std::uint16_t>(base + 2);
   m.sender.pid.local_id = LoadLE<std::uint32_t>(base + 4);
@@ -209,14 +243,13 @@ Result<Message> Message::Deserialize(PayloadRef wire) {
     m.via[i] = LoadLE<std::uint16_t>(base + kOffVia + i * 2);
   }
   ByteReader links(base + kOffLinks, links_len);
-  m.carried_links.reserve(n_links);
   for (std::uint8_t i = 0; i < n_links; ++i) {
     m.carried_links.push_back(Link::Deserialize(links));
   }
   m.payload_off_ = payload_off;
   m.wire_ = std::move(wire);
   m.payload = m.wire_.Slice(payload_off, payload_len);
-  return m;
+  return out;
 }
 
 std::size_t Message::WireHeaderSize() {

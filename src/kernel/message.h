@@ -12,7 +12,10 @@
 #ifndef DEMOS_KERNEL_MESSAGE_H_
 #define DEMOS_KERNEL_MESSAGE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,13 +102,90 @@ inline bool IsMigrationAdminType(MsgType t) {
 
 const char* MsgTypeName(MsgType t);
 
+// The links one message carries (Sec. 2.4).  Nearly every message carries
+// none, one (a reply link) or two, so up to kInline live inside the message
+// and decoding a frame allocates nothing; more spill to the heap.  Reads like
+// a std::vector<Link>.
+class CarriedLinks {
+ public:
+  static constexpr std::uint32_t kInline = 2;
+
+  CarriedLinks() = default;
+  CarriedLinks(std::initializer_list<Link> links) { Append(links.begin(), links.size()); }
+  CarriedLinks(const std::vector<Link>& links) {  // NOLINT(google-explicit-constructor)
+    Append(links.data(), links.size());
+  }
+  CarriedLinks(const CarriedLinks& other) { Append(other.data(), other.size_); }
+  CarriedLinks(CarriedLinks&& other) noexcept { Take(other); }
+  CarriedLinks& operator=(const CarriedLinks& other) {
+    if (this != &other) {
+      size_ = 0;
+      Append(other.data(), other.size_);
+    }
+    return *this;
+  }
+  CarriedLinks& operator=(CarriedLinks&& other) noexcept {
+    if (this != &other) {
+      Take(other);
+    }
+    return *this;
+  }
+
+  void push_back(const Link& link) {
+    if (size_ == capacity()) {
+      Grow(size_ * 2);
+    }
+    data()[size_++] = link;
+  }
+  void clear() { size_ = 0; }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Link& operator[](std::size_t i) const { return data()[i]; }
+  const Link* begin() const { return data(); }
+  const Link* end() const { return data() + size_; }
+
+ private:
+  std::uint32_t capacity() const { return heap_ != nullptr ? heap_capacity_ : kInline; }
+  Link* data() { return heap_ != nullptr ? heap_.get() : inline_; }
+  const Link* data() const { return heap_ != nullptr ? heap_.get() : inline_; }
+
+  void Append(const Link* links, std::size_t n) {
+    if (size_ + n > capacity()) {
+      Grow(static_cast<std::uint32_t>(size_ + n));
+    }
+    std::copy(links, links + n, data() + size_);
+    size_ += static_cast<std::uint32_t>(n);
+  }
+  void Grow(std::uint32_t capacity) {
+    auto grown = std::make_unique<Link[]>(capacity);
+    std::copy(begin(), end(), grown.get());
+    heap_ = std::move(grown);
+    heap_capacity_ = capacity;
+  }
+  void Take(CarriedLinks& other) {
+    size_ = other.size_;
+    heap_ = std::move(other.heap_);
+    heap_capacity_ = other.heap_capacity_;
+    if (heap_ == nullptr) {
+      std::copy(other.inline_, other.inline_ + size_, inline_);
+    }
+    other.size_ = 0;
+  }
+
+  Link inline_[kInline];
+  std::unique_ptr<Link[]> heap_;  // holds every link once past kInline
+  std::uint32_t size_ = 0;
+  std::uint32_t heap_capacity_ = 0;
+};
+
 struct Message {
   ProcessAddress sender;    // who sent it (kernel pseudo-address for kernel traffic)
   ProcessAddress receiver;  // where it is going; last_known_machine is rewritten on forward
   std::uint8_t flags = kLinkNone;  // copied from the link the message was sent over
   MsgType type = MsgType::kInvalid;
   PayloadRef payload;
-  std::vector<Link> carried_links;  // links passed inside the message (Sec. 2.4)
+  CarriedLinks carried_links;  // links passed inside the message (Sec. 2.4)
 
   bool deliver_to_kernel() const { return (flags & kLinkDeliverToKernel) != 0; }
 
@@ -149,8 +229,11 @@ struct Message {
   // patches those bytes in place -- copy-on-write if the frame is still
   // shared with a retransmit buffer -- instead of re-serializing the body.
   // Falls back to a full encode when the frame is absent or stale (any
-  // immutable field or the payload changed since parse).
-  PayloadRef Frame();
+  // immutable field or the payload changed since parse).  On an rvalue (the
+  // transmit path, which consumes the message) the frame is moved out and the
+  // payload is not re-aliased, which saves three refcount updates per hop.
+  PayloadRef Frame() &;
+  PayloadRef Frame() &&;
 
   // Decode a wire frame.  The header is read at fixed offsets with one bounds
   // check per section (fixed header, carried links + payload length,
@@ -170,6 +253,9 @@ struct Message {
 
  private:
   bool FrameReusable() const;
+  // Bring wire_ up to date for this hop; the payload's alias of the old
+  // frame is dropped (Frame() & re-establishes it).
+  void Reframe();
 
   // Cached wire frame this message was parsed from (or last encoded to) and
   // the byte offset of the payload within it.

@@ -850,7 +850,7 @@ void Kernel::SuspectPeer(MachineId peer) {
 // Message forwarding (Sec. 4) and link update (Sec. 5).
 // ---------------------------------------------------------------------------
 
-void Kernel::ForwardThroughAddress(Message msg, MachineId next_machine) {
+void Kernel::ForwardThroughAddress(Message&& msg, MachineId next_machine) {
   if (msg.hop_count >= kMaxForwardHops) {
     DEMOS_LOG(kError, "forward") << "m" << machine_ << ": dropping " << msg.ToString()
                                  << " after " << int{msg.hop_count} << " hops";
@@ -936,7 +936,7 @@ void Kernel::HandleLinkUpdate(ProcessRecord& record, const Message& msg) {
 // baseline (Sec. 4's rejected alternative, kept for the E6 comparison).
 // ---------------------------------------------------------------------------
 
-void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
+void Kernel::HandleAbsentReceiver(Message&& msg, MachineId wire_src) {
   switch (msg.type) {
     case MsgType::kLinkUpdate:
     case MsgType::kNotDeliverable:
@@ -1028,7 +1028,7 @@ void Kernel::HandleAbsentReceiver(Message msg, MachineId wire_src) {
   }
 }
 
-void Kernel::HandleNotDeliverable(Message msg, MachineId wire_src) {
+void Kernel::HandleNotDeliverable(const Message& msg, MachineId wire_src) {
   (void)wire_src;
   ByteReader r(msg.payload);
   Result<Message> bounced = Message::Deserialize(r.BlobRef());
@@ -1094,7 +1094,7 @@ void Kernel::HandleNotDeliverable(Message msg, MachineId wire_src) {
   ParkForLocate(pid, std::move(original));
 }
 
-void Kernel::ParkForLocate(const ProcessId& pid, Message msg) {
+void Kernel::ParkForLocate(const ProcessId& pid, Message&& msg) {
   ParkedLocate& parked = parked_for_locate_[pid];
   parked.msgs.push_back(std::move(msg));
   if (parked.msgs.size() > 1) {
@@ -1338,17 +1338,19 @@ bool Kernel::RefuseSendToDead(const ProcessAddress& sender, const ProcessAddress
   if (!config_.gossip_enabled && !config_.forwarding_reclaim_enabled) {
     return false;
   }
-  if (!to.pid.valid() || IsKernelPid(to.pid) || processes_.Find(to.pid) != nullptr) {
+  if (!to.pid.valid() || IsKernelPid(to.pid)) {
     return false;
   }
   // Only the locate-gave-up marker refuses here, not a hard tombstone: the
   // marker means this very kernel already ran the full bounce/locate cycle
   // for this pid and nobody answered, so repeating it would cost a chain of
   // messages to learn nothing new.  Hard tombstones still take the normal
-  // bounce path (one network round trip) -- which installs the marker.
+  // bounce path (one network round trip) -- which installs the marker.  The
+  // marker test runs first: almost every send finds none, and then the
+  // process-table lookup is skipped.
   auto it = location_registry_.find(to.pid);
   if (it == location_registry_.end() || it->second.where != kNoMachine ||
-      it->second.version != 0) {
+      it->second.version != 0 || processes_.Find(to.pid) != nullptr) {
     return false;
   }
   stats_.Add(StatId::kSendsRefused);
@@ -1550,10 +1552,12 @@ void Kernel::SweepAddressingState() {
       // resident right here (a bounced send recovers through this hint when a
       // stale link names a now-dead machine).  Either way a dead pid's entry
       // is a tombstone, so only genuinely live, authoritative hints survive.
+      // Age first: it is the cheap test, and most entries are young.
+      const bool aged = now - it->second.updated_at > config_.reclaim_watermark_us;
       const bool ground_truth =
-          it->second.where != kNoMachine &&
+          aged && it->second.where != kNoMachine &&
           (it->first.creating_machine == machine_ || processes_.Find(it->first) != nullptr);
-      if (!ground_truth && now - it->second.updated_at > config_.reclaim_watermark_us) {
+      if (aged && !ground_truth) {
         it = location_registry_.erase(it);
         ++tombstones_reclaimed;
       } else {

@@ -18,7 +18,6 @@
 #define DEMOS_KERNEL_PROCESS_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,6 +73,62 @@ struct DispatchInfo {
 // register save area; we carry an opaque block of the representative size.
 inline constexpr std::size_t kKernelContextBytes = 128;
 
+// A process's incoming message queue: a FIFO ring of reused Message slots.
+// A slot keeps its moved-from Message between uses, so steady-state queueing
+// allocates nothing; the ring only grows (doubling) when it fills.
+class MessageQueue {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  void push_back(Message&& msg) {
+    if (size_ == slots_.size()) {
+      Grow();
+    }
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(msg);
+    ++size_;
+  }
+  Message& front() { return slots_[head_]; }
+  void pop_front() {
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+  }
+
+  // Oldest-first iteration over the queued messages.
+  class const_iterator {
+   public:
+    const_iterator(const MessageQueue* queue, std::size_t i) : queue_(queue), i_(i) {}
+    const Message& operator*() const {
+      return queue_->slots_[(queue_->head_ + i_) & (queue_->slots_.size() - 1)];
+    }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const const_iterator& other) const { return i_ != other.i_; }
+
+   private:
+    const MessageQueue* queue_;
+    std::size_t i_;
+  };
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, size_); }
+
+ private:
+  void Grow() {
+    std::vector<Message> grown(slots_.empty() ? 4 : slots_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+
+  std::vector<Message> slots_;  // size is zero or a power of two
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 struct ProcessRecord {
   ProcessId pid;
   ExecState state = ExecState::kWaiting;
@@ -84,7 +139,7 @@ struct ProcessRecord {
   LinkTable links;
 
   // Incoming message queue (stays behind during migration; see file comment).
-  std::deque<Message> queue;
+  MessageQueue queue;
 
   std::vector<TimerEntry> timers;
   // Bumped when timers are snapshotted for migration so that already-scheduled

@@ -49,15 +49,14 @@ void SimNetwork::Deliver(MachineId src, MachineId dst, PayloadRef payload, SimDu
       Emit<FrEvent::kPacketDropped>(src, dst);
       return;
     }
-    auto it = handlers_.find(dst);
-    if (it == handlers_.end()) {
+    if (dst >= handlers_.size() || !handlers_[dst]) {
       DEMOS_LOG(kWarn, "net") << "packet for unattached machine m" << dst << " discarded";
       stats_.Add(StatId::kNetPacketsDropped);
       return;
     }
     // Move our ref out: with the default exactly-once delivery the handler
     // becomes the sole owner of the frame, enabling in-place forwarding.
-    it->second(src, std::move(payload));
+    handlers_[dst](src, std::move(payload));
   });
 }
 
@@ -68,6 +67,9 @@ SimDuration SimNetwork::TransmitDelay(std::size_t payload_size, MachineId src) {
 
   // The output port transmits one frame at a time; later sends queue behind
   // earlier ones.
+  if (src >= port_free_at_.size()) {
+    port_free_at_.resize(src + 1, 0);
+  }
   SimTime& free_at = port_free_at_[src];
   SimTime start = std::max(free_at, queue_.Now());
   free_at = start + serialization;

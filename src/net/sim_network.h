@@ -12,7 +12,7 @@
 #define DEMOS_NET_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "src/base/bytes.h"
 #include "src/base/ids.h"
@@ -47,6 +47,9 @@ class SimNetwork final : public Transport {
       : queue_(*queue), config_(config), rng_(config.seed) {}
 
   void Attach(MachineId node, DeliveryHandler handler) override {
+    if (node >= handlers_.size()) {
+      handlers_.resize(node + 1);
+    }
     handlers_[node] = std::move(handler);
   }
 
@@ -54,11 +57,13 @@ class SimNetwork final : public Transport {
 
   // Partition control: while a machine is "down", packets to and from it are
   // silently dropped (used by the fault-injection suite).
-  void SetNodeUp(MachineId node, bool up) { node_down_[node] = !up; }
-  bool IsNodeUp(MachineId node) const {
-    auto it = node_down_.find(node);
-    return it == node_down_.end() || !it->second;
+  void SetNodeUp(MachineId node, bool up) {
+    if (node >= node_down_.size()) {
+      node_down_.resize(node + 1, false);
+    }
+    node_down_[node] = !up;
   }
+  bool IsNodeUp(MachineId node) const { return node >= node_down_.size() || !node_down_[node]; }
 
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
@@ -77,10 +82,11 @@ class SimNetwork final : public Transport {
   EventQueue& queue_;
   SimNetworkConfig config_;
   Rng rng_;
-  std::unordered_map<MachineId, DeliveryHandler> handlers_;
-  std::unordered_map<MachineId, bool> node_down_;
+  // Per-machine state, indexed by MachineId (machine ids are dense).
+  std::vector<DeliveryHandler> handlers_;
+  std::vector<bool> node_down_;
   // Earliest time each machine's output port is free (serialization model).
-  std::unordered_map<MachineId, SimTime> port_free_at_;
+  std::vector<SimTime> port_free_at_;
   StatsRegistry stats_;
   Tracer tracer_;
 };

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -62,43 +63,49 @@ void UdpTransport::Send(MachineId src, MachineId dst, PayloadRef payload) {
   if (fd_ < 0) {
     return;
   }
-  if (src == dst) {
-    // Local delivery stays off the wire, like SimNetwork's local path -- but
-    // must remain asynchronous; loop it through the socket to self.
-  }
-  Bytes frame;
-  frame.reserve(payload.size() + 2);
-  frame.push_back(static_cast<std::uint8_t>(src & 0xFF));
-  frame.push_back(static_cast<std::uint8_t>(src >> 8));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  if (frame.size() > kMaxDatagram) {
-    DEMOS_LOG(kError, "udp") << "dropping oversized datagram (" << frame.size() << " B)";
+  // Local delivery (src == dst) also loops through the socket to self, which
+  // keeps it asynchronous like SimNetwork's local path.
+  const std::size_t size = payload.size() + 2;
+  if (size > kMaxDatagram) {
+    DEMOS_LOG(kError, "udp") << "dropping oversized datagram (" << size << " B)";
     return;
   }
+  // Gather the 2-byte source prefix and the frame straight from the payload:
+  // no datagram buffer is built.
+  std::uint8_t header[2] = {static_cast<std::uint8_t>(src & 0xFF),
+                            static_cast<std::uint8_t>(src >> 8)};
+  iovec parts[2] = {{header, sizeof(header)},
+                    {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
   sockaddr_in addr = PortAddress(static_cast<std::uint16_t>(port_base_ + dst));
-  (void)::sendto(fd_, frame.data(), frame.size(), 0, reinterpret_cast<sockaddr*>(&addr),
-                 sizeof(addr));
+  msghdr msg{};
+  msg.msg_name = &addr;
+  msg.msg_namelen = sizeof(addr);
+  msg.msg_iov = parts;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  (void)::sendmsg(fd_, &msg, 0);
 }
 
 int UdpTransport::Poll() {
   if (fd_ < 0 || !handler_) {
     return 0;
   }
+  // One receive buffer for the transport's lifetime; each datagram is copied
+  // out into an exact-size pooled buffer, so nothing 60 KiB outlives a recv.
+  if (receive_buffer_.empty()) {
+    receive_buffer_.resize(kMaxDatagram);
+  }
   int delivered = 0;
   for (;;) {
-    Bytes buffer(kMaxDatagram);
-    const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), MSG_DONTWAIT);
+    const ssize_t n = ::recv(fd_, receive_buffer_.data(), receive_buffer_.size(), MSG_DONTWAIT);
     if (n < 0) {
       break;  // EWOULDBLOCK (or error): drained
     }
     if (n < 2) {
       continue;
     }
-    const MachineId src = static_cast<MachineId>(buffer[0] | (buffer[1] << 8));
-    buffer.resize(static_cast<std::size_t>(n));
-    // Adopt the receive buffer (one allocation per datagram, inherent to the
-    // socket boundary) and alias past the 2-byte source prefix.
-    handler_(src, PayloadRef(std::move(buffer)).Slice(2, static_cast<std::size_t>(n - 2)));
+    const std::uint8_t* datagram = receive_buffer_.data();
+    const MachineId src = static_cast<MachineId>(datagram[0] | (datagram[1] << 8));
+    handler_(src, PayloadRef::Copy(datagram + 2, static_cast<std::size_t>(n - 2)));
     ++delivered;
   }
   return delivered;

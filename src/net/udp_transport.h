@@ -49,6 +49,7 @@ class UdpTransport final : public Transport {
   std::uint16_t port_base_;
   int fd_ = -1;
   DeliveryHandler handler_;
+  Bytes receive_buffer_;  // sized on the first Poll, reused by every recv
 };
 
 }  // namespace demos

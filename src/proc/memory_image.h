@@ -54,6 +54,14 @@ class MemoryImage {
     return out;
   }
 
+  bool ReadDataInto(std::uint32_t offset, std::uint8_t* out, std::uint32_t length) const {
+    if (offset > data_.size() || length > data_.size() - offset) {
+      return false;
+    }
+    std::copy(data_.begin() + offset, data_.begin() + offset + length, out);
+    return true;
+  }
+
   Status WriteData(std::uint32_t offset, const Bytes& bytes) {
     if (offset > data_.size() || bytes.size() > data_.size() - offset) {
       return InvalidArgumentError("data write out of range: offset " + std::to_string(offset) +

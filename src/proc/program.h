@@ -65,13 +65,13 @@ class Context {
   // converts implicitly, adopting the buffer without a copy.
   // Send over a held link.  Reply links are consumed by the send.
   virtual Status Send(LinkId link, MsgType type, PayloadRef payload,
-                      std::vector<Link> carry = {}) = 0;
+                      CarriedLinks carry = {}) = 0;
   // Send over a link value not stored in the table (e.g. one just received).
   virtual Status SendOnLink(const Link& link, MsgType type, PayloadRef payload,
-                            std::vector<Link> carry = {}) = 0;
+                            CarriedLinks carry = {}) = 0;
   // Reply over carried_links[0] of `request` (the reply-link convention).
   virtual Status Reply(const Message& request, MsgType type, PayloadRef payload,
-                       std::vector<Link> carry = {}) = 0;
+                       CarriedLinks carry = {}) = 0;
 
   // --- Bulk data (Sec. 2.2): kernel-mediated transfers over data-area links.
   // Completion (and read data) arrives via OnDataMoveDone with `cookie`.
@@ -82,6 +82,11 @@ class Context {
 
   // --- Own memory image. ---
   virtual Bytes ReadData(std::uint32_t offset, std::uint32_t length) const = 0;
+  // Copy `length` bytes at `offset` into `out` without allocating: the
+  // per-message form of ReadData.  False, with nothing copied, when the range
+  // lies outside the data segment.
+  virtual bool ReadDataInto(std::uint32_t offset, std::uint8_t* out,
+                            std::uint32_t length) const = 0;
   virtual Status WriteData(std::uint32_t offset, const Bytes& bytes) = 0;
   virtual std::uint32_t DataSize() const = 0;
 

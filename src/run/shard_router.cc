@@ -143,6 +143,11 @@ void ShardRouter::Send(MachineId src, MachineId dst, PayloadRef payload) {
   if (lane == nullptr) {
     bool pool_hit = false;
     lane = outbox.batch_pool.Acquire(&pool_hit);
+    if (!pool_hit) {
+      // A full lane publishes at max_batch_frames, so a batch sized once
+      // never regrows as it circulates between shards.
+      lane->frames.reserve(config_.max_batch_frames);
+    }
     lane->src = src;
     lane->frames.clear();
     outbox.dirty.push_back(dst);

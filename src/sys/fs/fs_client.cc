@@ -59,7 +59,8 @@ FsClientResults FsClientResults::Decode(const Bytes& window) {
 
 void FileClientProgram::Accumulate(Context& ctx, std::uint32_t offset, std::uint64_t delta,
                                    bool is_max) {
-  ByteReader r(ctx.ReadData(offset, 8));
+  std::uint8_t buf[8];
+  ByteReader r(buf, ctx.ReadDataInto(offset, buf, sizeof buf) ? sizeof buf : 0);
   const std::uint64_t current = r.U64();
   ByteWriter w;
   w.U64(is_max ? std::max(current, delta) : current + delta);

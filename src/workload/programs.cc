@@ -7,6 +7,15 @@ namespace demos {
 namespace {
 constexpr std::uint64_t kTickCookie = 0x71CC;
 constexpr std::uint64_t kSendCookie = 0x53D;
+
+// Reader over the first N bytes of the data segment (where every program
+// here keeps its config), copied into the caller's `buf` without allocating:
+// handlers re-read their config on each message.  An out-of-range read gives
+// an empty reader whose fields decode as zero, so magic checks fail.
+template <std::size_t N>
+ByteReader ReadConfig(const Context& ctx, std::uint8_t (&buf)[N]) {
+  return ByteReader(buf, ctx.ReadDataInto(0, buf, N) ? N : 0);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -14,7 +23,8 @@ constexpr std::uint64_t kSendCookie = 0x53D;
 // ---------------------------------------------------------------------------
 
 void CpuBoundProgram::OnStart(Context& ctx) {
-  ByteReader r(ctx.ReadData(0, 4));
+  std::uint8_t buf[4];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() == kCpuBoundMagic) {
     ctx.SetTimer(1, kTickCookie);
   }
@@ -24,7 +34,8 @@ void CpuBoundProgram::OnTimer(Context& ctx, std::uint64_t cookie) {
   if (cookie != kTickCookie) {
     return;
   }
-  ByteReader r(ctx.ReadData(0, 20));
+  std::uint8_t buf[20];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() != kCpuBoundMagic) {
     return;
   }
@@ -113,7 +124,8 @@ void RpcClientProgram::OnMessage(Context& ctx, const Message& msg) {
   w.U64(samples_.size());
   (void)ctx.WriteData(32, w.bytes());
 
-  ByteReader r(ctx.ReadData(0, 16));
+  std::uint8_t buf[16];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() != kRpcClientMagic) {
     return;
   }
@@ -135,7 +147,8 @@ void RpcClientProgram::SendNext(Context& ctx) {
   if (target_slot_ == kNoLink) {
     return;
   }
-  ByteReader r(ctx.ReadData(0, 16));
+  std::uint8_t buf[16];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() != kRpcClientMagic) {
     return;
   }
@@ -184,7 +197,8 @@ void RpcClientProgram::RestoreState(const Bytes& state) {
 // ---------------------------------------------------------------------------
 
 void ChaosPingerProgram::OnStart(Context& ctx) {
-  ByteReader r(ctx.ReadData(0, 12));
+  std::uint8_t buf[12];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() != kChaosPingerMagic) {
     return;
   }
@@ -220,7 +234,8 @@ void ChaosPingerProgram::OnTimer(Context& ctx, std::uint64_t cookie) {
   if (cookie != kTickCookie) {
     return;
   }
-  ByteReader r(ctx.ReadData(0, 12));
+  std::uint8_t buf[12];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() != kChaosPingerMagic) {
     return;
   }
@@ -272,7 +287,8 @@ void ChaosPingerProgram::RestoreState(const Bytes& state) {
 // ---------------------------------------------------------------------------
 
 std::optional<TokenRingConfig> TokenRingProgram::LoadConfig(Context& ctx) const {
-  ByteReader r(ctx.ReadData(0, 16));
+  std::uint8_t buf[16];
+  ByteReader r = ReadConfig(ctx, buf);
   if (r.U32() != kTokenRingMagic) {
     return std::nullopt;
   }
@@ -405,7 +421,8 @@ void RegisterWorkloadPrograms() {
           if (msg.type != static_cast<MsgType>(1003)) {
             return;
           }
-          ByteReader r(ctx.ReadData(0, 8));
+          std::uint8_t buf[8];
+          ByteReader r = ReadConfig(ctx, buf);
           ByteWriter w;
           w.U64(r.U64() + 1);
           (void)ctx.WriteData(0, w.bytes());

@@ -77,12 +77,38 @@ TEST(PayloadBufferPoolTest, ReleasedCapacityIsSalvagedForByteWriter) {
   }  // node released; its 800-byte capacity goes to the buffer free-list
 
   PoolThreadStats base = PayloadBufferPool::ThreadStats();
-  Bytes recycled = PayloadBufferPool::AcquireBytes();
+  Bytes recycled = PayloadBufferPool::AcquireBytes(800);
   PoolThreadStats delta = StatsDelta(base);
   EXPECT_EQ(delta.hits, 1u);
   EXPECT_EQ(delta.misses, 0u);
   EXPECT_TRUE(recycled.empty()) << "salvaged buffers come back cleared";
   EXPECT_GE(recycled.capacity(), 800u) << "…but keep their heap capacity";
+
+  PayloadBufferPool::DrainForTest();
+}
+
+// Buffers are served by the size the caller asks for: a recycled buffer too
+// small for the request is never handed out (and grown on the heap behind a
+// counted hit); it waits for a request it can hold.
+TEST(PayloadBufferPoolTest, SizedAcquireServesOnlyBuffersThatHoldTheRequest) {
+  PayloadBufferPool::DrainForTest();
+  {
+    Bytes bytes = PayloadBufferPool::AcquireBytes(40);  // cold: 64-byte class
+    bytes.assign(40, 0x11);
+    PayloadRef ref{std::move(bytes)};
+  }  // its 64-byte capacity goes back to the pool
+
+  PoolThreadStats base = PayloadBufferPool::ThreadStats();
+  Bytes big = PayloadBufferPool::AcquireBytes(100);
+  PoolThreadStats delta = StatsDelta(base);
+  EXPECT_EQ(delta.hits, 0u) << "a 64-byte buffer cannot serve 100 bytes";
+  EXPECT_EQ(delta.misses, 1u);
+  EXPECT_GE(big.capacity(), 100u);
+
+  Bytes fits = PayloadBufferPool::AcquireBytes(50);
+  delta = StatsDelta(base);
+  EXPECT_EQ(delta.hits, 1u) << "the cached 64-byte buffer serves a 50-byte request";
+  EXPECT_GE(fits.capacity(), 50u);
 
   PayloadBufferPool::DrainForTest();
 }
@@ -98,11 +124,11 @@ TEST(PayloadBufferPoolTest, OversizedCapacityIsNotCached) {
   { PayloadRef big{Bytes(1024, 0xAB)}; }
 
   PoolThreadStats base = PayloadBufferPool::ThreadStats();
-  Bytes out = PayloadBufferPool::AcquireBytes();
+  Bytes out = PayloadBufferPool::AcquireBytes(1024);
   PoolThreadStats delta = StatsDelta(base);
   EXPECT_EQ(delta.hits, 0u) << "1 KiB capacity must not be salvaged past a 64 B cap";
   EXPECT_EQ(delta.misses, 1u);
-  EXPECT_EQ(out.capacity(), 0u);
+  EXPECT_EQ(out.capacity(), 1024u) << "a miss reserves a fresh buffer of the request's class";
 
   PayloadBufferPool::DrainForTest();
 }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/base/small_fn.h"
 #include "src/sim/event_queue.h"
 
@@ -212,8 +215,8 @@ TEST(EventQueueTest, StepMovesCallbacksWithoutCopying) {
   EXPECT_EQ(copies, after_scheduling) << "Step() copied a callback";
 }
 
-// Callbacks live in recycled slots; the order must still come from (when,
-// seq) alone.  Reused slots are handed out in LIFO order, so a slot index says
+// Callbacks live in recycled slots; the order must still come from (time,
+// scheduling order) alone.  Reused slots are handed out in LIFO order, so a slot index says
 // nothing about scheduling order.
 TEST(EventQueueTest, SameTimeFifoSurvivesSlotReuse) {
   EventQueue q;
@@ -238,8 +241,8 @@ TEST(EventQueueTest, SameTimeFifoSurvivesSlotReuse) {
   EXPECT_EQ(order, want);
 }
 
-// A running callback schedules enough events to force the slot vector to
-// grow (and relocate) underneath it; it must keep running off its own copy.
+// A running callback schedules enough events to force the slot table to grow
+// underneath it; it must keep running in its slot, which never moves.
 TEST(EventQueueTest, CallbackMayGrowTheSlotVectorWhileRunning) {
   EventQueue q;
   std::vector<int> order;
@@ -290,6 +293,69 @@ TEST(EventQueueTest, DestroysPendingCallbacksExactlyOnce) {
     EXPECT_EQ(live, 7);
   }
   EXPECT_EQ(live, 0);
+}
+
+// The radix heap must run events in exact (time, scheduling order).  Random
+// schedules -- events that schedule more events, the same instant included,
+// with bounded stepping, RunUntil and NextEventTime probes in between -- are
+// checked against a reference set ordered by (time, scheduling sequence):
+// every event run must be that set's minimum.
+TEST(EventQueueTest, RunsExactTimeThenSchedulingOrderOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::set<std::pair<SimTime, std::uint64_t>> pending;  // (time, sequence)
+    std::uint64_t next_seq = 0;
+    std::uint64_t ran = 0;
+    bool in_order = true;
+    struct Scheduler {
+      EventQueue& q;
+      Rng& rng;
+      std::set<std::pair<SimTime, std::uint64_t>>& pending;
+      std::uint64_t& next_seq;
+      std::uint64_t& ran;
+      bool& in_order;
+      void Schedule(int depth) {
+        // Mostly near-future times, some at Now() and some far ahead.
+        const std::uint64_t pick = rng.Below(8);
+        const SimTime delay = pick == 0 ? 0 : pick < 6 ? rng.Below(64) : rng.Below(100'000);
+        const SimTime when = q.Now() + delay;
+        const std::uint64_t seq = next_seq++;
+        pending.emplace(when, seq);
+        q.At(when, [this, when, seq, depth] {
+          in_order = in_order && !pending.empty() &&
+                     *pending.begin() == std::make_pair(when, seq) && q.Now() == when;
+          pending.erase(pending.begin());
+          ++ran;
+          for (std::uint64_t i = depth < 6 ? rng.Below(3) : 0; i > 0; --i) {
+            Schedule(depth + 1);
+          }
+        });
+      }
+    } scheduler{q, rng, pending, next_seq, ran, in_order};
+    for (int i = 0; i < 200; ++i) {
+      scheduler.Schedule(0);
+    }
+    while (!q.Empty()) {
+      ASSERT_EQ(q.NextEventTime(), pending.begin()->first) << "seed " << seed;
+      switch (rng.Below(3)) {
+        case 0:
+          q.Step();
+          break;
+        case 1:
+          q.StepIfAtMost(q.Now() + rng.Below(128));
+          break;
+        default:
+          q.RunUntil(q.Now() + rng.Below(256));
+          if (rng.Below(4) == 0) {
+            scheduler.Schedule(0);  // after RunUntil moved the clock past the last event
+          }
+      }
+      ASSERT_TRUE(in_order) << "seed " << seed << " after " << ran << " events";
+    }
+    EXPECT_TRUE(pending.empty());
+    EXPECT_EQ(q.NextEventTime(), kSimTimeNever);
+  }
 }
 
 }  // namespace

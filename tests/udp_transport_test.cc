@@ -2,6 +2,10 @@
 // loopback, pumped manually).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "src/kernel/kernel.h"
 #include "src/net/udp_transport.h"
@@ -33,6 +37,49 @@ TEST(UdpTransportTest, DatagramRoundTrip) {
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].first, 0);
   EXPECT_EQ(received[0].second, (Bytes{1, 2, 3, 4}));
+
+  // Many datagrams of different sizes and sources queued up, then drained by
+  // one Poll through the single reused receive buffer: each must arrive with
+  // exactly its own bytes and source (a shorter datagram after a longer one
+  // must not pick up the longer one's tail).
+  UdpTransport c(2, base);
+  ASSERT_TRUE(c.Open().ok());
+  received.clear();
+  std::vector<std::pair<MachineId, Bytes>> sent;
+  for (int i = 0; i < 32; ++i) {
+    Bytes bytes(static_cast<std::size_t>((i * 37) % 300 + 1));
+    for (std::size_t j = 0; j < bytes.size(); ++j) {
+      bytes[j] = static_cast<std::uint8_t>(i + j);
+    }
+    UdpTransport& sender = i % 2 == 0 ? a : c;
+    const MachineId src = i % 2 == 0 ? 0 : 2;
+    sender.Send(src, 1, PayloadRef::Copy(bytes.data(), bytes.size()));
+    sent.emplace_back(src, std::move(bytes));
+  }
+  ::usleep(20000);  // let the datagrams queue up before draining
+  int most_in_one_poll = 0;
+  for (int i = 0; i < 100 && received.size() < sent.size(); ++i) {
+    most_in_one_poll = std::max(most_in_one_poll, b.Poll());
+    ::usleep(1000);
+  }
+  EXPECT_GT(most_in_one_poll, 1) << "a Poll drains every datagram already queued";
+  ASSERT_EQ(received.size(), sent.size());
+  // Loopback keeps each sender's datagrams in order; compare per source.
+  for (const MachineId src : {MachineId{0}, MachineId{2}}) {
+    std::vector<Bytes> want;
+    std::vector<Bytes> got;
+    for (const auto& [s, bytes] : sent) {
+      if (s == src) {
+        want.push_back(bytes);
+      }
+    }
+    for (const auto& [s, bytes] : received) {
+      if (s == src) {
+        got.push_back(bytes);
+      }
+    }
+    EXPECT_EQ(got, want) << "source m" << src;
+  }
 }
 
 TEST(UdpTransportTest, SelfSendLoopsThroughSocket) {
