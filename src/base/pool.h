@@ -314,6 +314,51 @@ class PayloadBufferPool {
   }
 };
 
+// Process-wide spares of the large arrays an engine holds for its whole life
+// (mailbox rings, flight-recorder rings).  An engine built after another (a
+// test suite, a benchmark's iterations) takes its predecessor's arrays,
+// whose pages are already resident, instead of fresh ones: the allocator
+// maps arrays this large afresh, and faulting them in page by page
+// dominated building an engine.  Thread-safe; not for hot paths.
+template <typename T>
+class SpareArrays {
+ public:
+  // A vector of exactly `n` elements.  A reused one keeps the contents its
+  // last owner left; a fresh one is value-initialized.
+  static std::vector<T> Take(std::size_t n) {
+    Spares& spares = Get();
+    std::lock_guard<std::mutex> lock(spares.mu);
+    for (auto it = spares.arrays.begin(); it != spares.arrays.end(); ++it) {
+      if (it->size() == n) {
+        std::vector<T> out = std::move(*it);
+        spares.arrays.erase(it);
+        return out;
+      }
+    }
+    return std::vector<T>(n);
+  }
+
+  // Keep `array` for a later Take (up to kMaxSpares; past that it is freed).
+  static void Give(std::vector<T>&& array) {
+    Spares& spares = Get();
+    std::lock_guard<std::mutex> lock(spares.mu);
+    if (spares.arrays.size() < kMaxSpares) {
+      spares.arrays.push_back(std::move(array));
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMaxSpares = 16;
+  struct Spares {
+    std::mutex mu;
+    std::vector<std::vector<T>> arrays;
+  };
+  static Spares& Get() {
+    static Spares spares;
+    return spares;
+  }
+};
+
 // Owner-thread-only bounded free-list for recyclable objects (the router's
 // batch buffers).  Not thread-safe by design: acquire and release must happen
 // on the structure's owning thread; cross-thread circulation happens by

@@ -112,6 +112,8 @@ class CarriedLinks {
 
   CarriedLinks() = default;
   CarriedLinks(std::initializer_list<Link> links) { Append(links.begin(), links.size()); }
+  // Implicit so that a caller holding its links in a std::vector (the
+  // perfbench driver's SendFromKernel) passes them unchanged.
   CarriedLinks(const std::vector<Link>& links) {  // NOLINT(google-explicit-constructor)
     Append(links.data(), links.size());
   }

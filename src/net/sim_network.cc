@@ -1,5 +1,6 @@
 #include "src/net/sim_network.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/base/log.h"
@@ -49,14 +50,14 @@ void SimNetwork::Deliver(MachineId src, MachineId dst, PayloadRef payload, SimDu
       Emit<FrEvent::kPacketDropped>(src, dst);
       return;
     }
-    if (dst >= handlers_.size() || !handlers_[dst]) {
+    if (dst >= machines_.size() || !machines_[dst].handler) {
       DEMOS_LOG(kWarn, "net") << "packet for unattached machine m" << dst << " discarded";
       stats_.Add(StatId::kNetPacketsDropped);
       return;
     }
     // Move our ref out: with the default exactly-once delivery the handler
     // becomes the sole owner of the frame, enabling in-place forwarding.
-    handlers_[dst](src, std::move(payload));
+    machines_[dst].handler(src, std::move(payload));
   });
 }
 
@@ -67,10 +68,8 @@ SimDuration SimNetwork::TransmitDelay(std::size_t payload_size, MachineId src) {
 
   // The output port transmits one frame at a time; later sends queue behind
   // earlier ones.
-  if (src >= port_free_at_.size()) {
-    port_free_at_.resize(src + 1, 0);
-  }
-  SimTime& free_at = port_free_at_[src];
+  assert(src < machines_.size());
+  SimTime& free_at = machines_[src].port_free_at;
   SimTime start = std::max(free_at, queue_.Now());
   free_at = start + serialization;
 

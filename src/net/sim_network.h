@@ -11,6 +11,7 @@
 #ifndef DEMOS_NET_SIM_NETWORK_H_
 #define DEMOS_NET_SIM_NETWORK_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -46,11 +47,13 @@ class SimNetwork final : public Transport {
   SimNetwork(EventQueue* queue, SimNetworkConfig config)
       : queue_(*queue), config_(config), rng_(config.seed) {}
 
+  // Machines are attached before they send or are partitioned: attaching
+  // machine n makes room for every id up to n.
   void Attach(MachineId node, DeliveryHandler handler) override {
-    if (node >= handlers_.size()) {
-      handlers_.resize(node + 1);
+    if (node >= machines_.size()) {
+      machines_.resize(node + 1);
     }
-    handlers_[node] = std::move(handler);
+    machines_[node].handler = std::move(handler);
   }
 
   void Send(MachineId src, MachineId dst, PayloadRef payload) override;
@@ -58,12 +61,10 @@ class SimNetwork final : public Transport {
   // Partition control: while a machine is "down", packets to and from it are
   // silently dropped (used by the fault-injection suite).
   void SetNodeUp(MachineId node, bool up) {
-    if (node >= node_down_.size()) {
-      node_down_.resize(node + 1, false);
-    }
-    node_down_[node] = !up;
+    assert(node < machines_.size());
+    machines_[node].down = !up;
   }
-  bool IsNodeUp(MachineId node) const { return node >= node_down_.size() || !node_down_[node]; }
+  bool IsNodeUp(MachineId node) const { return node >= machines_.size() || !machines_[node].down; }
 
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
@@ -82,11 +83,13 @@ class SimNetwork final : public Transport {
   EventQueue& queue_;
   SimNetworkConfig config_;
   Rng rng_;
-  // Per-machine state, indexed by MachineId (machine ids are dense).
-  std::vector<DeliveryHandler> handlers_;
-  std::vector<bool> node_down_;
-  // Earliest time each machine's output port is free (serialization model).
-  std::vector<SimTime> port_free_at_;
+  struct Machine {
+    DeliveryHandler handler;
+    bool down = false;
+    // Earliest time the output port is free (serialization model).
+    SimTime port_free_at = 0;
+  };
+  std::vector<Machine> machines_;  // indexed by MachineId (machine ids are dense)
   StatsRegistry stats_;
   Tracer tracer_;
 };

@@ -16,10 +16,13 @@ std::uint64_t FrSteadyClock(void* /*ctx*/) {
 }
 
 FlightRecorder::FlightRecorder(std::uint16_t shard, std::size_t capacity)
-    : ring_(std::bit_ceil(capacity < 2 ? std::size_t{2} : capacity)),
+    : ring_(SpareArrays<FlightRecord>::Take(
+          std::bit_ceil(capacity < 2 ? std::size_t{2} : capacity))),
       mask_(ring_.size() - 1),
       clock_(&FrSteadyClock),
       shard_(shard) {}
+
+FlightRecorder::~FlightRecorder() { SpareArrays<FlightRecord>::Give(std::move(ring_)); }
 
 std::vector<FlightRecord> FlightRecorder::SnapshotRecords() const {
   std::vector<FlightRecord> out;

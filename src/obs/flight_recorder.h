@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/pool.h"
 #include "src/obs/events.h"
 
 namespace demos {
@@ -66,8 +67,13 @@ class FlightRecorderHub;
 // contract.
 class FlightRecorder {
  public:
-  // Capacity is rounded up to a power of two so the wrap is a mask.
+  // Capacity is rounded up to a power of two so the wrap is a mask.  The
+  // ring may be one a destroyed recorder left (src/base/pool.h); records
+  // outside the retained window are never read, so it is not cleared.
   FlightRecorder(std::uint16_t shard, std::size_t capacity);
+  ~FlightRecorder();
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   void SetClock(FrClockFn fn, void* ctx) {
     clock_ = fn;

@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/pool.h"
+
 namespace demos {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
@@ -39,10 +41,20 @@ class BoundedMpscQueue {
       cap <<= 1;
     }
     mask_ = cap - 1;
-    cells_ = std::vector<Cell>(cap);
+    cells_ = SpareArrays<Cell>::Take(cap);
     for (std::size_t i = 0; i < cap; ++i) {
       cells_[i].seq.store(i, std::memory_order_relaxed);
     }
+  }
+
+  // No thread may push or pop any more.  The items still queued are dropped
+  // and the emptied ring is kept for the next queue (src/base/pool.h).
+  ~BoundedMpscQueue() {
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    for (std::size_t pos = head_.load(std::memory_order_relaxed); pos != tail; ++pos) {
+      cells_[pos & mask_].value = T{};
+    }
+    SpareArrays<Cell>::Give(std::move(cells_));
   }
 
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;

@@ -49,7 +49,7 @@ void BufferManagerProgram::SendToDisk(Context& ctx, bool write, std::uint64_t co
   if (write) {
     w.Blob(data);
   }
-  std::vector<Link> carry;
+  CarriedLinks carry;
   if (want_reply) {
     carry.push_back(ctx.MakeLink(kLinkReply));
   }

@@ -168,7 +168,7 @@ void FileClientProgram::NextOp(Context& ctx) {
   w.U32(handle_);
   w.U32(offset);
   w.U32(config.io_size);
-  std::vector<Link> carry;
+  CarriedLinks carry;
   carry.push_back(ctx.MakeLink(kLinkReply));
   carry.push_back(ctx.MakeLink(is_write ? kLinkDataRead : kLinkDataWrite,
                                kFsClientBufferOffset, config.io_size));

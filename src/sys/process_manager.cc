@@ -145,7 +145,7 @@ void ProcessManagerProgram::HandleCreateReply(Context& ctx, const Message& msg) 
     w.U64(pending.requester_cookie);
     w.U8(static_cast<std::uint8_t>(status));
     w.Address(created);
-    std::vector<Link> carry;
+    CarriedLinks carry;
     if (!msg.carried_links.empty()) {
       carry.push_back(msg.carried_links[0]);  // pass the child link onward
     }

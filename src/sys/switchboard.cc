@@ -31,7 +31,7 @@ void SwitchboardProgram::OnMessage(Context& ctx, const Message& msg) {
       reply.U8(static_cast<std::uint8_t>(link != nullptr ? StatusCode::kOk
                                                          : StatusCode::kNotFound));
       reply.Str(name);
-      std::vector<Link> carry;
+      CarriedLinks carry;
       if (link != nullptr) {
         carry.push_back(*link);  // duplicate the stored link into the reply
       }

@@ -94,6 +94,44 @@ TEST_F(ParallelClusterTest, MpscQueueMovesOnlyOnSuccess) {
   EXPECT_EQ(*out, 3);
 }
 
+TEST_F(ParallelClusterTest, MpscQueueOnAReusedRingStartsEmptyAndDropsLeftovers) {
+  auto held = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = held;
+  {
+    BoundedMpscQueue<std::shared_ptr<int>> queue(4);
+    std::shared_ptr<int> first;
+    for (int i = 0; i < 3; ++i) {
+      std::shared_ptr<int> item = held;
+      ASSERT_TRUE(queue.TryPush(item));
+    }
+    ASSERT_TRUE(queue.TryPop(first));
+  }
+  // The queue died holding two items and its ring went back for reuse; the
+  // items must not outlive it.
+  held.reset();
+  EXPECT_TRUE(watch.expired());
+
+  // A queue of the same capacity takes that ring: it starts empty, fills to
+  // exactly its capacity and keeps FIFO across laps.
+  BoundedMpscQueue<std::shared_ptr<int>> queue(4);
+  EXPECT_TRUE(queue.Empty());
+  std::shared_ptr<int> out;
+  EXPECT_FALSE(queue.TryPop(out));
+  for (int lap = 0; lap < 3; ++lap) {
+    for (int i = 0; i < 4; ++i) {
+      auto item = std::make_shared<int>(lap * 10 + i);
+      ASSERT_TRUE(queue.TryPush(item));
+    }
+    auto overflow = std::make_shared<int>(-1);
+    EXPECT_FALSE(queue.TryPush(overflow));
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(queue.TryPop(out));
+      EXPECT_EQ(*out, lap * 10 + i);
+    }
+    EXPECT_TRUE(queue.Empty());
+  }
+}
+
 TEST_F(ParallelClusterTest, MpscQueueConcurrentProducersKeepPerProducerFifo) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 4000;
