@@ -112,7 +112,7 @@ EpochResult RunEpochChurn(bool reclaim, int generations) {
     std::size_t n = 0;
     for (MachineId m = 0; m < 4; ++m) {
       n += cluster.kernel(m).process_table().ForwardingAddressCount();
-      n += cluster.kernel(m).location_registry_size();
+      n += cluster.kernel(m).addressing().location_registry_size();
     }
     return n;
   };
@@ -151,7 +151,7 @@ EpochResult RunEpochChurn(bool reclaim, int generations) {
 
   for (MachineId m = 0; m < 4; ++m) {
     result.final_records += cluster.kernel(m).process_table().ForwardingAddressCount();
-    result.final_tombstones += cluster.kernel(m).location_registry_size();
+    result.final_tombstones += cluster.kernel(m).addressing().location_registry_size();
   }
   result.reclaimed = cluster.TotalStat(stat::kFwdReclaimed);
   result.tombstones_reclaimed = cluster.TotalStat(stat::kTombstonesReclaimed);

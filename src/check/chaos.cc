@@ -531,7 +531,7 @@ void ScheduleMigrationChase(Engine* engine, MachineId at_machine, SimTime at, Pr
     if (entry != nullptr && entry->IsForwarding()) {
       next = entry->forward_to;
     } else {
-      next = k.LocationHint(pid);  // return-to-sender mode erases the entry
+      next = k.addressing().LocationHint(pid);  // return-to-sender mode erases the entry
     }
     if (next == kNoMachine || next == at_machine) {
       return;  // gone for good (e.g. died with its machine)

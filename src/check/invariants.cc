@@ -580,9 +580,9 @@ void ClusterChecker::CheckChainBound() {
 }
 
 // I10: the forwarding-GC bookkeeping itself.  Three ways to drift: a record
-// the sweeper cannot see (leaks forever), bookkeeping without a record (the
-// fwd_records_live gauge drifts), and an eligible record a later sweep
-// skipped (reclamation stalled).
+// the sweeper cannot see (leaks forever), a fwd_records_live gauge that no
+// longer counts the records, and an eligible record a later sweep skipped
+// (reclamation stalled).
 void ClusterChecker::CheckReclaimMeta() {
   const KernelConfig& kc = cluster_.kernel(0).config();
   if (!kc.forwarding_reclaim_enabled) {
@@ -594,27 +594,27 @@ void ClusterChecker::CheckReclaimMeta() {
       continue;
     }
     Kernel& kernel = cluster_.kernel(mid);
-    const auto& meta_map = kernel.forwarding_meta();
-    const SimTime last_sweep = kernel.last_forwarding_sweep();
+    const SimTime last_sweep = kernel.addressing().last_forwarding_sweep();
+    std::int64_t records = 0;
     for (const auto& [pid, entry] : kernel.process_table().entries()) {
       if (!entry.IsForwarding()) {
         continue;
       }
-      auto it = meta_map.find(pid);
-      if (it == meta_map.end()) {
+      if (entry.gc == nullptr) {
         AddViolation("reclaim-meta", "forwarding record for " + pid.ToString() + " on m" +
                                          std::to_string(m) +
                                          " has no GC bookkeeping: invisible to reclamation");
         SuspectProcess(pid);
         continue;
       }
-      const Kernel::ForwardingMeta& meta = it->second;
+      ++records;
+      const ProcessTable::ForwardingGc& gc = *entry.gc;
       // Earliest virtual time the sweeper was obliged to reclaim the record:
       // grace after the peer set drained, or the epoch watermark, whichever
       // came first.  A sweep strictly after that is a skipped reclamation.
-      SimTime eligible = meta.installed_at + kc.reclaim_watermark_us;
-      if (meta.peers.empty()) {
-        const SimTime drained = std::max(meta.installed_at, meta.peers_emptied_at);
+      SimTime eligible = entry.installed_at + kc.reclaim_watermark_us;
+      if (gc.peers.empty()) {
+        const SimTime drained = std::max(entry.installed_at, gc.peers_emptied_at);
         eligible = std::min(eligible, drained + kc.reclaim_grace_us);
       }
       if (last_sweep > eligible) {
@@ -625,14 +625,11 @@ void ClusterChecker::CheckReclaimMeta() {
         SuspectProcess(pid);
       }
     }
-    for (const auto& [pid, meta] : meta_map) {
-      const ProcessTable::Entry* entry = kernel.process_table().FindEntry(pid);
-      if (entry == nullptr || !entry->IsForwarding()) {
-        AddViolation("reclaim-meta", "GC bookkeeping for " + pid.ToString() + " on m" +
-                                         std::to_string(m) +
-                                         " has no forwarding record: fwd_records_live drifts");
-        SuspectProcess(pid);
-      }
+    const std::int64_t gauge = kernel.stats().Get(StatId::kFwdRecordsLive);
+    if (gauge != records) {
+      AddViolation("reclaim-meta", "fwd_records_live on m" + std::to_string(m) + " reads " +
+                                       std::to_string(gauge) + " for " + std::to_string(records) +
+                                       " forwarding records: the gauge drifts");
     }
   }
 }

@@ -42,11 +42,11 @@
 //                     Chains broken by a dead machine or by legal GC carry no
 //                     bound (the collapse traffic died with the crash).
 //   I10 reclaim-meta  forwarding-GC bookkeeping discipline: every live
-//                     forwarding record has a peer-set entry (a record the
-//                     sweeper cannot see is a leak), no bookkeeping outlives
-//                     its record (the fwd_records_live gauge would drift),
-//                     and no record whose peer set drained survives a sweep
-//                     that ran after its grace window closed.
+//                     forwarding record carries its peer set (a record the
+//                     sweeper cannot see is a leak), the fwd_records_live
+//                     gauge counts exactly those records, and no record whose
+//                     peer set drained survives a sweep that ran after its
+//                     grace window closed.
 //
 // Machines that crash permanently and never revive are declared with
 // MarkMachineDead() before the audit.  Dead machines are exempt from the

@@ -33,7 +33,7 @@ Status StableStore::RecoverProcess(Cluster& cluster, const ProcessId& pid,
   // recovered process: pre-install the forwarding address in its retained
   // state (the paper's stable-storage recovery of forwarding addresses).
   if (leave_forwarding && saved.home != kNoMachine && saved.home != destination) {
-    cluster.kernel(saved.home).ForceForwardingAddress(pid, destination);
+    cluster.kernel(saved.home).addressing().ForceForwardingAddress(pid, destination);
   }
   DEMOS_LOG(kInfo, "fault") << "recovered " << pid.ToString() << " from m" << saved.home
                             << " onto m" << destination;

@@ -94,7 +94,7 @@ class Cluster final : public Engine {
       // migrations to the silent machine.
       reliable_->set_on_give_up([this](MachineId src, MachineId dst, std::uint64_t) {
         if (static_cast<std::size_t>(src) < kernels_.size()) {
-          kernels_[src]->OnPeerGiveUp(dst);
+          kernels_[src]->addressing().OnPeerGiveUp(dst);
         }
       });
     }

@@ -24,7 +24,7 @@ Status KernelContext::SendOnLink(const Link& link, MsgType type, PayloadRef payl
   // Negative cache: if a locate already gave up on this pid, answer with the
   // same kNotDeliverable verdict locally instead of repeating the whole
   // bounce/locate cycle on the wire.
-  if (kernel_.RefuseSendToDead(self(), link.address, type)) {
+  if (kernel_.addressing().RefuseSendToDead(self(), link.address, type)) {
     return OkStatus();
   }
   if (link.address.last_known_machine != kernel_.machine()) {

@@ -1,5 +1,6 @@
 // Kernel core: routing, scheduling, bulk data movement, kernel services.
-// Migration and forwarding logic (Sec. 3-5) lives in migration.cc.
+// The migration protocol (Sec. 3) lives in migration.cc; forwarding, link
+// update and the rest of addressing (Sec. 4-5) in addressing.cc.
 
 #include "src/kernel/kernel.h"
 
@@ -18,7 +19,8 @@ Kernel::Kernel(MachineId machine, EventQueue* queue, Transport* transport, Kerne
       transport_(transport),
       config_(config),
       rng_(config.seed ^ (0x9E3779B9ull * (machine + 1))),
-      tracer_(machine) {
+      tracer_(machine),
+      addressing_(machine, config_, *queue, processes_, rng_, stats_, tracer_, *this) {
   transport_->Attach(machine_, [this](MachineId src, PayloadRef wire) {
     OnWireDelivery(src, std::move(wire));
   });
@@ -64,7 +66,7 @@ Result<ProcessAddress> Kernel::SpawnProcess(const std::string& program_name,
   memory_used_ += footprint;
 
   ProcessRecord* raw = processes_.Insert(std::move(record));
-  UpdateLocation(raw->pid, machine_, 0);
+  addressing_.OnSpawned(raw->pid);
   if (switchboard_.valid()) {
     Link to_switchboard;
     to_switchboard.address = switchboard_;
@@ -86,21 +88,6 @@ void Kernel::StartProgram(ProcessRecord& record) {
   });
 }
 
-bool Kernel::UpdateLocation(const ProcessId& pid, MachineId where, std::uint64_t version) {
-  LocationEntry& entry = location_registry_[pid];
-  const bool advanced =
-      version > entry.version || (version == entry.version && entry.where != where);
-  if (advanced) {
-    entry.where = where;
-    entry.version = version;
-    // updated_at moves only on a real advance: duplicate rumors (gossip
-    // anti-entropy echoes the same triple for a while) must not keep a
-    // tombstone eternally young, or the watermark GC never fires.
-    entry.updated_at = queue_.Now();
-  }
-  return advanced;
-}
-
 void Kernel::FinalizeExit(const ProcessId& pid) {
   ProcessRecord* record = processes_.Find(pid);
   if (record == nullptr) {
@@ -108,36 +95,7 @@ void Kernel::FinalizeExit(const ProcessId& pid) {
   }
   memory_used_ -= std::min<std::uint64_t>(memory_used_, record->memory.TotalSize());
 
-  // Retire the home registry entry so locate fallbacks report death promptly.
-  // Tombstone rather than erase: a delayed kLocationRegister from an earlier
-  // migration must not re-create a stale entry for a dead pid.  The tombstone
-  // is also rumored (NoteLocationAdvance) so peers learn of the death even if
-  // the creating machine never comes back.
-  NoteLocationAdvance(pid, kNoMachine, ~std::uint64_t{0});
-  if (pid.creating_machine != machine_) {
-    ByteWriter w;
-    w.Pid(pid);
-    w.U16(kNoMachine);
-    w.U64(~std::uint64_t{0});  // death outranks any in-flight registration
-    SendFromKernel(KernelAddress(pid.creating_machine), MsgType::kLocationRegister, w.Take());
-  }
-
-  if (config_.forwarding_gc == KernelConfig::ForwardingGc::kOnProcessDeath) {
-    // Follow the backward pointers along the migration path (Sec. 4) and
-    // retire every forwarding address left for this process.
-    ByteWriter w;
-    w.Pid(pid);
-    const PayloadRef cleared(w.Take());  // one buffer, shared by every clear
-    for (MachineId m : record->migration_history) {
-      Message clear;
-      clear.sender = kernel_address();
-      clear.receiver = KernelAddress(m);
-      clear.type = MsgType::kForwardingClear;
-      clear.payload = cleared;
-      Transmit(std::move(clear));
-    }
-  }
-
+  addressing_.OnExit(pid, record->migration_history);
   FlushPushAcksFor(pid);
   processes_.Erase(pid);
 }
@@ -189,15 +147,6 @@ void Kernel::SendFromKernel(ProcessAddress to, MsgType type, PayloadRef payload,
   Transmit(std::move(msg));
 }
 
-void Kernel::SendAdmin(const ProcessAddress& to, MsgType type, Bytes payload) {
-  Message msg;
-  msg.sender = kernel_address();
-  msg.receiver = to;
-  msg.type = type;
-  msg.payload = std::move(payload);
-  Transmit(std::move(msg));
-}
-
 void Kernel::SetHalted(bool halted) {
   halted_ = halted;
   if (!halted && !parked_while_halted_.empty()) {
@@ -211,10 +160,7 @@ void Kernel::SetHalted(bool halted) {
     }
   }
   if (!halted) {
-    // Any locate probe chain that fired during the outage died silently
-    // (LocateRetryFired drops while halted), which would leave its parked
-    // messages orphaned forever.  Restart a fresh chain per parked pid.
-    ReprobeParkedLocates();
+    addressing_.ReprobeParkedLocates();  // chains that fired while halted died
   }
 }
 
@@ -230,12 +176,7 @@ void Kernel::OnWireDelivery(MachineId wire_src, PayloadRef wire) {
     }
     return;
   }
-  // Hearing from a peer proves it alive: drop any suspicion immediately
-  // rather than waiting for the backoff to expire.
-  if (!suspects_.empty()) {
-    suspects_.erase(wire_src);
-  }
-  NoteKnownPeer(wire_src);  // gossip / locate-probe candidate
+  addressing_.HeardFrom(wire_src);
   Result<Message> msg = Message::Deserialize(std::move(wire));
   if (!msg.ok()) {
     DEMOS_LOG(kError, "kernel") << "m" << machine_ << ": malformed wire message from m"
@@ -246,42 +187,20 @@ void Kernel::OnWireDelivery(MachineId wire_src, PayloadRef wire) {
 }
 
 void Kernel::RouteIncoming(Message&& msg, MachineId wire_src) {
-  // Amortized addressing-state sweep: TTL expiry, epoch reclamation of
-  // forwarding records, and registry-tombstone GC are all lazy (checked when
-  // traffic flows), which keeps them off any timer and free at quiescence.
-  if (++routes_since_sweep_ >= 64) {
-    routes_since_sweep_ = 0;
-    SweepAddressingState();
-  }
-  // Deferred gossip: rumors that were rate-limited at note time ride the next
-  // routed message once the flush interval has passed.
-  if (!pending_rumors_.empty() &&
-      queue_.Now() - last_gossip_flush_ >= config_.gossip_interval_us) {
-    FlushGossip();
-  }
+  addressing_.Tick();  // GC sweeps and deferred gossip ride traffic, not timers
 
   if (IsKernelPid(msg.receiver.pid)) {
     HandleKernelMessage(std::move(msg), wire_src);
     return;
   }
 
-  auto* entry = processes_.FindEntry(msg.receiver.pid);
+  ProcessTable::Entry* entry = processes_.FindEntry(msg.receiver.pid);
   if (entry == nullptr) {
-    HandleAbsentReceiver(std::move(msg), wire_src);
+    addressing_.OnAbsentReceiver(std::move(msg), wire_src);
     return;
   }
   if (entry->IsForwarding()) {
-    if (config_.forwarding_gc == KernelConfig::ForwardingGc::kExpireAfterTtl &&
-        queue_.Now() - entry->installed_at > config_.forwarding_ttl_us) {
-      // TTL garbage collection (Sec. 4 future work): drop the aged address
-      // and let the locate fallback below find the process.
-      stats_.Add(StatId::kForwardingExpired);
-      DropForwardingMeta(msg.receiver.pid);
-      processes_.Erase(msg.receiver.pid);
-      HandleAbsentReceiver(std::move(msg), wire_src);
-      return;
-    }
-    ForwardThroughAddress(std::move(msg), entry->forward_to);
+    addressing_.Forward(*entry, std::move(msg), wire_src);
     return;
   }
 
@@ -294,7 +213,7 @@ void Kernel::RouteIncoming(Message&& msg, MachineId wire_src) {
     return;
   }
   if (record.state == ExecState::kExited) {
-    HandleAbsentReceiver(std::move(msg), wire_src);
+    addressing_.OnAbsentReceiver(std::move(msg), wire_src);
     return;
   }
 
@@ -311,37 +230,8 @@ void Kernel::EnqueueLocal(ProcessRecord& record, Message&& msg) {
 }
 
 void Kernel::DeliverToProcess(ProcessRecord& record, Message&& msg) {
-  if (msg.type == MsgType::kNotDeliverable &&
-      (config_.gossip_enabled || config_.forwarding_reclaim_enabled)) {
-    // A death verdict is reaching a local process: negative-cache it so the
-    // next send to the same pid is refused at the source instead of re-running
-    // the bounce/locate cycle.  The marker (kNoMachine, version 0) is weaker
-    // than a real tombstone -- any genuine location news overrides it -- and
-    // it ages out with the rest of the epoch state.
-    ByteReader r(msg.payload);
-    (void)r.U16();  // original message type
-    const ProcessId dead = r.Pid();
-    // The verdict outranks a live hint here: the routing layer only reports
-    // kNotDeliverable after that hint (and a full locate) failed.  A hard
-    // tombstone already says more, so leave it alone.
-    auto rit = location_registry_.find(dead);
-    const bool hard_tombstone = rit != location_registry_.end() &&
-                                rit->second.where == kNoMachine &&
-                                rit->second.version == ~std::uint64_t{0};
-    if (r.ok() && dead.valid() && processes_.Find(dead) == nullptr && !hard_tombstone) {
-      LocationEntry& entry = location_registry_[dead];
-      entry.where = kNoMachine;
-      entry.version = 0;
-      entry.updated_at = queue_.Now();
-    }
-  }
+  addressing_.OnDeliver(record, msg);
   stats_.Add(StatId::kMsgsDelivered);
-  if (msg.via_count >= 2) {
-    // The message crossed two or more forwarding records to get here: tell
-    // every intermediate machine to re-point straight at us (Sec. 4 chains
-    // collapse to length one under traffic).
-    EmitChainCollapse(msg);
-  }
   Emit<FrEvent::kMsgDeliver>(msg, msg.hop_count);
   EnqueueLocal(record, std::move(msg));
   MaybeScheduleDispatch(record);
@@ -377,28 +267,14 @@ void Kernel::HandleKernelMessage(Message&& msg, MachineId wire_src) {
       HandleDataAck(msg);
       return;
     case MsgType::kNotDeliverable:
-      HandleNotDeliverable(msg, wire_src);
-      return;
     case MsgType::kLocateReq:
-      HandleLocateReq(msg);
-      return;
     case MsgType::kLocateResp:
-      HandleLocateResp(msg);
-      return;
     case MsgType::kLocationRegister:
-      HandleLocationRegister(msg);
-      return;
     case MsgType::kForwardingClear:
-      HandleForwardingClear(msg);
-      return;
     case MsgType::kChainCollapse:
-      HandleChainCollapse(msg);
-      return;
     case MsgType::kLinkUpdateAck:
-      HandleLinkUpdateAck(msg);
-      return;
     case MsgType::kGossip:
-      HandleGossip(msg);
+      addressing_.HandleMessage(msg, wire_src);
       return;
     case MsgType::kCreateProcess:
       HandleCreateProcess(msg);
@@ -442,7 +318,7 @@ void Kernel::HandleControlMessage(ProcessRecord& record, Message&& msg) {
       return;
     }
     case MsgType::kLinkUpdate:
-      HandleLinkUpdate(record, msg);
+      addressing_.HandleLinkUpdate(record, msg);
       return;
     case MsgType::kReadDataArea:
       HandleReadDataArea(record, msg);
@@ -957,9 +833,9 @@ Status Kernel::AdoptProcess(const ProcessCheckpoint& checkpoint) {
   }
   memory_used_ += record->memory.TotalSize();
 
-  DropForwardingMeta(checkpoint.pid);  // adopting over our own stale record
+  addressing_.OnArrival(checkpoint.pid);  // adopting over our own stale record
   ProcessRecord* raw = processes_.Insert(std::move(record));
-  NoteLocationAdvance(raw->pid, machine_, raw->migration_history.size());
+  addressing_.NoteLocationAdvance(raw->pid, machine_, raw->migration_history.size());
   for (const TimerEntry& timer : raw->timers) {
     ArmTimer(*raw, timer);
   }

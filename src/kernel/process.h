@@ -182,20 +182,33 @@ struct ProcessRecord {
 };
 
 // The per-kernel process table.  An entry is either a live process or a
-// forwarding address (the 8-byte degenerate record of Sec. 4).
+// forwarding address (the 8-byte degenerate record of Sec. 4).  Forwarding
+// entries are installed, re-pointed and erased only by Addressing
+// (src/kernel/addressing.h).
 class ProcessTable {
  public:
+  // Reclamation bookkeeping of one forwarding address.
+  struct ForwardingGc {
+    std::vector<MachineId> peers;  // machines that may still hold stale links
+    SimTime last_used = 0;
+    // When the peer set last became empty (0 = non-empty): the grace window
+    // runs from max(installed_at, peers_emptied_at).
+    SimTime peers_emptied_at = 0;
+  };
+
   struct Entry {
     std::unique_ptr<ProcessRecord> process;  // null for a forwarding address
     MachineId forward_to = kNoMachine;       // valid when process is null
-    SimTime installed_at = 0;                // forwarding only; for TTL GC
+    SimTime installed_at = 0;                // forwarding only; TTL and reclamation age
     // Migration version the forwarding address was installed at (the length
     // of the migration history after the move that left it behind).  A
     // kChainCollapse re-points the entry only when it carries a strictly
     // newer version, so a late collapse can never create a routing cycle.
     std::uint64_t version = 0;
+    std::unique_ptr<ForwardingGc> gc;  // forwarding only
     bool IsForwarding() const { return process == nullptr; }
   };
+  using Map = std::unordered_map<ProcessId, Entry, ProcessIdHash>;
 
   ProcessRecord* Find(const ProcessId& pid) {
     auto it = entries_.find(pid);
@@ -209,18 +222,29 @@ class ProcessTable {
     auto it = entries_.find(pid);
     return it == entries_.end() ? nullptr : &it->second;
   }
+  Entry* FindEntry(const ProcessId& pid) {
+    auto it = entries_.find(pid);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
 
+  // Overwrites in place, so table iteration order does not change.
   ProcessRecord* Insert(std::unique_ptr<ProcessRecord> record) {
     ProcessRecord* raw = record.get();
     const ProcessId pid = record->pid;
-    entries_[pid] = Entry{std::move(record), kNoMachine, 0, 0};
+    entries_[pid] = Entry{std::move(record)};
     return raw;
   }
 
-  // Replace whatever is at `pid` with a forwarding address to `machine`.
-  void InstallForwardingAddress(const ProcessId& pid, MachineId machine, SimTime now = 0,
-                                std::uint64_t version = 0) {
-    entries_[pid] = Entry{nullptr, machine, now, version};
+  // Replace whatever is at `pid` with a forwarding address to `machine`.  A
+  // re-install over a forwarding address keeps its GC bookkeeping.
+  Entry& InstallForwardingAddress(const ProcessId& pid, MachineId machine, SimTime now = 0,
+                                  std::uint64_t version = 0) {
+    Entry& entry = entries_[pid];
+    entry.process.reset();
+    entry.forward_to = machine;
+    entry.installed_at = now;
+    entry.version = version;
+    return entry;
   }
 
   void Erase(const ProcessId& pid) { entries_.erase(pid); }
@@ -241,11 +265,11 @@ class ProcessTable {
     return n;
   }
 
-  const std::unordered_map<ProcessId, Entry, ProcessIdHash>& entries() const { return entries_; }
-  std::unordered_map<ProcessId, Entry, ProcessIdHash>& mutable_entries() { return entries_; }
+  const Map& entries() const { return entries_; }
+  Map& mutable_entries() { return entries_; }
 
  private:
-  std::unordered_map<ProcessId, Entry, ProcessIdHash> entries_;
+  Map entries_;
 };
 
 }  // namespace demos

@@ -71,7 +71,7 @@
   X(GiveUp,               "give_up",                    Net,       Both,  "dst", "seq")
 
 #define DEMOS_RUNTIME_EVENT_CATALOG(R)                       \
-  /* Mailbox / router. */                                    \
+  /* Mailbox / router; a drain handles up to kDrainBatch. */ \
   R(MailboxPush,    "mailbox_push",    "dst_shard", "")      \
   R(DrainBatch,     "drain_batch",     "frames", "")         \
   R(SpillEnter,     "spill_enter",     "rescued", "")        \

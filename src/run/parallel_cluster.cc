@@ -12,6 +12,9 @@ namespace {
 
 // Local events run per round before the mailbox is polled again.
 constexpr std::size_t kEventBatch = 256;
+// Mailbox messages handled per round before the shard looks at its event
+// queue again (receive-side batching).
+constexpr std::size_t kDrainBatch = 128;
 // How long a shard with nothing to do parks before rechecking (also the
 // recovery bound for a theoretically lost wakeup).
 constexpr std::chrono::microseconds kIdlePark{200};
@@ -253,8 +256,8 @@ void ParallelCluster::ShardMain(Shard& shard) {
   while (!stop_.load(std::memory_order_acquire)) {
     // The round may run events up to the current window's bound.
     const SimTime bound = lbts_->bound();
-    std::size_t did = sync_enabled_ ? router_->DrainTimed(me, config_.drain_batch, sink)
-                                    : router_->Drain(me, config_.drain_batch);
+    std::size_t did = sync_enabled_ ? router_->DrainTimed(me, kDrainBatch, sink)
+                                    : router_->Drain(me, kDrainBatch);
     const std::size_t posted = DrainPosted(shard);
     did += posted;
     std::size_t steps = 0;

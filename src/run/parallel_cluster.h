@@ -74,9 +74,6 @@ struct ParallelClusterConfig {
   int machines = 2;
   KernelConfig kernel;
   ShardRouterConfig router;
-  // Mailbox messages handled per scheduling round before the shard looks at
-  // its event queue again (receive-side batching).
-  std::size_t drain_batch = 128;
   // Per-kernel tracers (each written only by its shard thread).
   bool trace_enabled = false;
   // Shard-local metrics slabs + always-on flight recorder (src/obs).  Both

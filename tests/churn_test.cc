@@ -177,9 +177,9 @@ TEST_F(ChurnTest, ChainBoundAuditFlagsLongChainAndExemptsDeadIntermediate) {
   cluster.RunUntilIdle();
   // Hand-build a resting chain longer than the bound (bypassing the eager
   // collapse the migration path would have done).
-  cluster.kernel(0).ForceForwardingAddress(counter->pid, 1);
-  cluster.kernel(1).ForceForwardingAddress(counter->pid, 2);
-  cluster.kernel(2).ForceForwardingAddress(counter->pid, 3);
+  cluster.kernel(0).addressing().ForceForwardingAddress(counter->pid, 1);
+  cluster.kernel(1).addressing().ForceForwardingAddress(counter->pid, 2);
+  cluster.kernel(2).addressing().ForceForwardingAddress(counter->pid, 3);
 
   {
     ClusterChecker checker(&cluster);
@@ -207,7 +207,8 @@ TEST_F(ChurnTest, DrainedRecordReclaimedAfterGraceAndLateTrafficReroutes) {
   ASSERT_TRUE(mover.ok() && local.ok());
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, mover->pid, 0, 1);
-  ASSERT_EQ(cluster.kernel(0).forwarding_meta().size(), 1u);
+  const ProcessTable::Entry* record = cluster.kernel(0).process_table().FindEntry(mover->pid);
+  ASSERT_TRUE(record != nullptr && record->gc != nullptr);
   EXPECT_EQ(cluster.TotalStat(stat::kFwdRecordsLive), 1);
 
   // Nobody held a stale link at migration time, so the peer set is empty:
@@ -217,7 +218,7 @@ TEST_F(ChurnTest, DrainedRecordReclaimedAfterGraceAndLateTrafficReroutes) {
     cluster.kernel(1).SendFromKernel(*local, kIncrement, {});
   }
   cluster.RunUntilIdle();
-  EXPECT_TRUE(cluster.kernel(0).forwarding_meta().empty());
+  EXPECT_EQ(cluster.kernel(0).process_table().FindEntry(mover->pid), nullptr);
   EXPECT_EQ(cluster.kernel(0).process_table().ForwardingAddressCount(), 0u);
   EXPECT_GE(cluster.TotalStat(stat::kFwdReclaimed), 1);
   EXPECT_EQ(cluster.TotalStat(stat::kFwdRecordsLive), 0);
@@ -250,7 +251,7 @@ TEST_F(ChurnTest, TombstoneReclaimedPastWatermarkAndLateTrafficBounces) {
   cluster.kernel(1).SendFromKernel(ProcessAddress{1, mover->pid}, MsgType::kKillProcess, {},
                                    {}, kLinkDeliverToKernel);
   cluster.RunUntilIdle();
-  EXPECT_TRUE(cluster.kernel(0).HasLocationTombstone(mover->pid));
+  EXPECT_TRUE(cluster.kernel(0).addressing().HasLocationTombstone(mover->pid));
 
   // Death markers are epoch state: past the watermark the sweeper drops them
   // (this was the PR-3 leak -- tombstones lived forever).
@@ -259,7 +260,7 @@ TEST_F(ChurnTest, TombstoneReclaimedPastWatermarkAndLateTrafficBounces) {
     cluster.kernel(1).SendFromKernel(*local, kIncrement, {});
   }
   cluster.RunUntilIdle();
-  EXPECT_FALSE(cluster.kernel(0).HasLocationTombstone(mover->pid));
+  EXPECT_FALSE(cluster.kernel(0).addressing().HasLocationTombstone(mover->pid));
   EXPECT_GE(cluster.TotalStat(stat::kTombstonesReclaimed), 1);
 
   // A straggler addressed at the home after the tombstone is gone gets a
@@ -320,8 +321,8 @@ TEST_F(ChurnTest, GossipSpreadsLocationsAndReroutesPastDeadHome) {
   // learned its location.
   EXPECT_GT(cluster.TotalStat(stat::kGossipRounds), 0);
   EXPECT_GT(cluster.TotalStat(stat::kGossipAdvanced), 0);
-  EXPECT_EQ(cluster.kernel(2).LocationHint(counter->pid), 1);
-  EXPECT_EQ(cluster.kernel(3).LocationHint(counter->pid), 1);
+  EXPECT_EQ(cluster.kernel(2).addressing().LocationHint(counter->pid), 1);
+  EXPECT_EQ(cluster.kernel(3).addressing().LocationHint(counter->pid), 1);
 
   // The creating machine dies for good.  The paper-era fallback (ask the
   // home registry) is gone; the gossip-fed registry answers instead.

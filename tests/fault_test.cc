@@ -405,7 +405,7 @@ TEST_F(FaultTest, DestinationDiesPermanentlyMidTransferSourceRollsBack) {
 
   // The reliable channel gave up on the corpse and fed the suspect list.
   EXPECT_GE(cluster.reliable()->stats().Get("rel_give_ups_m0_to_m1"), 1);
-  EXPECT_TRUE(cluster.kernel(0).IsPeerSuspect(1));
+  EXPECT_TRUE(cluster.kernel(0).addressing().IsPeerSuspect(1));
 
   // Policy refuses to re-offer toward a suspect peer -- no freeze, just a
   // kUnavailable verdict back to the requester.
@@ -453,7 +453,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyMidTransferDestinationReaps) {
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsReaped), 1);
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsAdopted), 0);
   EXPECT_EQ(TraceCount(cluster.kernel(1), trace::kDestReaped), 1);
-  EXPECT_TRUE(cluster.kernel(1).IsPeerSuspect(0));
+  EXPECT_TRUE(cluster.kernel(1).addressing().IsPeerSuspect(0));
 
   cluster.SetObserver(nullptr);
   checker.MarkMachineDead(0);  // the process legitimately died with machine 0
