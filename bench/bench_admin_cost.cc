@@ -37,12 +37,13 @@ void Run(bench::TraceSink& trace) {
     bench::StatDelta data_bytes(cluster, stat::kDataBytes);
     bench::MigrateNow(cluster, addr->pid, 0, 1);
 
-    StatsRegistry total = cluster.TotalStats();
-    const HistogramSnapshot* sizes = total.GetDistribution("admin_payload_bytes");
+    const StatTotals total = cluster.TotalStats();
+    const auto sizes = total.histograms.find("admin_payload_bytes");
     std::string size_summary = "-";
-    if (sizes != nullptr) {
-      size_summary = bench::Num(sizes->min) + "/" + bench::Num(sizes->Mean(), 1) + "/" +
-                     bench::Num(sizes->max);
+    if (sizes != total.histograms.end()) {
+      const HistogramSnapshot& h = sizes->second;
+      size_summary =
+          bench::Num(h.min) + "/" + bench::Num(h.Mean(), 1) + "/" + bench::Num(h.max);
     }
     table.Row({bench::Num(kib), bench::Num(admin.Get()), size_summary,
                bench::Num(admin_bytes.Get()), bench::Num(packets.Get()),

@@ -278,7 +278,7 @@ BENCHMARK(BM_EventQueueStep);
 
 // BENCHMARK_MAIN() expanded so --metrics-out can be peeled off before
 // google-benchmark sees (and rejects) it.  The micro benches have no parallel
-// runtime, so the export is the legacy-only fold: kernel StatsRegistry
+// runtime, so the export is the legacy-only fold: kernel StatSlab
 // counters are per-Cluster and already torn down here, but the process-wide
 // payload pipeline counters survive and are the number these benches
 // actually stress.

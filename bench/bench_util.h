@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -123,17 +124,6 @@ inline void RegisterEverything() {
   RegisterWorkloadPrograms();  // also provides the generic idle/sink/counter
 }
 
-// Cluster-wide counters and histograms (kernels + network) in the shared
-// StatsRegistry::Dump format.
-inline void DumpClusterStats(Cluster& cluster) {
-  StatsRegistry total = cluster.TotalStats();
-  total.Merge(cluster.network().stats());
-  if (cluster.reliable() != nullptr) {
-    total.Merge(cluster.reliable()->stats());
-  }
-  total.Dump(std::cout);
-}
-
 // `--trace-out=<path>` support: a bench that accepts it runs its clusters
 // with tracing enabled, merges every cluster's timeline, and writes one
 // Chrome trace_event JSON file at the end of the run.
@@ -169,7 +159,9 @@ class TraceSink {
     if (enabled()) {
       cluster.RunUntilIdle();
       Tracer total = cluster.TotalTrace();
-      BuildTraceStats(total.events(), &derived_);
+      for (const auto& [name, histogram] : BuildTraceStats(total.events())) {
+        derived_[name].Merge(histogram);
+      }
       merged_.Merge(total);
     }
   }
@@ -181,7 +173,7 @@ class TraceSink {
     }
     merged_.SortByTime();
     std::printf("\ntrace-derived histograms:\n");
-    derived_.Dump(std::cout);
+    DumpHistograms(derived_, std::cout);
     if (WriteChromeTraceFile(merged_.events(), path_)) {
       std::printf("wrote %zu trace events to %s\n", merged_.events().size(), path_.c_str());
     } else {
@@ -192,7 +184,7 @@ class TraceSink {
  private:
   std::string path_;
   Tracer merged_;
-  StatsRegistry derived_;
+  std::map<std::string, HistogramSnapshot> derived_;
 };
 
 }  // namespace bench

@@ -96,10 +96,8 @@ int Main(int argc, char** argv) {
   const Tracer total = cluster.TotalTrace();
   WriteTraceSummary(total.events(), std::cout);
 
-  StatsRegistry derived;
-  BuildTraceStats(total.events(), &derived);
   std::printf("\nderived histograms:\n");
-  derived.Dump(std::cout);
+  DumpHistograms(BuildTraceStats(total.events()), std::cout);
 
   if (!WriteChromeTraceFile(total.events(), out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path);

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/base/ids.h"
+#include "src/base/owner_add.h"
 #include "src/base/pool.h"
 
 namespace demos {
@@ -86,7 +87,7 @@ class StripedCounter {
     if (stripe == kSharedStripe) {
       value.fetch_add(n, std::memory_order_relaxed);
     } else {
-      value.store(value.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+      OwnerAdd(value, n);
     }
   }
   std::uint64_t load(std::memory_order order = std::memory_order_seq_cst) const {

@@ -11,10 +11,9 @@
 // clamped to [min, max], so it is within kHistogramRelativeError (1/32) of
 // the exact nearest-rank value -- and equal to it below 32.
 //
-// StatsRegistry's named distributions, BuildTraceStats and the MetricShard
-// slabs all use this type.  A slab histogram has one writer and any number of
-// readers: the writer records through OwnerRecord, readers copy through
-// AtomicLoad.
+// The StatSlab and MetricShard slabs and BuildTraceStats all use this type.
+// A slab histogram has one writer and any number of readers: the writer
+// records through OwnerRecord, readers copy through AtomicLoad.
 
 #ifndef DEMOS_BASE_HISTOGRAM_H_
 #define DEMOS_BASE_HISTOGRAM_H_
@@ -26,6 +25,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+
+#include "src/base/owner_add.h"
 
 namespace demos {
 
@@ -119,11 +120,8 @@ struct HistogramSnapshot {
   // taken mid-run has count == the sum of its buckets.
   void OwnerRecord(std::uint64_t value) {
     constexpr auto kRelaxed = std::memory_order_relaxed;
-    std::atomic_ref<std::uint64_t> bucket =
-        Ref(buckets[static_cast<std::size_t>(HistogramBucketOf(value))]);
-    bucket.store(bucket.load(kRelaxed) + 1, kRelaxed);
-    std::atomic_ref<std::uint64_t> total = Ref(sum);
-    total.store(total.load(kRelaxed) + value, kRelaxed);
+    OwnerAdd(Ref(buckets[static_cast<std::size_t>(HistogramBucketOf(value))]), std::uint64_t{1});
+    OwnerAdd(Ref(sum), value);
     std::atomic_ref<std::uint64_t> lo = Ref(min);
     if (value < lo.load(kRelaxed)) {
       lo.store(value, kRelaxed);

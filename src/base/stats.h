@@ -1,8 +1,10 @@
-// Named counters and histograms used for the paper's cost accounting.
+// The kernel, network and transport counters behind the paper's cost
+// accounting (Sec. 6): administrative message counts, forwarded message
+// overhead, bytes moved per migration, link-update traffic, ...
 //
-// Each kernel owns a StatsRegistry; benches read the counters after a run to
-// regenerate the Section 6 tables (administrative message counts, forwarded
-// message overhead, bytes moved per migration, link-update latency, ...).
+// Each Kernel, SimNetwork and ReliableTransport owns one StatSlab.  Benches
+// and tests read the slabs after a run (Engine::TotalStats sums the
+// kernels'), and BuildSnapshot exports them under a "kernel." prefix.
 
 #ifndef DEMOS_BASE_STATS_H_
 #define DEMOS_BASE_STATS_H_
@@ -11,21 +13,20 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <ostream>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 
 #include "src/base/histogram.h"
+#include "src/base/owner_add.h"
 
 namespace demos {
 
 // The counter catalog: every statically named counter, listed once with its
 // export name.  StatId indexes a fixed slot array, so the hot-path Add() takes
 // no string and no lock; names are used only at the edges (Get/TotalStat by
-// name, counters(), Merge, Dump).  The stat::k* string constants below are
+// name, counters(), Dump).  The stat::k* string constants below are
 // generated from the same list for readers that key on names.
 #define DEMOS_STAT_CATALOG(X)                                     \
   /* Kernel message system and migration (Sec. 2-6). */           \
@@ -84,22 +85,36 @@ namespace demos {
   X(kRelDuplicatesDropped, "rel_duplicates_dropped")              \
   X(kRelGiveUps, "rel_give_ups")
 
+// The kernel's size distributions: the payload of every migration
+// administrative message, and the three sections each migration moves.
+#define DEMOS_STAT_HISTOGRAM_CATALOG(X)             \
+  X(kAdminPayloadBytes, "admin_payload_bytes")     \
+  X(kResidentStateBytes, "resident_state_bytes")   \
+  X(kSwappableStateBytes, "swappable_state_bytes") \
+  X(kMemoryImageBytes, "memory_image_bytes")
+
 enum class StatId : std::uint8_t {
 #define DEMOS_STAT_ENUMERATOR(id, name) id,
   DEMOS_STAT_CATALOG(DEMOS_STAT_ENUMERATOR)
-#undef DEMOS_STAT_ENUMERATOR
   kNumStats,
+};
+enum class StatHistogramId : std::uint8_t {
+  DEMOS_STAT_HISTOGRAM_CATALOG(DEMOS_STAT_ENUMERATOR) kNumStatHistograms,
+#undef DEMOS_STAT_ENUMERATOR
 };
 
 inline constexpr std::size_t kNumStatIds = static_cast<std::size_t>(StatId::kNumStats);
+inline constexpr std::size_t kNumStatHistogramIds =
+    static_cast<std::size_t>(StatHistogramId::kNumStatHistograms);
 
-inline constexpr std::array<const char*, kNumStatIds> kStatNames = {
 #define DEMOS_STAT_EXPORT_NAME(id, name) name,
-    DEMOS_STAT_CATALOG(DEMOS_STAT_EXPORT_NAME)
+inline constexpr std::array<const char*, kNumStatIds> kStatNames = {
+    DEMOS_STAT_CATALOG(DEMOS_STAT_EXPORT_NAME)};
+inline constexpr std::array<const char*, kNumStatHistogramIds> kStatHistogramNames = {
+    DEMOS_STAT_HISTOGRAM_CATALOG(DEMOS_STAT_EXPORT_NAME)};
 #undef DEMOS_STAT_EXPORT_NAME
-};
 
-// Catalog entry for an export name, or nullopt for a run-time name.
+// Catalog entry for an export name, or nullopt for a name outside it.
 inline std::optional<StatId> FindStat(std::string_view name) {
   for (std::size_t i = 0; i < kNumStatIds; ++i) {
     if (name == kStatNames[i]) {
@@ -109,74 +124,80 @@ inline std::optional<StatId> FindStat(std::string_view name) {
   return std::nullopt;
 }
 
-// Thread-safety: each kernel owns one registry, but in the parallel engine
-// (src/run) shard threads increment their own registries while the caller
-// aggregates at quiescence, and cross-cutting code (benches, invariants) may
-// read any registry.  A catalog counter is a fixed slot: Add() is one relaxed
-// fetch_add plus a relaxed "touched" flag, lock-free from any thread.  Only the
-// run-time-named family (AddNamed, e.g. rel_give_ups_m<a>_to_m<b>) lives in a
-// map, guarded by a shared_mutex taken exclusively when a new name first
-// appears.  Named histograms (Record) are fixed-size HistogramSnapshots in a
-// name-keyed map behind a plain mutex; recording never allocates after a
-// name's first sample.
-class StatsRegistry {
- public:
-  StatsRegistry() = default;
-  StatsRegistry(const StatsRegistry& other) { Merge(other); }
-  StatsRegistry& operator=(const StatsRegistry& other) {
-    if (this != &other) {
-      Reset();
-      Merge(other);
-    }
-    return *this;
+// One line per histogram, in name order: n, mean, min, p50/p95/p99, max.
+inline void DumpHistograms(const std::map<std::string, HistogramSnapshot>& histograms,
+                           std::ostream& os) {
+  for (const auto& [name, h] : histograms) {
+    os << "  " << name << ": n=" << h.count << " mean=" << h.Mean() << " min=" << h.min
+       << " p50=" << h.Percentile(50) << " p95=" << h.Percentile(95)
+       << " p99=" << h.Percentile(99) << " max=" << h.max << "\n";
   }
+}
+
+// Counters and histograms of any number of slabs, summed by export name: what
+// Engine::TotalStats returns.  A plain value, taken once the writers are
+// quiescent.
+struct StatTotals {
+  std::map<std::string, std::int64_t> counters;         // touched in any slab
+  std::map<std::string, HistogramSnapshot> histograms;  // sampled in any slab
+
+  // Human-readable report: sorted counters, then histogram summaries.
+  // Shared by benches, examples, and debugging sessions so the format cannot
+  // drift between them.
+  void Dump(std::ostream& os) const {
+    for (const auto& [name, value] : counters) {
+      os << "  " << name << " = " << value << "\n";
+    }
+    DumpHistograms(histograms, os);
+  }
+};
+
+// One component's counters and histograms, in the single-writer slab form of
+// MetricShard (src/obs/metrics.h).  The owning thread -- the kernel's shard
+// in the parallel engine, the one event loop in the sequential one -- is the
+// only writer: Add is an OwnerAdd plus a "touched" flag, Record an
+// OwnerRecord.  Readers (end-of-run totals, the metrics sampler's snapshot)
+// load at any time.  A second writing thread would lose counts silently.
+class StatSlab {
+ public:
+  StatSlab() = default;
+  StatSlab(const StatSlab&) = delete;
+  StatSlab& operator=(const StatSlab&) = delete;
+  ~StatSlab() { delete histograms_.load(std::memory_order_relaxed); }
 
   void Add(StatId id, std::int64_t delta = 1) {
     Slot& slot = slots_[static_cast<std::size_t>(id)];
-    slot.value.fetch_add(delta, std::memory_order_relaxed);
+    OwnerAdd(slot.value, delta);
     if (!slot.touched.load(std::memory_order_relaxed)) {
       slot.touched.store(true, std::memory_order_relaxed);
     }
   }
 
-  // Counter whose name is only known at run time.  A catalog name is routed
-  // to its slot, so each name has exactly one home.
-  void AddNamed(std::string_view name, std::int64_t delta = 1) {
-    if (const std::optional<StatId> id = FindStat(name)) {
-      Add(*id, delta);
-      return;
+  // The histogram block (~31 KiB) is created at the first sample, so a slab
+  // that never records one costs no pages.
+  void Record(StatHistogramId id, std::uint64_t value) {
+    Histograms* block = histograms_.load(std::memory_order_relaxed);
+    if (block == nullptr) {
+      block = new Histograms();
+      histograms_.store(block, std::memory_order_release);
     }
-    FindOrCreateNamed(name)->fetch_add(delta, std::memory_order_relaxed);
+    (*block)[static_cast<std::size_t>(id)].OwnerRecord(value);
   }
 
   std::int64_t Get(StatId id) const {
     return slots_[static_cast<std::size_t>(id)].value.load(std::memory_order_relaxed);
   }
-
+  // By export name; 0 for a name outside the catalog.
   std::int64_t Get(std::string_view name) const {
-    if (const std::optional<StatId> id = FindStat(name)) {
-      return Get(*id);
-    }
-    std::shared_lock lock(named_mu_);
-    auto it = named_.find(name);
-    return it == named_.end() ? 0 : it->second.load(std::memory_order_relaxed);
+    const std::optional<StatId> id = FindStat(name);
+    return id ? Get(*id) : 0;
   }
 
-  void Record(std::string_view name, std::uint64_t value) {
-    std::lock_guard lock(distributions_mu_);
-    auto it = distributions_.find(name);
-    if (it == distributions_.end()) {
-      it = distributions_.try_emplace(std::string(name)).first;
-    }
-    it->second.Record(value);
-  }
-
-  // Pointer into the registry; stable (map nodes never move) but only safe to
-  // use once the recording threads are quiescent.
-  const HistogramSnapshot* GetDistribution(std::string_view name) const {
-    std::lock_guard lock(distributions_mu_);
-    auto it = distributions_.find(name);
-    return it == distributions_.end() ? nullptr : &it->second;
+  // Empty until the histogram's first sample.
+  HistogramSnapshot Histogram(StatHistogramId id) const {
+    const Histograms* block = histograms_.load(std::memory_order_acquire);
+    return block == nullptr ? HistogramSnapshot{}
+                            : (*block)[static_cast<std::size_t>(id)].AtomicLoad();
   }
 
   // Point-in-time snapshot of every counter touched so far, including ones
@@ -188,67 +209,19 @@ class StatsRegistry {
         out[kStatNames[i]] = slots_[i].value.load(std::memory_order_relaxed);
       }
     }
-    std::shared_lock lock(named_mu_);
-    for (const auto& [name, value] : named_) {
-      out[name] = value.load(std::memory_order_relaxed);
-    }
     return out;
   }
 
-  void Reset() {
-    for (Slot& slot : slots_) {
-      slot.value.store(0, std::memory_order_relaxed);
-      slot.touched.store(false, std::memory_order_relaxed);
-    }
-    {
-      std::unique_lock lock(named_mu_);
-      named_.clear();
-    }
-    std::lock_guard lock(distributions_mu_);
-    distributions_.clear();
-  }
-
-  // Fold another registry into this one (used to aggregate per-kernel stats
-  // into cluster-wide totals).
-  void Merge(const StatsRegistry& other) {
-    for (std::size_t i = 0; i < kNumStatIds; ++i) {
-      if (other.slots_[i].touched.load(std::memory_order_relaxed)) {
-        Add(static_cast<StatId>(i), other.slots_[i].value.load(std::memory_order_relaxed));
-      }
-    }
-    std::map<std::string, std::int64_t> named;
-    {
-      std::shared_lock lock(other.named_mu_);
-      for (const auto& [name, value] : other.named_) {
-        named[name] = value.load(std::memory_order_relaxed);
-      }
-    }
-    for (const auto& [name, value] : named) {
-      FindOrCreateNamed(name)->fetch_add(value, std::memory_order_relaxed);
-    }
-    std::map<std::string, HistogramSnapshot, std::less<>> histograms;
-    {
-      std::lock_guard lock(other.distributions_mu_);
-      histograms = other.distributions_;
-    }
-    std::lock_guard lock(distributions_mu_);
-    for (const auto& [name, histogram] : histograms) {
-      distributions_[name].Merge(histogram);
-    }
-  }
-
-  // Human-readable report: sorted counters, then histogram summaries.
-  // Shared by benches, examples, and debugging sessions so the format cannot
-  // drift between them.
-  void Dump(std::ostream& os) const {
+  // Sum this slab into `totals`.
+  void AddTo(StatTotals& totals) const {
     for (const auto& [name, value] : counters()) {
-      os << "  " << name << " = " << value << "\n";
+      totals.counters[name] += value;
     }
-    std::lock_guard lock(distributions_mu_);
-    for (const auto& [name, h] : distributions_) {
-      os << "  " << name << ": n=" << h.count << " mean=" << h.Mean() << " min=" << h.min
-         << " p50=" << h.Percentile(50) << " p95=" << h.Percentile(95)
-         << " p99=" << h.Percentile(99) << " max=" << h.max << "\n";
+    for (std::size_t i = 0; i < kNumStatHistogramIds; ++i) {
+      const HistogramSnapshot h = Histogram(static_cast<StatHistogramId>(i));
+      if (h.count > 0) {
+        totals.histograms[kStatHistogramNames[i]].Merge(h);
+      }
     }
   }
 
@@ -257,24 +230,10 @@ class StatsRegistry {
     std::atomic<std::int64_t> value{0};
     std::atomic<bool> touched{false};
   };
-
-  std::atomic<std::int64_t>* FindOrCreateNamed(std::string_view name) {
-    {
-      std::shared_lock lock(named_mu_);
-      auto it = named_.find(name);
-      if (it != named_.end()) {
-        return &it->second;
-      }
-    }
-    std::unique_lock lock(named_mu_);
-    return &named_[std::string(name)];  // value-initialized to 0 on first touch
-  }
+  using Histograms = std::array<HistogramSnapshot, kNumStatHistogramIds>;
 
   std::array<Slot, kNumStatIds> slots_{};
-  mutable std::shared_mutex named_mu_;
-  std::map<std::string, std::atomic<std::int64_t>, std::less<>> named_;
-  mutable std::mutex distributions_mu_;
-  std::map<std::string, HistogramSnapshot, std::less<>> distributions_;
+  std::atomic<Histograms*> histograms_{nullptr};
 };
 
 // Counter export names, for readers that key on names (tests, benches,

@@ -33,7 +33,7 @@ bool IsProcessSender(const ProcessAddress& sender) {
 }  // namespace
 
 Addressing::Addressing(MachineId machine, const KernelConfig& config, EventQueue& queue,
-                       ProcessTable& processes, Rng& rng, StatsRegistry& stats, Tracer& tracer,
+                       ProcessTable& processes, Rng& rng, StatSlab& stats, Tracer& tracer,
                        AddressingOutput& out)
     : machine_(machine),
       config_(config),
@@ -116,9 +116,6 @@ void Addressing::Forward(ProcessTable::Entry& entry, Message&& msg, MachineId wi
     }
   }
   msg.receiver.last_known_machine = next;
-  if (config_.forward_fault) {
-    config_.forward_fault(msg);
-  }
   SendOnward(std::move(msg), next);
 }
 
@@ -128,6 +125,9 @@ void Addressing::Forward(ProcessTable::Entry& entry, Message&& msg, MachineId wi
 // process's kernel to bring its links up to date.  Kernels have no link
 // tables, and updating in response to an update would never terminate.
 void Addressing::SendOnward(Message&& msg, MachineId next) {
+  if (config_.forward_fault) {
+    config_.forward_fault(msg);
+  }
   stats_.Add(StatId::kMsgsForwarded);
   Emit<FrEvent::kMsgForward>(msg, msg.hop_count, next);
   if (observer_ != nullptr) {

@@ -60,7 +60,7 @@ class Addressing {
   };
 
   Addressing(MachineId machine, const KernelConfig& config, EventQueue& queue,
-             ProcessTable& processes, Rng& rng, StatsRegistry& stats, Tracer& tracer,
+             ProcessTable& processes, Rng& rng, StatSlab& stats, Tracer& tracer,
              AddressingOutput& out);
   // Scheduled retry events hold `this`.
   Addressing(const Addressing&) = delete;
@@ -224,7 +224,7 @@ class Addressing {
   EventQueue& queue_;
   ProcessTable& processes_;
   Rng& rng_;
-  StatsRegistry& stats_;
+  StatSlab& stats_;
   Tracer& tracer_;
   AddressingOutput& out_;
   KernelObserver* observer_ = nullptr;

@@ -135,10 +135,10 @@ class Cluster final : public Engine {
   }
   std::size_t RunFor(SimDuration duration) { return queue_.RunFor(duration); }
 
-  // The reliable transport's rel_* counters follow the kernels' registries;
-  // they are counted nowhere else.
+  // The reliable transport's rel_* counters follow the kernels' slabs; they
+  // are counted nowhere else.
   MetricsSnapshot BuildSnapshot() const override {
-    std::vector<const StatsRegistry*> stats = KernelStats();
+    std::vector<const StatSlab*> stats = KernelStats();
     if (reliable_) {
       stats.push_back(&reliable_->stats());
     }

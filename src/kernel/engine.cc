@@ -38,10 +38,10 @@ void Engine::SetObserver(KernelObserver* observer) {
   }
 }
 
-StatsRegistry Engine::TotalStats() const {
-  StatsRegistry total;
+StatTotals Engine::TotalStats() const {
+  StatTotals total;
   for (MachineId m = 0; m < static_cast<MachineId>(size()); ++m) {
-    total.Merge(kernel(m).stats());
+    kernel(m).stats().AddTo(total);
   }
   return total;
 }
@@ -54,8 +54,8 @@ std::int64_t Engine::TotalStat(const char* name) const {
   return sum;
 }
 
-std::vector<const StatsRegistry*> Engine::KernelStats() const {
-  std::vector<const StatsRegistry*> out;
+std::vector<const StatSlab*> Engine::KernelStats() const {
+  std::vector<const StatSlab*> out;
   out.reserve(static_cast<std::size_t>(size()));
   for (MachineId m = 0; m < static_cast<MachineId>(size()); ++m) {
     out.push_back(&kernel(m).stats());

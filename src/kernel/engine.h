@@ -116,17 +116,17 @@ class Engine {
   // must outlive the engine or be detached first.
   void SetObserver(KernelObserver* observer);
 
-  // Aggregate kernel counters across the whole cluster.
-  StatsRegistry TotalStats() const;
+  // Aggregate kernel counters and histograms across the whole cluster.
+  StatTotals TotalStats() const;
   std::int64_t TotalStat(const char* name) const;
 
-  // Per-machine kernel StatsRegistry pointers, in machine order (feeds
-  // BuildSnapshot / MetricsSampler::TakeSeries).
-  std::vector<const StatsRegistry*> KernelStats() const;
+  // Per-machine kernel slabs, in machine order (feeds BuildSnapshot /
+  // MetricsSampler::TakeSeries).
+  std::vector<const StatSlab*> KernelStats() const;
 
   // One demos-metrics-v2 snapshot: engine metrics + kernel counters.  Engines
   // with more counted layers (the sequential reliable transport) override
-  // and append their registries.
+  // and append their slabs.
   virtual MetricsSnapshot BuildSnapshot() const;
 
   // Merge every layer's trace events into one time-sorted cluster timeline.

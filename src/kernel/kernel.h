@@ -11,7 +11,7 @@
 // in context.cc.  Finding a process that moved (Sec. 4-5) belongs to the
 // Addressing component the kernel owns (addressing.h).
 //
-// Instrumentation: counters go to stats_ (StatsRegistry); every logged
+// Instrumentation: counters go to stats_ (StatSlab); every logged
 // moment is one Emit<FrEvent::k...>() call against the event catalog
 // (src/obs/events.h), which feeds the tracer and the flight recorder; the
 // checker's KernelObserver hooks receive live records and sections.
@@ -73,8 +73,7 @@ class Kernel final : private AddressingOutput {
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
   const KernelConfig& config() const { return config_; }
-  StatsRegistry& stats() { return stats_; }
-  const StatsRegistry& stats() const { return stats_; }
+  const StatSlab& stats() const { return stats_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
   Addressing& addressing() { return addressing_; }
@@ -300,7 +299,7 @@ class Kernel final : private AddressingOutput {
   Transport* transport_;
   KernelConfig config_;
   Rng rng_;
-  StatsRegistry stats_;
+  StatSlab stats_;
   Tracer tracer_;
 
   ProcessTable processes_;

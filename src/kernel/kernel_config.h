@@ -109,10 +109,11 @@ struct KernelConfig {
   // Sec. 3.2).  Null means accept whenever memory allows.
   std::function<bool(const MigrateOffer&)> accept_migration;
 
-  // Test-only fault injection: mutate a message on each forwarding hop, after
-  // the next-hop patch but before transmission.  Models a buggy forwarding
-  // implementation so the chaos tests can prove the invariant checker catches
-  // one.  Null (the default) in all production configurations.
+  // Test-only fault injection: mutate a message on each forwarding hop --
+  // through a forwarding record or a registry reroute -- after the next-hop
+  // patch but before transmission.  Models a buggy forwarding implementation
+  // so the chaos tests can prove the invariant checker catches one.  Null
+  // (the default) in all production configurations.
   std::function<void(Message&)> forward_fault;
 
   // A halted kernel normally drops incoming wire frames (the crashed state;

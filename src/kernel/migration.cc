@@ -105,9 +105,9 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
   source.swappable = record.SerializeSwappableState(queue_.Now());
   source.image = record.memory.Serialize();
 
-  stats_.Record("resident_state_bytes", source.resident.size());
-  stats_.Record("swappable_state_bytes", source.swappable.size());
-  stats_.Record("memory_image_bytes", source.image.size());
+  stats_.Record(StatHistogramId::kResidentStateBytes, source.resident.size());
+  stats_.Record(StatHistogramId::kSwappableStateBytes, source.swappable.size());
+  stats_.Record(StatHistogramId::kMemoryImageBytes, source.image.size());
 
   if (observer_ != nullptr) {
     observer_->OnMigrationFrozen(machine_, destination, record, source.resident,

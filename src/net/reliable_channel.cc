@@ -55,7 +55,6 @@ void ReliableTransport::ScheduleRetransmit(MachineId src, MachineId dst, std::ui
     if (config_.max_retries != 0 && attempt > config_.max_retries) {
       DEMOS_LOG(kWarn, "rel") << "giving up on frame m" << src << "->m" << dst << " seq " << seq;
       stats_.Add(StatId::kRelGiveUps);
-      stats_.AddNamed("rel_give_ups_m" + std::to_string(src) + "_to_m" + std::to_string(dst));
       Emit<FrEvent::kGiveUp>(src, dst, seq);
       sit->second.unacked.erase(uit);
       if (on_give_up_) {

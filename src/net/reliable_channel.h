@@ -44,7 +44,7 @@ class ReliableTransport final : public Transport {
   void Attach(MachineId node, DeliveryHandler handler) override;
   void Send(MachineId src, MachineId dst, PayloadRef payload) override;
 
-  StatsRegistry& stats() { return stats_; }
+  const StatSlab& stats() const { return stats_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -101,7 +101,7 @@ class ReliableTransport final : public Transport {
   std::unordered_map<MachineId, DeliveryHandler> handlers_;
   std::unordered_map<PairKey, SenderState, PairKeyHash> senders_;
   std::unordered_map<PairKey, ReceiverState, PairKeyHash> receivers_;
-  StatsRegistry stats_;
+  StatSlab stats_;
   Tracer tracer_;
   GiveUpHandler on_give_up_;
   FlightRecorder* flight_ = nullptr;

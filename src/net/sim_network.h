@@ -66,8 +66,7 @@ class SimNetwork final : public Transport {
   }
   bool IsNodeUp(MachineId node) const { return node >= machines_.size() || !machines_[node].down; }
 
-  StatsRegistry& stats() { return stats_; }
-  const StatsRegistry& stats() const { return stats_; }
+  const StatSlab& stats() const { return stats_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -90,7 +89,7 @@ class SimNetwork final : public Transport {
     SimTime port_free_at = 0;
   };
   std::vector<Machine> machines_;  // indexed by MachineId (machine ids are dense)
-  StatsRegistry stats_;
+  StatSlab stats_;
   Tracer tracer_;
 };
 

@@ -62,7 +62,7 @@ MetricsSnapshot MetricsEngine::Snapshot() const {
 }
 
 MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
-                              const std::vector<const StatsRegistry*>& kernel_stats) {
+                              const std::vector<const StatSlab*>& kernel_stats) {
   MetricsSnapshot snap;
   if (engine != nullptr) {
     snap = engine->Snapshot();
@@ -336,7 +336,7 @@ void MetricsSampler::Loop() {
 }
 
 MetricsTimeSeries MetricsSampler::TakeSeries(
-    const std::vector<const StatsRegistry*>& kernel_stats) {
+    const std::vector<const StatSlab*>& kernel_stats) {
   Stop();
   MetricsTimeSeries series;
   series.interval_seconds = std::chrono::duration<double>(interval_).count();

@@ -4,25 +4,25 @@
 // Design rules, in order:
 //   - No shared cache lines and no locked instructions on the hot path.
 //     Each shard owns one cache-line-aligned MetricShard slab; the owning
-//     thread is its only writer, so an update is a relaxed load + store on
-//     memory no other core touches.  The one counter a foreign thread bumps,
-//     condvar_notifies (written by whoever wakes the shard), goes through
-//     IncShared, a locked add.  Readers -- the periodic sampler and
-//     end-of-run snapshots -- do relaxed loads at any time, so a snapshot
-//     taken mid-run is a coherent-enough point-in-time view without a
-//     single lock anywhere.
+//     thread is its only writer, so an update is an OwnerAdd (a relaxed
+//     load + store, src/base/owner_add.h) on memory no other core touches.
+//     The one counter a foreign thread bumps, condvar_notifies (written by
+//     whoever wakes the shard), goes through IncShared, a locked add.
+//     Readers -- the periodic sampler and end-of-run snapshots -- do relaxed
+//     loads at any time, so a snapshot taken mid-run is a coherent-enough
+//     point-in-time view without a single lock anywhere.
 //   - No string lookups on the hot path.  The metric catalogs below are
 //     X-macro lists, one entry per metric with its export name; the enums
 //     and the name tables are generated from them, as StatId is from
 //     DEMOS_STAT_CATALOG.
 //   - One histogram type.  Slab histograms are the log-linear
-//     HistogramSnapshot of src/base/histogram.h, the same type StatsRegistry
-//     and BuildTraceStats record into.
-//   - One home per counter.  BuildSnapshot() puts the kernels'
-//     StatsRegistry counters (and, for the sequential engine, the reliable
-//     transport's rel_* counters) under a "kernel." prefix and the
-//     process-wide PayloadCounters under "payload."; no catalog name below
-//     repeats a StatsRegistry name, so nothing is counted twice.
+//     HistogramSnapshot of src/base/histogram.h, the same type the kernels'
+//     StatSlabs and BuildTraceStats record into.
+//   - One home per counter.  BuildSnapshot() puts the kernels' StatSlab
+//     counters (and, for the sequential engine, the reliable transport's
+//     rel_* counters) under a "kernel." prefix and the process-wide
+//     PayloadCounters under "payload."; no catalog name below repeats a
+//     DEMOS_STAT_CATALOG name, so nothing is counted twice.
 //
 // Exports: demos-metrics-v2 JSON (final snapshot + optional sampled time
 // series) and a Prometheus-style text exposition.  docs/OBSERVABILITY.md is
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "src/base/histogram.h"
+#include "src/base/owner_add.h"
 #include "src/base/stats.h"
 
 namespace demos {
@@ -137,8 +138,7 @@ inline const char* HistogramName(HistogramId id) {
 class alignas(64) MetricShard {
  public:
   void Inc(CounterId id, std::uint64_t delta = 1) {
-    std::atomic<std::uint64_t>& counter = counters_[static_cast<std::size_t>(id)];
-    counter.store(counter.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+    OwnerAdd(counters_[static_cast<std::size_t>(id)], delta);
   }
   // Any thread: a locked add, for the one counter written from outside its
   // shard (condvar_notifies).  A counter is written through Inc or through
@@ -191,8 +191,8 @@ struct MetricsSnapshot {
   std::vector<ShardSnapshot> shards;
   ShardSnapshot total;
 
-  // StatsRegistry counters under a "kernel." prefix (index = registry;
-  // totals merged) and the process-wide payload-pipeline counters.
+  // StatSlab counters under a "kernel." prefix (index = slab; totals
+  // summed) and the process-wide payload-pipeline counters.
   std::vector<std::map<std::string, std::int64_t>> kernel_counters;
   std::map<std::string, std::int64_t> kernel_total;
   std::uint64_t payload_allocations = 0;
@@ -211,7 +211,7 @@ class MetricsEngine {
   const MetricShard& shard(int i) const { return *shards_[static_cast<std::size_t>(i)]; }
   int shards() const { return static_cast<int>(shards_.size()); }
 
-  // Runtime metrics only (no StatsRegistry counters); safe while writers run.
+  // Runtime metrics only (no StatSlab counters); safe while writers run.
   MetricsSnapshot Snapshot() const;
   // Counters and gauges of every slab, for the sampled time series.
   std::vector<ShardLevels> Levels() const;
@@ -222,13 +222,13 @@ class MetricsEngine {
   std::vector<std::unique_ptr<MetricShard>> shards_;
 };
 
-// The one snapshot API: runtime metrics plus the StatsRegistry and payload
+// The one snapshot API: runtime metrics plus the StatSlab and payload
 // counters.  `kernel_stats[i]` becomes kernel_counters[i] (null entries
-// skipped): the kernels in machine order, then any extra registry the engine
+// skipped): the kernels in machine order, then any extra slab the engine
 // owns (the sequential engine's reliable transport).  `engine` may be null
-// (registry-only snapshot, used by benches that have no metrics engine).
+// (slab-only snapshot, used by benches that have no metrics engine).
 MetricsSnapshot BuildSnapshot(const MetricsEngine* engine,
-                              const std::vector<const StatsRegistry*>& kernel_stats = {});
+                              const std::vector<const StatSlab*>& kernel_stats = {});
 
 // ---------------------------------------------------------------------------
 // demos-metrics-v2 export.
@@ -282,7 +282,7 @@ class MetricsSampler {
   void Stop();
 
   // The final snapshot of the returned series also carries `kernel_stats`.
-  MetricsTimeSeries TakeSeries(const std::vector<const StatsRegistry*>& kernel_stats = {});
+  MetricsTimeSeries TakeSeries(const std::vector<const StatSlab*>& kernel_stats = {});
 
  private:
   void Loop();

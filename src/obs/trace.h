@@ -16,9 +16,9 @@
 // the catalog in src/obs/events.h, shared with the flight recorder.  Kernel
 // and network code emit through EmitEvent (below), one call per moment for
 // both logs.  A disabled tracer records nothing and costs one branch per
-// call site.  Tracers merge cluster-wide exactly like StatsRegistry;
+// call site.  Tracers merge cluster-wide (Tracer::Merge), and
 // src/obs/trace_export.h turns the merged stream into Chrome trace_event
-// JSON, per-migration span trees, per-message lifecycles, and StatsRegistry
+// JSON, per-migration span trees, per-message lifecycles, and derived
 // histograms.
 
 #ifndef DEMOS_OBS_TRACE_H_
@@ -115,9 +115,9 @@ class Tracer {
   bool empty() const { return events_.empty(); }
   void Clear() { events_.clear(); }
 
-  // Fold another tracer's events into this one (cluster-wide aggregation,
-  // mirroring StatsRegistry::Merge).  Events from different machines
-  // interleave out of order; SortByTime() restores a global timeline.
+  // Fold another tracer's events into this one (cluster-wide aggregation).
+  // Events from different machines interleave out of order; SortByTime()
+  // restores a global timeline.
   void Merge(const Tracer& other) {
     events_.insert(events_.end(), other.events_.begin(), other.events_.end());
     syncs_.insert(syncs_.end(), other.syncs_.begin(), other.syncs_.end());

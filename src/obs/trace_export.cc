@@ -251,15 +251,16 @@ std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& even
   return out;
 }
 
-void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry) {
+std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<TraceEvent>& events) {
+  std::map<std::string, HistogramSnapshot> out;
   for (const MigrationSpan& span : BuildMigrationSpans(events)) {
     if (span.completed) {
-      registry->Record(stat::kMigrationTotalUs, span.duration());
+      out[stat::kMigrationTotalUs].Record(span.duration());
     }
     for (const MigrationPhaseSpan& phase : span.phases) {
       if (phase.valid) {
-        registry->Record(std::string("phase_") + MigrationPhaseName(phase.kind) + "_us",
-                         phase.duration());
+        out[std::string("phase_") + MigrationPhaseName(phase.kind) + "_us"].Record(
+            phase.duration());
       }
     }
   }
@@ -277,7 +278,7 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
     } else if (IsName(ev, trace::kLinkUpdateApplied)) {
       auto it = update_sent.find(ev.id);
       if (it != update_sent.end()) {
-        registry->Record(stat::kLinkUpdateLagUs, ev.ts - it->second);
+        out[stat::kLinkUpdateLagUs].Record(ev.ts - it->second);
         update_sent.erase(it);
       }
     }
@@ -285,9 +286,10 @@ void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* regis
 
   for (const MessageTrace& msg : BuildMessageTraces(events)) {
     if (msg.hops > 0) {
-      registry->Record(stat::kForwardHops, msg.hops);
+      out[stat::kForwardHops].Record(msg.hops);
     }
   }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

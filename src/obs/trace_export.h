@@ -1,5 +1,5 @@
 // Trace analysis and export: Chrome trace_event JSON, per-migration span
-// trees, per-message lifecycles, summary tables, and StatsRegistry histograms.
+// trees, per-message lifecycles, summary tables, and derived histograms.
 //
 // The kernels record *instants* (cheap, single-push); this layer pairs them
 // into spans after the fact.  Pairing is keyed on the correlation id carried
@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -83,10 +84,10 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
 // Pair message-lifecycle instants into per-message records (send order).
 std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& events);
 
-// Record the derived histograms into `registry`:
+// The derived histograms by name (those with at least one sample):
 //   stat::kMigrationTotalUs, phase_<name>_us (8x), stat::kForwardHops,
 //   stat::kLinkUpdateLagUs.
-void BuildTraceStats(const std::vector<TraceEvent>& events, StatsRegistry* registry);
+std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<TraceEvent>& events);
 
 // Chrome trace_event JSON ({"traceEvents":[...]}) loadable in chrome://tracing
 // or Perfetto.  Virtual microseconds map 1:1 to trace microseconds.  Raw

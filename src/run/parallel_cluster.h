@@ -15,9 +15,11 @@
 //   - Cross-shard effects travel exclusively as framed messages through the
 //     ShardRouter; the handler runs on the *destination* shard's thread.
 //   - The only shared-memory concurrency is PayloadRef refcounts (intrusive
-//     atomics), stats counters (relaxed atomics), the striped payload
-//     counters (one stripe per thread), and the mailbox/close/LBTS machinery
-//     in src/run, whose per-message counts live on per-shard lines.
+//     atomics), the striped payload counters (one stripe per thread), and the
+//     mailbox/close/LBTS machinery in src/run, whose per-message counts live
+//     on per-shard lines.  A kernel's StatSlab is single-writer like the rest
+//     of its state; readers from other threads (the metrics sampler, the
+//     aggregate reads below) only load it.
 //
 // No thread coordinates the shards.  A shard with nothing to do blocks on
 // the shared idle word, and the last shard to block closes the round itself

@@ -94,7 +94,7 @@ class AddressingTest : public ::testing::Test {
   EventQueue queue_;
   ProcessTable table_;
   Rng rng_{7};
-  StatsRegistry stats_;
+  StatSlab stats_;
   Tracer tracer_{kHere};
   CapturingOutput out_;
   Addressing addressing_{kHere, config_, queue_, table_, rng_, stats_, tracer_, out_};

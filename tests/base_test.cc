@@ -224,14 +224,11 @@ TEST(RngTest, ForkProducesIndependentStream) {
 }
 
 TEST(StatsTest, CountersAccumulate) {
-  StatsRegistry stats;
+  StatSlab stats;
   stats.Add(StatId::kMsgsSent);
   stats.Add(StatId::kMsgsSent, 4);
   EXPECT_EQ(stats.Get(StatId::kMsgsSent), 5);
   EXPECT_EQ(stats.Get(stat::kMsgsSent), 5);
-  stats.AddNamed("x");
-  stats.AddNamed("x", 4);
-  EXPECT_EQ(stats.Get("x"), 5);
   EXPECT_EQ(stats.Get("missing"), 0);
   EXPECT_EQ(stats.Get(StatId::kMsgsBounced), 0);
 }
@@ -240,23 +237,22 @@ TEST(StatsTest, CountersAccumulate) {
 // whose value went back to 0 (fwd_records_live takes negative deltas), stays;
 // an untouched catalog entry does not appear.
 TEST(StatsTest, CountersKeepTouchedNamesAtZero) {
-  StatsRegistry stats;
+  StatSlab stats;
   stats.Add(StatId::kMsgsBounced, 0);
   stats.Add(StatId::kFwdRecordsLive);
   stats.Add(StatId::kFwdRecordsLive, -1);
-  stats.AddNamed("rel_give_ups_m0_to_m1", 0);
-  const std::map<std::string, std::int64_t> want = {
-      {stat::kMsgsBounced, 0}, {stat::kFwdRecordsLive, 0}, {"rel_give_ups_m0_to_m1", 0}};
+  const std::map<std::string, std::int64_t> want = {{stat::kMsgsBounced, 0},
+                                                    {stat::kFwdRecordsLive, 0}};
   EXPECT_EQ(stats.counters(), want);
-  // The touched set survives a copy and a merge.
-  EXPECT_EQ(StatsRegistry(stats).counters(), want);
-  StatsRegistry merged;
-  merged.Merge(stats);
-  EXPECT_EQ(merged.counters(), want);
+  // The touched set survives summing into totals.
+  StatTotals totals;
+  stats.AddTo(totals);
+  EXPECT_EQ(totals.counters, want);
+  EXPECT_TRUE(totals.histograms.empty());
 }
 
 TEST(StatsTest, GetByNameMatchesAddByIdForEveryCatalogEntry) {
-  StatsRegistry stats;
+  StatSlab stats;
   for (std::size_t i = 0; i < kNumStatIds; ++i) {
     stats.Add(static_cast<StatId>(i), static_cast<std::int64_t>(i) + 1);
   }
@@ -272,103 +268,77 @@ TEST(StatsTest, GetByNameMatchesAddByIdForEveryCatalogEntry) {
   EXPECT_EQ(FindStat("rel_give_ups_m0_to_m1"), std::nullopt);
 }
 
-// The one run-time-named family keeps reading by name, and a catalog name
-// handed to AddNamed lands in its slot, so a name never has two homes.
-TEST(StatsTest, RunTimeNamedFamilyReadsByName) {
-  StatsRegistry stats;
-  stats.AddNamed("rel_give_ups_m0_to_m1");
-  stats.AddNamed("rel_give_ups_m0_to_m1");
-  stats.AddNamed("rel_give_ups_m2_to_m1");
-  EXPECT_EQ(stats.Get("rel_give_ups_m0_to_m1"), 2);
-  EXPECT_EQ(stats.Get("rel_give_ups_m2_to_m1"), 1);
-  stats.AddNamed(stat::kRelGiveUps, 3);
-  EXPECT_EQ(stats.Get(StatId::kRelGiveUps), 3);
-  EXPECT_EQ(stats.counters().size(), 3u);
-}
-
 TEST(StatsTest, DistributionSummary) {
-  StatsRegistry stats;
+  StatSlab stats;
+  EXPECT_EQ(stats.Histogram(StatHistogramId::kAdminPayloadBytes).count, 0u);
   for (std::uint64_t v : {1, 2, 3, 4}) {
-    stats.Record("d", v);
+    stats.Record(StatHistogramId::kAdminPayloadBytes, v);
   }
-  const HistogramSnapshot* d = stats.GetDistribution("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count, 4u);
-  EXPECT_EQ(d->sum, 10u);
-  EXPECT_DOUBLE_EQ(d->Mean(), 2.5);
-  EXPECT_EQ(d->min, 1u);
-  EXPECT_EQ(d->max, 4u);
-  EXPECT_EQ(d->Percentile(0), 1u);
-  EXPECT_EQ(d->Percentile(50), 2u);  // nearest rank: the 2nd of 4
-  EXPECT_EQ(d->Percentile(100), 4u);
+  const HistogramSnapshot d = stats.Histogram(StatHistogramId::kAdminPayloadBytes);
+  EXPECT_EQ(d.count, 4u);
+  EXPECT_EQ(d.sum, 10u);
+  EXPECT_DOUBLE_EQ(d.Mean(), 2.5);
+  EXPECT_EQ(d.min, 1u);
+  EXPECT_EQ(d.max, 4u);
+  EXPECT_EQ(d.Percentile(0), 1u);
+  EXPECT_EQ(d.Percentile(50), 2u);  // nearest rank: the 2nd of 4
+  EXPECT_EQ(d.Percentile(100), 4u);
+  // Only the sampled histogram is listed.
+  StatTotals totals;
+  stats.AddTo(totals);
   std::ostringstream dump;
-  stats.Dump(dump);
-  EXPECT_EQ(dump.str(), "  d: n=4 mean=2.5 min=1 p50=2 p95=4 p99=4 max=4\n");
+  totals.Dump(dump);
+  EXPECT_EQ(dump.str(), "  admin_payload_bytes: n=4 mean=2.5 min=1 p50=2 p95=4 p99=4 max=4\n");
 }
 
 TEST(StatsTest, MergeCombines) {
-  StatsRegistry a;
-  StatsRegistry b;
+  StatSlab a;
+  StatSlab b;
   a.Add(StatId::kMsgsSent, 2);
   b.Add(StatId::kMsgsSent, 3);
   b.Add(StatId::kMsgsBounced);
-  a.AddNamed("n", 2);
-  b.AddNamed("n", 3);
-  b.Record("d", 7);
-  a.Merge(b);
-  EXPECT_EQ(a.Get(StatId::kMsgsSent), 5);
-  EXPECT_EQ(a.Get(StatId::kMsgsBounced), 1);
-  EXPECT_EQ(a.Get("n"), 5);
-  ASSERT_NE(a.GetDistribution("d"), nullptr);
-  EXPECT_EQ(a.GetDistribution("d")->count, 1u);
-  EXPECT_EQ(a.GetDistribution("d")->max, 7u);
+  a.Record(StatHistogramId::kMemoryImageBytes, 3);
+  b.Record(StatHistogramId::kMemoryImageBytes, 7);
+  StatTotals totals;
+  a.AddTo(totals);
+  b.AddTo(totals);
+  EXPECT_EQ(totals.counters.at(stat::kMsgsSent), 5);
+  EXPECT_EQ(totals.counters.at(stat::kMsgsBounced), 1);
+  ASSERT_EQ(totals.histograms.size(), 1u);
+  const HistogramSnapshot& image = totals.histograms.at("memory_image_bytes");
+  EXPECT_EQ(image.count, 2u);
+  EXPECT_EQ(image.min, 3u);
+  EXPECT_EQ(image.max, 7u);
 }
 
-TEST(StatsTest, ResetClears) {
-  StatsRegistry stats;
-  stats.Add(StatId::kMsgsSent);
-  stats.AddNamed("n");
-  stats.Record("d", 1);
-  stats.Reset();
-  EXPECT_EQ(stats.Get(StatId::kMsgsSent), 0);
-  EXPECT_EQ(stats.Get("n"), 0);
-  EXPECT_TRUE(stats.counters().empty());
-  EXPECT_EQ(stats.GetDistribution("d"), nullptr);
-}
-
+// Totals are a plain value: later adds to the slab do not reach them.
 TEST(StatsTest, CopyTakesSnapshot) {
-  StatsRegistry a;
-  a.Add(StatId::kMsgsSent, 7);
-  a.AddNamed("n", 7);
-  a.Record("d", 1);
-  StatsRegistry b = a;
-  a.Add(StatId::kMsgsSent, 1);
-  a.AddNamed("n", 1);
-  EXPECT_EQ(b.Get(StatId::kMsgsSent), 7);
-  EXPECT_EQ(b.Get("n"), 7);
-  StatsRegistry c;
-  c.Add(StatId::kMsgsBounced);
-  c = b;  // assignment replaces, it does not merge
-  EXPECT_EQ(c.counters(), b.counters());
-  ASSERT_NE(b.GetDistribution("d"), nullptr);
-  EXPECT_EQ(b.GetDistribution("d")->count, 1u);
+  StatSlab slab;
+  slab.Add(StatId::kMsgsSent, 7);
+  slab.Record(StatHistogramId::kAdminPayloadBytes, 1);
+  StatTotals snapshot;
+  slab.AddTo(snapshot);
+  slab.Add(StatId::kMsgsSent, 1);
+  slab.Record(StatHistogramId::kAdminPayloadBytes, 1);
+  EXPECT_EQ(snapshot.counters.at(stat::kMsgsSent), 7);
+  EXPECT_EQ(snapshot.histograms.at("admin_payload_bytes").count, 1u);
+  EXPECT_EQ(slab.Get(StatId::kMsgsSent), 8);
 }
 
-// The parallel engine increments counters from every shard thread (and the
-// coordinator merges them); hammer one registry from many threads and check
-// nothing tears or is lost.
-TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
+// The single-writer contract: each slab has one writing thread (a kernel's
+// shard), and readers only load.  Several threads, each the sole writer of
+// its own slab, lose no count; the totals are exact once they are joined.
+TEST(StatsTest, OneWriterPerSlabLosesNoCount) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
-  StatsRegistry stats;
+  std::vector<StatSlab> slabs(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&stats, t] {
+    threads.emplace_back([&slab = slabs[static_cast<std::size_t>(t)]] {
       for (int i = 0; i < kPerThread; ++i) {
-        stats.Add(StatId::kMsgsSent);
-        stats.AddNamed("per_thread_" + std::to_string(t));
+        slab.Add(StatId::kMsgsSent);
         if (i % 64 == 0) {
-          stats.Record("dist", static_cast<std::uint64_t>(i));
+          slab.Record(StatHistogramId::kAdminPayloadBytes, static_cast<std::uint64_t>(i));
         }
       }
     });
@@ -376,44 +346,49 @@ TEST(StatsTest, ConcurrentIncrementsDoNotTear) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_EQ(stats.Get(StatId::kMsgsSent), kThreads * kPerThread);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(stats.Get("per_thread_" + std::to_string(t)), kPerThread);
+  StatTotals totals;
+  for (const StatSlab& slab : slabs) {
+    EXPECT_EQ(slab.Get(StatId::kMsgsSent), kPerThread);
+    slab.AddTo(totals);
   }
-  ASSERT_NE(stats.GetDistribution("dist"), nullptr);
-  EXPECT_EQ(stats.GetDistribution("dist")->count,
+  EXPECT_EQ(totals.counters.at(stat::kMsgsSent), kThreads * kPerThread);
+  EXPECT_EQ(totals.histograms.at("admin_payload_bytes").count,
             static_cast<std::uint64_t>(kThreads) * ((kPerThread + 63) / 64));
 }
 
-// A shard thread adds while another thread snapshots the registry (the
-// metrics sampler's view); TSan must see no race, and every snapshot must be
-// a plausible point in time: a monotone counter never goes backwards.
+// A shard thread adds while another thread snapshots the slab (the metrics
+// sampler's view); TSan must see no race, and every snapshot must be a
+// plausible point in time: a monotone counter never goes backwards.
 TEST(StatsTest, SnapshotWhileOneWriterAdds) {
   constexpr int kAdds = 50000;
-  StatsRegistry stats;
+  StatSlab stats;
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (int i = 0; i < kAdds; ++i) {
       stats.Add(StatId::kMsgsSent);
       stats.Add(StatId::kFwdRecordsLive, (i % 2 == 0) ? 1 : -1);
       if (i % 1000 == 0) {
-        stats.AddNamed("rel_give_ups_m0_to_m1");
+        stats.Record(StatHistogramId::kAdminPayloadBytes, static_cast<std::uint64_t>(i));
       }
     }
     done.store(true);
   });
   std::int64_t last = 0;
+  std::uint64_t last_samples = 0;
   while (!done.load()) {
     const std::map<std::string, std::int64_t> snap = stats.counters();
     auto it = snap.find(stat::kMsgsSent);
     const std::int64_t now = it == snap.end() ? 0 : it->second;
     EXPECT_GE(now, last);
     last = now;
+    const std::uint64_t samples = stats.Histogram(StatHistogramId::kAdminPayloadBytes).count;
+    EXPECT_GE(samples, last_samples);
+    last_samples = samples;
   }
   writer.join();
   EXPECT_EQ(stats.Get(StatId::kMsgsSent), kAdds);
   EXPECT_EQ(stats.Get(StatId::kFwdRecordsLive), 0);
-  EXPECT_EQ(stats.Get("rel_give_ups_m0_to_m1"), kAdds / 1000);
+  EXPECT_EQ(stats.Histogram(StatHistogramId::kAdminPayloadBytes).count, kAdds / 1000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -524,16 +499,16 @@ TEST(HistogramTest, MergeEqualsOneHistogramFedBoth) {
 }
 
 // Distribution kept every sample; the histogram has a fixed size, so a
-// million records into an existing registry entry never touch the heap.
+// million records into a slab whose histograms exist never touch the heap.
 TEST(HistogramTest, MillionRecordsLeaveMemoryUnchanged) {
-  StatsRegistry stats;
-  stats.Record("admin_payload_bytes", 9);  // creates the entry
+  StatSlab stats;
+  stats.Record(StatHistogramId::kAdminPayloadBytes, 9);  // creates the block
   const std::uint64_t before = g_heap_allocations.load();
   for (std::uint64_t i = 0; i < 1'000'000; ++i) {
-    stats.Record("admin_payload_bytes", i % 4096);
+    stats.Record(StatHistogramId::kAdminPayloadBytes, i % 4096);
   }
   EXPECT_EQ(g_heap_allocations.load() - before, 0u);
-  EXPECT_EQ(stats.GetDistribution("admin_payload_bytes")->count, 1'000'001u);
+  EXPECT_EQ(stats.Histogram(StatHistogramId::kAdminPayloadBytes).count, 1'000'001u);
 }
 
 TEST(PayloadCountersTest, ConcurrentCountsDoNotTear) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,75 @@ TEST(ClusterCheckerTest, CleanMigrationPassesAllInvariants) {
       << (violations.empty() ? std::string() : violations.front().ToString());
   EXPECT_GE(checker.tracked_messages(), 4u);
   EXPECT_EQ(checker.consumed_messages(), checker.tracked_messages());
+}
+
+// What a registry-reroute run leaves behind for the assertions below.
+struct RerouteRun {
+  std::vector<Violation> violations;
+  std::int64_t forwarded = 0;
+  std::int64_t rerouted = 0;
+  std::uint64_t applied = 0;  // increments the moved process consumed
+};
+
+// Forwarding reclaim on: m0's drained forwarding record is reclaimed, so
+// stale-addressed messages to m0 reach the moved process only through the
+// registry reroute in OnAbsentReceiver -- no hop crosses a record.
+RerouteRun RunRegistryReroutes(std::function<void(Message&)> fault) {
+  testutil::RegisterPrograms();
+  ClusterConfig config;
+  config.machines = 3;
+  config.trace_enabled = true;  // the checker keys messages by trace id
+  config.kernel.reclaim_grace_us = 10'000;
+  config.kernel.forward_fault = std::move(fault);
+  Cluster cluster(config);
+  ClusterChecker checker(&cluster);
+  cluster.SetObserver(&checker);
+
+  auto mover = cluster.kernel(0).SpawnProcess("counter");
+  auto local = cluster.kernel(0).SpawnProcess("counter");
+  EXPECT_TRUE(mover.ok() && local.ok());
+  checker.ExpectLive(mover->pid);
+  cluster.RunUntilIdle();
+  testutil::MigrateAndSettle(cluster, mover->pid, 0, 1);
+  // Past the grace window, traffic through m0 drives the reclaiming sweep.
+  cluster.RunFor(15'000);
+  for (int i = 0; i < 70; ++i) {
+    cluster.kernel(1).SendFromKernel(*local, kIncrement, {});
+  }
+  cluster.RunUntilIdle();
+  EXPECT_EQ(cluster.kernel(0).process_table().FindEntry(mover->pid), nullptr);
+
+  for (int i = 0; i < 3; ++i) {
+    cluster.kernel(2).SendFromKernel(ProcessAddress{0, mover->pid}, kIncrement, {});
+  }
+  cluster.RunUntilIdle();
+  cluster.SetObserver(nullptr);
+
+  RerouteRun run;
+  run.violations = checker.CheckAtQuiescence();
+  run.forwarded = cluster.TotalStat(stat::kMsgsForwarded);
+  run.rerouted = cluster.TotalStat(stat::kGcRerouted);
+  if (ProcessRecord* record = cluster.FindProcessAnywhere(mover->pid)) {
+    run.applied = ByteReader(record->memory.ReadData(0, 8)).U64();
+  }
+  return run;
+}
+
+TEST(ClusterCheckerTest, BrokenRegistryRerouteFlagged) {
+  // The planted forwarding bug reaches the registry reroute, and the checker
+  // catches the misrouted hops.
+  const RerouteRun broken = RunRegistryReroutes(BrokenForwarding(3).forward_fault);
+  EXPECT_GE(broken.rerouted, 1);
+  EXPECT_EQ(broken.forwarded, broken.rerouted) << "a hop crossed a forwarding record";
+  EXPECT_FALSE(broken.violations.empty()) << "the misrouted reroute went unnoticed";
+
+  // The same run without the fault: every forward is a clean reroute.
+  const RerouteRun clean = RunRegistryReroutes(nullptr);
+  EXPECT_GE(clean.rerouted, 3);
+  EXPECT_EQ(clean.forwarded, clean.rerouted) << "a hop crossed a forwarding record";
+  EXPECT_EQ(clean.applied, 3u);
+  EXPECT_TRUE(clean.violations.empty())
+      << (clean.violations.empty() ? std::string() : clean.violations.front().ToString());
 }
 
 TEST(ChaosScenarioTest, PermanentDeathScenarioIsDeterministicAndArmed) {

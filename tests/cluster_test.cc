@@ -30,8 +30,7 @@ TEST_F(ClusterTest, TotalStatsSumsAcrossKernels) {
   EXPECT_EQ(cluster.TotalStat(stat::kMsgsDelivered), sum);
   EXPECT_EQ(sum, 2);
 
-  StatsRegistry total = cluster.TotalStats();
-  EXPECT_EQ(total.Get(stat::kMsgsDelivered), sum);
+  EXPECT_EQ(cluster.TotalStats().counters.at(stat::kMsgsDelivered), sum);
 }
 
 TEST_F(ClusterTest, HostOfTracksMigration) {

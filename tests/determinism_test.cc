@@ -58,8 +58,7 @@ std::map<std::string, std::int64_t> RunScenario(std::uint64_t net_seed) {
   });
   cluster.RunFor(400'000);
 
-  StatsRegistry total = cluster.TotalStats();
-  std::map<std::string, std::int64_t> counters = total.counters();
+  std::map<std::string, std::int64_t> counters = cluster.TotalStats().counters;
   // Fold in delivery results so payload contents are covered too.
   for (std::size_t i = 0; i < clients.size(); ++i) {
     FsClientResults results = testutil::ReadFsClientResults(cluster, clients[i]);
@@ -106,8 +105,7 @@ TEST_F(DeterminismTest, LossyRunsAreRepeatableToo) {
     (void)cluster.kernel(0).StartMigration(counter->pid, 1,
                                            cluster.kernel(0).kernel_address());
     cluster.RunUntilIdle();
-    StatsRegistry total = cluster.TotalStats();
-    auto counters = total.counters();
+    auto counters = cluster.TotalStats().counters;
     counters["retransmits"] = cluster.reliable()->stats().Get(stat::kRelRetransmits);
     counters["final_time"] = static_cast<std::int64_t>(cluster.queue().Now());
     return counters;

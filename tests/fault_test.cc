@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
@@ -403,8 +404,12 @@ TEST_F(FaultTest, DestinationDiesPermanentlyMidTransferSourceRollsBack) {
   EXPECT_GE(TraceCount(cluster.kernel(0), trace::kWatchdogTimeout), 1);
   EXPECT_GE(TraceCount(cluster.kernel(0), trace::kCancelSent), 1);
 
-  // The reliable channel gave up on the corpse and fed the suspect list.
-  EXPECT_GE(cluster.reliable()->stats().Get("rel_give_ups_m0_to_m1"), 1);
+  // The reliable channel gave up on the corpse -- a give_up on the m0 -> m1
+  // link -- and fed the suspect list.
+  const std::vector<TraceEvent>& rel_events = cluster.reliable()->tracer().events();
+  EXPECT_TRUE(std::any_of(rel_events.begin(), rel_events.end(), [](const TraceEvent& ev) {
+    return std::string_view(ev.name) == trace::kGiveUp && ev.machine == 0 && ev.arg0 == 1;
+  }));
   EXPECT_TRUE(cluster.kernel(0).addressing().IsPeerSuspect(1));
 
   // Policy refuses to re-offer toward a suspect peer -- no freeze, just a

@@ -1,7 +1,7 @@
 // Tests for the shard-level observability layer (src/obs): the metrics
 // engine's catalog/histograms/snapshots (including a snapshot-under-write
 // stress that TSan must pass), the flight recorder's ring semantics and
-// deterministic dumps, the hub's trigger latch, the StatsRegistry /
+// deterministic dumps, the hub's trigger latch, the StatSlab /
 // PayloadCounters sections of a snapshot (each counter in one home), the
 // exporters, and the parallel-trace clock normalization.
 
@@ -410,12 +410,12 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// StatsRegistry counters in the snapshot: one home per counter.
+// StatSlab counters in the snapshot: one home per counter.
 // ---------------------------------------------------------------------------
 
 TEST(BuildSnapshot, FoldsLegacyRegistriesWithoutDoubleCounting) {
-  StatsRegistry kernel0;
-  StatsRegistry kernel1;
+  StatSlab kernel0;
+  StatSlab kernel1;
   kernel0.Add(StatId::kMsgsSent, 7);
   kernel1.Add(StatId::kMsgsSent, 5);
   kernel1.Add(StatId::kMsgsForwarded, 2);
@@ -460,7 +460,7 @@ std::size_t CountOccurrences(const std::string& text, const std::string& needle)
 
 // A lossy sequential run with metrics on: every rel_* fact the reliable
 // transport counts appears once in the snapshot and once in the exported
-// totals, equal to the transport's own registry, and no name is shared
+// totals, equal to the transport's own slab, and no name is shared
 // between the runtime counters and the kernel section.
 TEST(BuildSnapshot, RelCountersHaveOneHome) {
   testutil::RegisterPrograms();
@@ -492,8 +492,8 @@ TEST(BuildSnapshot, RelCountersHaveOneHome) {
   for (const auto& [name, value] : rel) {
     const std::string canonical = "kernel." + name;
     int homes = 0;
-    for (const auto& registry : snap.kernel_counters) {
-      homes += static_cast<int>(registry.count(canonical));
+    for (const auto& slab : snap.kernel_counters) {
+      homes += static_cast<int>(slab.count(canonical));
     }
     EXPECT_EQ(homes, 1) << name;
     EXPECT_EQ(snap.kernel_total.at(canonical), value) << name;
@@ -712,7 +712,7 @@ TEST_F(ObservabilityIntegrationTest, ParallelRunPopulatesMetricsAndRecorder) {
   // Quiescent cluster: all depth gauges drained to zero.
   EXPECT_EQ(snap.total.gauges[static_cast<int>(GaugeId::kMailboxDepth)], 0);
   EXPECT_EQ(snap.total.gauges[static_cast<int>(GaugeId::kSpillDepth)], 0);
-  // Kernel registries folded alongside.
+  // Kernel slabs folded alongside.
   EXPECT_GT(snap.kernel_total.at("kernel.msgs_sent"), 0);
 
   // The always-on recorder saw mailbox traffic but nothing latched a trigger.

@@ -62,12 +62,12 @@ TEST_F(MigrationTest, AdminPayloadsAreSmall) {
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, addr->pid, 0, 1);
 
-  StatsRegistry total = cluster.TotalStats();
-  const HistogramSnapshot* sizes = total.GetDistribution("admin_payload_bytes");
-  ASSERT_NE(sizes, nullptr);
-  EXPECT_EQ(sizes->count, 9u);
-  EXPECT_GE(sizes->min, 6u);
-  EXPECT_LE(sizes->max, 24u);
+  const StatTotals total = cluster.TotalStats();
+  ASSERT_EQ(total.histograms.count("admin_payload_bytes"), 1u);
+  const HistogramSnapshot& sizes = total.histograms.at("admin_payload_bytes");
+  EXPECT_EQ(sizes.count, 9u);
+  EXPECT_GE(sizes.min, 6u);
+  EXPECT_LE(sizes.max, 24u);
 }
 
 TEST_F(MigrationTest, ThreeDataMovesPerMigration) {
@@ -78,21 +78,22 @@ TEST_F(MigrationTest, ThreeDataMovesPerMigration) {
   ASSERT_TRUE(addr.ok());
   cluster.RunUntilIdle();
 
-  StatsRegistry before = cluster.TotalStats();
+  const std::int64_t data_before = cluster.TotalStat(stat::kDataBytes);
   testutil::MigrateAndSettle(cluster, addr->pid, 0, 1);
-  StatsRegistry after = cluster.TotalStats();
+  const StatTotals after = cluster.TotalStats();
 
-  const HistogramSnapshot* resident = after.GetDistribution("resident_state_bytes");
-  const HistogramSnapshot* swappable = after.GetDistribution("swappable_state_bytes");
-  const HistogramSnapshot* image = after.GetDistribution("memory_image_bytes");
-  ASSERT_NE(resident, nullptr);
-  ASSERT_NE(swappable, nullptr);
-  ASSERT_NE(image, nullptr);
-  EXPECT_EQ(resident->count, 1u);
-  EXPECT_GT(image->min, 2048u + 1024 + 512 - 1);
+  for (const char* section : {"resident_state_bytes", "swappable_state_bytes",
+                              "memory_image_bytes"}) {
+    ASSERT_EQ(after.histograms.count(section), 1u) << section;
+  }
+  const HistogramSnapshot& resident = after.histograms.at("resident_state_bytes");
+  const HistogramSnapshot& swappable = after.histograms.at("swappable_state_bytes");
+  const HistogramSnapshot& image = after.histograms.at("memory_image_bytes");
+  EXPECT_EQ(resident.count, 1u);
+  EXPECT_GT(image.min, 2048u + 1024 + 512 - 1);
   // All bytes arrived: data bytes >= the three sections.
-  const std::int64_t moved = after.Get(stat::kDataBytes) - before.Get(stat::kDataBytes);
-  EXPECT_GE(moved, static_cast<std::int64_t>(resident->sum + swappable->sum + image->sum));
+  const std::int64_t moved = after.counters.at(stat::kDataBytes) - data_before;
+  EXPECT_GE(moved, static_cast<std::int64_t>(resident.sum + swappable.sum + image.sum));
 }
 
 TEST_F(MigrationTest, CounterStateIsTransparentAcrossMigration) {

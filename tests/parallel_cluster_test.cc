@@ -601,12 +601,24 @@ struct RingEndState {
   std::map<std::uint64_t, MachineId> link_target;  // node -> where its next-link points
   std::map<std::uint64_t, std::uint32_t> migrations;  // node -> chained hops done
   std::int64_t delivered = 0;
+  // Per-machine msgs_delivered at the end, and the part of it the probe
+  // rounds added (index = machine).
+  std::vector<std::int64_t> delivered_by_machine;
+  std::vector<std::int64_t> probe_delivered_by_machine;
   std::int64_t bounced = 0;
   std::int64_t tokens_seen = 0;  // program-level exactly-once count
 };
 
 std::uint64_t PidKey(const ProcessId& pid) {
   return (static_cast<std::uint64_t>(pid.creating_machine) << 32) | pid.local_id;
+}
+
+std::vector<std::int64_t> DeliveredByMachine(const Engine& engine) {
+  std::vector<std::int64_t> out;
+  for (MachineId m = 0; m < static_cast<MachineId>(engine.size()); ++m) {
+    out.push_back(engine.kernel(m).stats().Get(StatId::kMsgsDelivered));
+  }
+  return out;
 }
 
 RingEndState CaptureEndState(Engine& engine, const std::vector<TokenRing>& rings) {
@@ -629,6 +641,7 @@ RingEndState CaptureEndState(Engine& engine, const std::vector<TokenRing>& rings
     }
   }
   state.delivered = engine.TotalStat(stat::kMsgsDelivered);
+  state.delivered_by_machine = DeliveredByMachine(engine);
   state.bounced = engine.TotalStat(stat::kMsgsBounced);
   return state;
 }
@@ -642,6 +655,7 @@ RingEndState RunWorkload(Engine& engine, const TokenRingSpec& spec, int probe_ro
   EXPECT_FALSE(rings.empty());
   KickTokenRings(engine, rings, spec.tokens_per_node, spec.hops_per_token);
   EXPECT_TRUE(engine.RunUntilSettled(20'000'000).settled) << "workload did not settle";
+  const std::vector<std::int64_t> settled = DeliveredByMachine(engine);
   for (int round = 0; round < probe_rounds; ++round) {
     Engine* e = &engine;
     engine.Execute(0, [e, &rings, payload = MakeKickPayload(1, 0)] {
@@ -654,6 +668,9 @@ RingEndState RunWorkload(Engine& engine, const TokenRingSpec& spec, int probe_ro
     EXPECT_TRUE(engine.RunUntilSettled(20'000'000).settled) << "probe round did not settle";
   }
   RingEndState state = CaptureEndState(engine, rings);
+  for (std::size_t m = 0; m < settled.size(); ++m) {
+    state.probe_delivered_by_machine.push_back(state.delivered_by_machine[m] - settled[m]);
+  }
   if (rings_out != nullptr) {
     *rings_out = std::move(rings);
   }
@@ -686,6 +703,12 @@ TEST_P(EngineEquivalenceTest, StaticRingsMatchGroundTruth) {
 
   EXPECT_EQ(state.delivered, ExpectedRingDeliveries(spec));
   EXPECT_EQ(state.bounced, 0);
+  // Per machine, not only in total: each kernel's msgs_delivered matches the
+  // sequential engine's.  A slab written from a second thread would lose
+  // counts here, and TSan cannot see that.
+  const RingEndState reference =
+      RunWorkload(*MakeEngine(EngineKind::kSequential, machines), spec, /*probe_rounds=*/0);
+  EXPECT_EQ(state.delivered_by_machine, reference.delivered_by_machine);
   // With no migrations the ground truth is the spawn layout itself: every
   // node stays home and every next-link still names the successor's spawn
   // machine.
@@ -721,6 +744,14 @@ TEST_P(EngineEquivalenceTest, ChainedMigrationsAndStaleLinksMatchGroundTruth) {
   // uses the program-level reception counter, which every engine must match.
   EXPECT_EQ(state.tokens_seen, ExpectedTokenReceptions(spec, probe_rounds));
   EXPECT_EQ(state.bounced, 0);
+  // Per-machine msgs_delivered against the sequential engine's, over the
+  // probe rounds: with every migration done, each delivery lands on the
+  // receiver's final host whatever the timing, so the split is exact (the
+  // migration phase's split is not, for the reason above).  A slab written
+  // from a second thread would lose counts here, and TSan cannot see that.
+  const RingEndState reference =
+      RunWorkload(*MakeEngine(EngineKind::kSequential, machines), spec, probe_rounds);
+  EXPECT_EQ(state.probe_delivered_by_machine, reference.probe_delivered_by_machine);
 
   // Ground truth: every node chained exactly migrate_count hops of +1 from
   // its spawn machine, and after the probe rounds each node's next-link has
