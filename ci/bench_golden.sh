@@ -3,13 +3,17 @@
 # in BUILD_DIR, run each, and diff its stdout against ci/golden/<bench>.txt.
 # The two examples that print the counter and histogram dumps are held to
 # the same rule: quickstart's stdout, and migration_timeline's stdout and
-# Chrome trace.  Any byte of difference fails.  Run from the repository root:
+# Chrome trace.  So is the chaos sweep's per-seed verdict: `chaos_fuzz
+# --seeds=100 --verbose` stdout in the four sequential modes (plain,
+# permadeath, churn, churn+permadeath) against ci/golden/chaos_<mode>.txt;
+# its stderr log lines are not compared.  Any byte of difference fails.  Run
+# from the repository root:
 #
 #   ci/bench_golden.sh build
 #
 # A change that is meant to move a table regenerates its golden file with
-# `build/bench/<bench> > ci/golden/<bench>.txt` (for the examples, run them
-# as below) and says why in CHANGES.md.
+# `build/bench/<bench> > ci/golden/<bench>.txt` (for the examples and the
+# chaos sweeps, run them as below) and says why in CHANGES.md.
 set -uo pipefail
 
 BENCHES="bench_admin_cost bench_state_size bench_transfer_cost bench_forwarding
@@ -17,10 +21,11 @@ BENCHES="bench_admin_cost bench_state_size bench_transfer_cost bench_forwarding
          bench_server_migration bench_pending_queue bench_fault_recovery
          bench_perturbation bench_gc"
 EXAMPLES="quickstart migration_timeline"
+CHAOS_MODES="plain permadeath churn churn_permadeath"
 build_dir=${1:?usage: ci/bench_golden.sh BUILD_DIR}
 
 # shellcheck disable=SC2086  # the lists are meant to split
-cmake --build "$build_dir" -j "$(nproc)" --target $BENCHES $EXAMPLES || exit 1
+cmake --build "$build_dir" -j "$(nproc)" --target $BENCHES $EXAMPLES chaos_fuzz || exit 1
 golden=ci/golden
 status=0
 # check NAME GOLDEN_FILE ACTUAL_FILE
@@ -50,4 +55,15 @@ check quickstart "$golden/quickstart.txt" "$scratch/quickstart.txt"
 check migration_timeline "$golden/migration_timeline.txt" "$scratch/migration_timeline.txt"
 check "migration_timeline trace" "$golden/migration_timeline_trace.json" \
   "$scratch/migration_timeline.trace.json"
+
+# chaos_<mode>: the mode name spells its flags, "plain" none.
+for mode in $CHAOS_MODES; do
+  flags=""
+  [[ $mode == *churn* ]] && flags+=" --churn"
+  [[ $mode == *permadeath* ]] && flags+=" --permadeath"
+  # shellcheck disable=SC2086  # the flags are meant to split
+  "$build_dir/tools/chaos_fuzz" --seeds=100 --verbose $flags \
+    > "$scratch/chaos_$mode.txt" 2> /dev/null
+  check "chaos_fuzz $mode" "$golden/chaos_$mode.txt" "$scratch/chaos_$mode.txt"
+done
 exit $status

@@ -182,11 +182,11 @@ struct ChaosResult {
   int probe_rounds = 0;           // rounds until convergence
   std::size_t events_executed = 0;
   std::uint64_t messages_tracked = 0;
-  std::vector<TraceEvent> trace;  // full cluster timeline (collect_trace)
+  std::vector<EventRecord> trace;  // full cluster timeline (collect_trace)
   // Merged flight-recorder window (collect_flight) and the latched dump
   // reason: the first of watchdog adopt/cancel/reap or "invariant failure".
   // Null trigger = nothing went wrong.
-  std::vector<FlightRecord> flight;
+  std::vector<EventRecord> flight;
   const char* flight_trigger = nullptr;
   std::vector<std::uint64_t> suspect_trace_ids;
   std::vector<ProcessId> suspect_pids;

@@ -33,15 +33,15 @@ bool IsProcessSender(const ProcessAddress& sender) {
 }  // namespace
 
 Addressing::Addressing(MachineId machine, const KernelConfig& config, EventQueue& queue,
-                       ProcessTable& processes, Rng& rng, StatSlab& stats, Tracer& tracer,
-                       AddressingOutput& out)
+                       ProcessTable& processes, Rng& rng, StatSlab& stats,
+                       const KernelEvents& events, AddressingOutput& out)
     : machine_(machine),
       config_(config),
       queue_(queue),
       processes_(processes),
       rng_(rng),
       stats_(stats),
-      tracer_(tracer),
+      events_(events),
       out_(out) {}
 
 void Addressing::Send(const ProcessAddress& to, MsgType type, PayloadRef payload) {
@@ -66,7 +66,7 @@ void Addressing::ReportNotDeliverable(const ProcessAddress& sender, MsgType type
 
 void Addressing::NoteBounce(const Message& msg) {
   stats_.Add(StatId::kMsgsBounced);
-  Emit<FrEvent::kMsgBounce>(msg, static_cast<std::uint64_t>(msg.type));
+  events_.Emit<FrEvent::kMsgBounce>(msg, static_cast<std::uint64_t>(msg.type));
   if (observer_ != nullptr) {
     observer_->OnMessageBounce(machine_, msg);
   }
@@ -129,7 +129,7 @@ void Addressing::SendOnward(Message&& msg, MachineId next) {
     config_.forward_fault(msg);
   }
   stats_.Add(StatId::kMsgsForwarded);
-  Emit<FrEvent::kMsgForward>(msg, msg.hop_count, next);
+  events_.Emit<FrEvent::kMsgForward>(msg, msg.hop_count, next);
   if (observer_ != nullptr) {
     observer_->OnMessageForward(machine_, msg, msg.receiver.last_known_machine);
   }
@@ -150,12 +150,12 @@ void Addressing::SendOnward(Message&& msg, MachineId next) {
   update.flags = kLinkDeliverToKernel;
   update.type = MsgType::kLinkUpdate;
   update.payload = w.Take();
-  if (tracer_.enabled()) {
+  if (events_.tracer().enabled()) {
     // Pre-stamp the trace id so the send and the eventual apply (at the
     // sender's kernel) pair up into the link-update-lag histogram.
-    update.trace_id = tracer_.NextMessageTraceId();
+    update.trace_id = events_.tracer().NextMessageTraceId();
   }
-  Emit<FrEvent::kLinkUpdateSent>(update.trace_id, migrated, 0, next);
+  events_.Emit<FrEvent::kLinkUpdateSent>(update.trace_id, migrated, 0, next);
   stats_.Add(StatId::kLinkUpdateMsgs);
   out_.Transmit(std::move(update));
 }
@@ -168,7 +168,7 @@ void Addressing::HandleLinkUpdate(ProcessRecord& record, const Message& msg) {
   if (patched > 0) {
     stats_.Add(StatId::kLinksPatched, patched);
   }
-  Emit<FrEvent::kLinkUpdateApplied>(msg, static_cast<std::uint64_t>(patched));
+  events_.Emit<FrEvent::kLinkUpdateApplied>(msg, static_cast<std::uint64_t>(patched));
   // Ack the forwarder so it can retire this machine from the record's
   // unresolved-peer set (epoch reclamation); without the ack the record lives
   // until the churn-epoch watermark.
@@ -493,7 +493,7 @@ void Addressing::OnDeparted(const ProcessId& pid, MachineId destination,
   if (config_.delivery_mode == KernelConfig::DeliveryMode::kForwarding) {
     InstallForwardingRecord(pid, destination, next_version, std::move(stale_peers));
     stats_.Add(StatId::kForwardingAddresses);
-    Emit<FrEvent::kForwardingInstalled>(pid, destination);
+    events_.Emit<FrEvent::kForwardingInstalled>(pid, destination);
   } else {
     processes_.Erase(pid);
   }
@@ -534,7 +534,7 @@ void Addressing::OnPeerGiveUp(MachineId peer) {
   const std::uint32_t shift = std::min<std::uint32_t>(suspicion.strikes - 1, 6);
   suspicion.until = std::max(suspicion.until, queue_.Now() + (kSuspectBackoffUs << shift));
   stats_.Add(StatId::kPeersSuspected);
-  Emit<FrEvent::kPeerSuspected>(peer, ProcessId{}, peer, suspicion.until);
+  events_.Emit<FrEvent::kPeerSuspected>(peer, ProcessId{}, peer, suspicion.until);
   DEMOS_LOG(kInfo, "migrate") << "m" << machine_ << ": suspecting m" << peer << " (strike "
                               << suspicion.strikes << ")";
 }
@@ -558,7 +558,7 @@ void Addressing::CollapseChain(const ProcessRecord& record, const Message& msg) 
     if (via == machine_ || via == kNoMachine) {
       continue;
     }
-    Emit<FrEvent::kChainCollapse>(pid, via);
+    events_.Emit<FrEvent::kChainCollapse>(pid, via);
     SendChainCollapse(via, pid, machine_, version);
   }
 }
@@ -686,7 +686,7 @@ void Addressing::Sweep() {
   }
 
   if (records_reclaimed != 0 || tombstones_reclaimed != 0) {
-    Emit<FrEvent::kFwdReclaim>(0, ProcessId{}, records_reclaimed, tombstones_reclaimed);
+    events_.Emit<FrEvent::kFwdReclaim>(0, ProcessId{}, records_reclaimed, tombstones_reclaimed);
   }
   last_sweep_ = now;
 }
@@ -794,7 +794,7 @@ void Addressing::FlushGossip() {
   stats_.Add(StatId::kGossipRounds);
   for (MachineId peer : targets) {
     stats_.Add(StatId::kGossipRumors, static_cast<std::int64_t>(triples.size()));
-    Emit<FrEvent::kGossip>(0, ProcessId{}, peer, triples.size());
+    events_.Emit<FrEvent::kGossip>(0, ProcessId{}, peer, triples.size());
     Send(KernelAddress(peer), MsgType::kGossip, payload);
   }
 }
@@ -878,7 +878,7 @@ void Addressing::Probe(const ProcessId& pid, std::uint32_t attempts, std::uint32
   const MachineId target = PickLocateTarget(attempts, pid);
   if (retry) {
     stats_.Add(StatId::kLocateRetries);
-    Emit<FrEvent::kLocateRetry>(pid, target, attempts);
+    events_.Emit<FrEvent::kLocateRetry>(pid, target, attempts);
   }
   ByteWriter w;
   w.Pid(pid);

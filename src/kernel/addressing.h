@@ -8,7 +8,8 @@
 // it was ever heard from, and must not become a gossip target then.
 //
 // Inputs come from the owning kernel; outputs go through AddressingOutput.  It
-// draws from the kernel's Rng and writes the kernel's counters and event sinks.
+// draws from the kernel's Rng, writes the kernel's counters and emits through
+// the kernel's KernelEvents.
 
 #ifndef DEMOS_KERNEL_ADDRESSING_H_
 #define DEMOS_KERNEL_ADDRESSING_H_
@@ -25,11 +26,42 @@
 #include "src/kernel/message.h"
 #include "src/kernel/observer.h"
 #include "src/kernel/process.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
 namespace demos {
+
+// A kernel's event point (src/obs/events.h), shared by the kernel and its
+// Addressing: each Emit stamps the kernel's clock and machine into the
+// kernel's tracer, which feeds the flight ring it holds for ring rows.
+// Subjects: a process (correlated on its migration span), a message (on its
+// trace id), or an explicit id/pid.
+class KernelEvents {
+ public:
+  KernelEvents(Tracer& tracer, const EventQueue& queue, MachineId machine)
+      : tracer_(tracer), queue_(queue), machine_(machine) {}
+
+  Tracer& tracer() const { return tracer_; }
+
+  template <FrEvent E>
+  void Emit(std::uint64_t id, const ProcessId& pid, std::uint64_t a = 0,
+            std::uint64_t b = 0) const {
+    EmitEvent<E>(tracer_, queue_.Now(), machine_, id, pid, a, b);
+  }
+  template <FrEvent E>
+  void Emit(const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) const {
+    Emit<E>(MigrationSpanId(pid), pid, a, b);
+  }
+  template <FrEvent E>
+  void Emit(const Message& msg, std::uint64_t a = 0, std::uint64_t b = 0) const {
+    Emit<E>(msg.trace_id, msg.receiver.pid, a, b);
+  }
+
+ private:
+  Tracer& tracer_;
+  const EventQueue& queue_;
+  MachineId machine_;
+};
 
 // What Addressing needs from its owner.
 class AddressingOutput {
@@ -60,14 +92,13 @@ class Addressing {
   };
 
   Addressing(MachineId machine, const KernelConfig& config, EventQueue& queue,
-             ProcessTable& processes, Rng& rng, StatSlab& stats, Tracer& tracer,
+             ProcessTable& processes, Rng& rng, StatSlab& stats, const KernelEvents& events,
              AddressingOutput& out);
   // Scheduled retry events hold `this`.
   Addressing(const Addressing&) = delete;
   Addressing& operator=(const Addressing&) = delete;
 
   void SetObserver(KernelObserver* observer) { observer_ = observer; }
-  void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
 
   // ---- Inputs. ----
 
@@ -171,19 +202,6 @@ class Addressing {
     std::uint32_t generation = 0;
   };
 
-  template <FrEvent E>
-  void Emit(std::uint64_t id, const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) {
-    EmitEvent<E>(tracer_, flight_, queue_.Now(), machine_, id, pid, a, b);
-  }
-  template <FrEvent E>
-  void Emit(const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) {
-    Emit<E>(MigrationSpanId(pid), pid, a, b);
-  }
-  template <FrEvent E>
-  void Emit(const Message& msg, std::uint64_t a = 0, std::uint64_t b = 0) {
-    Emit<E>(msg.trace_id, msg.receiver.pid, a, b);
-  }
-
   const LocationEntry* FindLocation(const ProcessId& pid) const {
     auto it = registry_.find(pid);
     return it == registry_.end() ? nullptr : &it->second;
@@ -225,10 +243,9 @@ class Addressing {
   ProcessTable& processes_;
   Rng& rng_;
   StatSlab& stats_;
-  Tracer& tracer_;
+  const KernelEvents& events_;
   AddressingOutput& out_;
   KernelObserver* observer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
 
   // Versioned by migration count: registrations from successive destinations
   // travel from different machines, so transport order cannot sequence them.

@@ -80,7 +80,7 @@ class Cluster final : public Engine {
       if (config.trace_enabled) {
         reliable_->tracer().Enable();
       }
-      reliable_->SetFlightRecorder(flight_ ? &flight_->recorder(config.machines) : nullptr);
+      reliable_->tracer().set_ring(flight_ ? &flight_->recorder(config.machines) : nullptr);
     }
     kernels_.reserve(static_cast<std::size_t>(config.machines));
     for (int i = 0; i < config.machines; ++i) {

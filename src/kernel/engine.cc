@@ -28,7 +28,7 @@ void WireKernelObservability(const EngineConfig& core, Kernel& kernel,
     kernel.tracer().Enable();
   }
   if (flight != nullptr && slot < flight->shards()) {
-    kernel.SetFlightRecorder(&flight->recorder(slot));
+    kernel.tracer().set_ring(&flight->recorder(slot));
   }
 }
 

@@ -20,7 +20,8 @@ Kernel::Kernel(MachineId machine, EventQueue* queue, Transport* transport, Kerne
       config_(config),
       rng_(config.seed ^ (0x9E3779B9ull * (machine + 1))),
       tracer_(machine),
-      addressing_(machine, config_, *queue, processes_, rng_, stats_, tracer_, *this) {
+      events_(tracer_, *queue, machine),
+      addressing_(machine, config_, *queue, processes_, rng_, stats_, events_, *this) {
   transport_->Attach(machine_, [this](MachineId src, PayloadRef wire) {
     OnWireDelivery(src, std::move(wire));
   });
@@ -117,11 +118,11 @@ void Kernel::Transmit(Message&& msg) {
     // messages keep the id they were born with.
     if (msg.trace_id == 0) {
       msg.trace_id = tracer_.NextMessageTraceId();
-      Emit<FrEvent::kMsgSend>(msg, static_cast<std::uint64_t>(msg.type), msg.WireSize());
+      events_.Emit<FrEvent::kMsgSend>(msg, static_cast<std::uint64_t>(msg.type), msg.WireSize());
       if (msg.type == MsgType::kMigrateRequest) {
         // Step 1 of Sec. 3.1 starts here, on the requester's kernel.
-        Emit<FrEvent::kRequestSent>(msg.receiver.pid,
-                                    static_cast<std::uint64_t>(msg.receiver.last_known_machine));
+        events_.Emit<FrEvent::kRequestSent>(
+            msg.receiver.pid, static_cast<std::uint64_t>(msg.receiver.last_known_machine));
       }
       if (observer_ != nullptr) {
         observer_->OnMessageSend(machine_, msg);
@@ -232,7 +233,7 @@ void Kernel::EnqueueLocal(ProcessRecord& record, Message&& msg) {
 void Kernel::DeliverToProcess(ProcessRecord& record, Message&& msg) {
   addressing_.OnDeliver(record, msg);
   stats_.Add(StatId::kMsgsDelivered);
-  Emit<FrEvent::kMsgDeliver>(msg, msg.hop_count);
+  events_.Emit<FrEvent::kMsgDeliver>(msg, msg.hop_count);
   EnqueueLocal(record, std::move(msg));
   MaybeScheduleDispatch(record);
 }

@@ -38,7 +38,6 @@
 #include "src/kernel/observer.h"
 #include "src/kernel/process.h"
 #include "src/net/transport.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "src/proc/program.h"
 #include "src/sim/event_queue.h"
@@ -60,15 +59,6 @@ class Kernel final : private AddressingOutput {
   void SetObserver(KernelObserver* observer) {
     observer_ = observer;
     addressing_.SetObserver(observer);
-  }
-  // Attach this kernel's shard-local flight recorder (src/obs).  Not owned;
-  // null detaches.  Catalog rows flagged for the ring (migration edges,
-  // watchdog verdicts, suspect-list updates, addressing) land in it; all are
-  // recorded from this kernel's own thread, preserving the recorder's
-  // single-writer contract.
-  void SetFlightRecorder(FlightRecorder* flight) {
-    flight_ = flight;
-    addressing_.SetFlightRecorder(flight);
   }
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
@@ -277,30 +267,18 @@ class Kernel final : private AddressingOutput {
   // Kernel service messages (kernel.cc).
   void HandleCreateProcess(const Message& msg);
 
-  // ---- Event points (src/obs/events.h): one call per moment feeds the
-  // tracer when it is enabled and, for rows flagged for the ring, the flight
-  // recorder when one is attached.  Subjects: a process (correlated on its
-  // migration span), a message (on its trace id), or an explicit id/pid. ----
-  template <FrEvent E>
-  void Emit(std::uint64_t id, const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) {
-    EmitEvent<E>(tracer_, flight_, queue_.Now(), machine_, id, pid, a, b);
-  }
-  template <FrEvent E>
-  void Emit(const ProcessId& pid, std::uint64_t a = 0, std::uint64_t b = 0) {
-    Emit<E>(MigrationSpanId(pid), pid, a, b);
-  }
-  template <FrEvent E>
-  void Emit(const Message& msg, std::uint64_t a = 0, std::uint64_t b = 0) {
-    Emit<E>(msg.trace_id, msg.receiver.pid, a, b);
-  }
-
   MachineId machine_;
   EventQueue& queue_;
   Transport* transport_;
   KernelConfig config_;
   Rng rng_;
   StatSlab stats_;
+  // Also holds the kernel's shard-local flight ring (tracer().set_ring):
+  // catalog rows flagged for the ring (migration edges, watchdog verdicts,
+  // suspect-list updates, addressing) land in it, all from this kernel's own
+  // thread, preserving the ring's single-writer contract.
   Tracer tracer_;
+  KernelEvents events_;
 
   ProcessTable processes_;
   std::uint32_t next_local_id_ = 1;  // 0 is the kernel pseudo-process
@@ -342,7 +320,6 @@ class Kernel final : private AddressingOutput {
   // config_.park_wire_when_halted; replayed by SetHalted(false).
   std::vector<std::pair<MachineId, PayloadRef>> parked_while_halted_;
   KernelObserver* observer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
 };
 
 }  // namespace demos

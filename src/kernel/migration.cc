@@ -86,7 +86,7 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
   // Any batched push acks for writes already applied here must go out first so
   // the instigator's byte accounting stays exact across the snapshot.
   FlushPushAcksFor(pid);
-  Emit<FrEvent::kMigrationBegin>(pid, destination);
+  events_.Emit<FrEvent::kMigrationBegin>(pid, destination);
   MigrationSource source;
   source.requester = requester;
   source.destination = destination;
@@ -122,8 +122,8 @@ void Kernel::HandleMigrateRequest(ProcessRecord& record, const Message& msg) {
   offer.U32(static_cast<std::uint32_t>(source.swappable.size()));
   offer.U32(static_cast<std::uint32_t>(source.image.size()));
   offer.U32(source.attempt);
-  Emit<FrEvent::kOfferSent>(pid, destination,
-                            source.resident.size() + source.swappable.size() + source.image.size());
+  events_.Emit<FrEvent::kOfferSent>(
+      pid, destination, source.resident.size() + source.swappable.size() + source.image.size());
   SendFromKernel(KernelAddress(destination), MsgType::kMigrateOffer, offer.Take());
 
   const std::uint32_t attempt = source.attempt;
@@ -148,7 +148,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
   offer.swappable_bytes = r.U32();
   offer.memory_bytes = r.U32();
   const std::uint32_t attempt = r.U32();
-  Emit<FrEvent::kOfferReceived>(
+  events_.Emit<FrEvent::kOfferReceived>(
       offer.pid, offer.source,
       std::uint64_t{offer.resident_bytes} + offer.swappable_bytes + offer.memory_bytes);
 
@@ -182,7 +182,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
     const StatusCode code = out_of_memory ? StatusCode::kExhausted : StatusCode::kRefused;
     reject.U8(static_cast<std::uint8_t>(code));
     reject.U32(attempt);
-    Emit<FrEvent::kRejectSent>(offer.pid, static_cast<std::uint64_t>(code));
+    events_.Emit<FrEvent::kRejectSent>(offer.pid, static_cast<std::uint64_t>(code));
     SendFromKernel(KernelAddress(offer.source), MsgType::kMigrateReject, reject.Take());
     return;
   }
@@ -213,7 +213,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
   ByteWriter accept;
   accept.Pid(offer.pid);
   accept.U32(attempt);
-  Emit<FrEvent::kAcceptSent>(offer.pid);
+  events_.Emit<FrEvent::kAcceptSent>(offer.pid);
   SendFromKernel(KernelAddress(offer.source), MsgType::kMigrateAccept, accept.Take());
 
   // Steps 4-5: pull the three sections with the move-data facility.
@@ -233,7 +233,7 @@ void Kernel::HandleMigrateOffer(const Message& msg) {
     req.U8(static_cast<std::uint8_t>(section));
     req.U32(transfer_id);
     req.U32(attempt);
-    Emit<FrEvent::kPullRequested>(offer.pid, static_cast<std::uint64_t>(section));
+    events_.Emit<FrEvent::kPullRequested>(offer.pid, static_cast<std::uint64_t>(section));
     SendFromKernel(KernelAddress(offer.source), MsgType::kMoveDataReq, req.Take());
   }
 }
@@ -249,7 +249,7 @@ void Kernel::HandleMigrateAccept(const Message& msg) {
   }
   it->second.accepted = true;
   it->second.last_progress = queue_.Now();
-  Emit<FrEvent::kAcceptReceived>(pid);
+  events_.Emit<FrEvent::kAcceptReceived>(pid);
   if (config_.migration_deadlines.offer_accept_us == 0) {
     // No offer-phase chain is running; start the transfer-phase one.
     ArmSourceWatchdog(pid, attempt, config_.migration_deadlines.transfer_progress_us);
@@ -292,7 +292,7 @@ void Kernel::AbortMigrationAtSource(const ProcessId& pid, Status why) {
     MaybeScheduleDispatch(*record);
   }
   stats_.Add(StatId::kMigrationsRefused);
-  Emit<FrEvent::kMigrationAborted>(pid, static_cast<std::uint64_t>(why.code()));
+  events_.Emit<FrEvent::kMigrationAborted>(pid, static_cast<std::uint64_t>(why.code()));
   if (observer_ != nullptr) {
     observer_->OnMigrationAborted(machine_, pid);
   }
@@ -339,7 +339,7 @@ void Kernel::HandleMoveDataReq(const Message& msg) {
   if (bytes == nullptr) {
     return;
   }
-  Emit<FrEvent::kSectionStreamed>(pid, static_cast<std::uint64_t>(section), bytes->size());
+  events_.Emit<FrEvent::kSectionStreamed>(pid, static_cast<std::uint64_t>(section), bytes->size());
   DataPacket prototype;
   prototype.mode = StreamMode::kPull;
   prototype.transfer_id = transfer_id;
@@ -360,7 +360,7 @@ void Kernel::OnMigrationSectionReceived(const ProcessId& pid, MigrationSection s
   }
   MigrationDest& dest = it->second;
   dest.last_progress = queue_.Now();
-  Emit<FrEvent::kSectionReceived>(pid, static_cast<std::uint64_t>(section), bytes.size());
+  events_.Emit<FrEvent::kSectionReceived>(pid, static_cast<std::uint64_t>(section), bytes.size());
   if (observer_ != nullptr) {
     observer_->OnMigrationSection(machine_, pid, section, bytes);
   }
@@ -434,7 +434,7 @@ void Kernel::OnMigrationSectionReceived(const ProcessId& pid, MigrationSection s
   ByteWriter w;
   w.Pid(pid);
   w.U32(dest.attempt);
-  Emit<FrEvent::kTransferDoneSent>(pid);
+  events_.Emit<FrEvent::kTransferDoneSent>(pid);
   SendFromKernel(KernelAddress(dest.source), MsgType::kTransferComplete, w.Take());
 }
 
@@ -469,7 +469,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   if (record == nullptr) {
     return;
   }
-  Emit<FrEvent::kTransferDoneReceived>(pid);
+  events_.Emit<FrEvent::kTransferDoneReceived>(pid);
 
   // Seed the forwarding record's peers before the re-send loop drains them.
   std::vector<MachineId> stale_peers = addressing_.StalePeers(record->queue);
@@ -488,7 +488,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
     }
     Transmit(std::move(pending));
   }
-  Emit<FrEvent::kPendingForwarded>(pid, pending_count);
+  events_.Emit<FrEvent::kPendingForwarded>(pid, pending_count);
 
   // Step 7: reclaim all state; Addressing leaves the forwarding address.
   memory_used_ -= std::min<std::uint64_t>(memory_used_, record->memory.TotalSize());
@@ -499,7 +499,7 @@ void Kernel::FinishMigrationAtSource(const ProcessId& pid) {
   ByteWriter done;
   done.Pid(pid);
   done.U32(source.attempt);
-  Emit<FrEvent::kCleanupSent>(pid);
+  events_.Emit<FrEvent::kCleanupSent>(pid);
   SendFromKernel(KernelAddress(source.destination), MsgType::kCleanupDone, done.Take());
   SendMigrateDone(source.requester, pid, source.destination, StatusCode::kOk);
   DEMOS_LOG(kInfo, "migrate") << "m" << machine_ << ": " << pid.ToString() << " moved to m"
@@ -531,7 +531,7 @@ void Kernel::HandleCleanupDone(const Message& msg) {
     stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
-  Emit<FrEvent::kCleanupReceived>(pid);
+  events_.Emit<FrEvent::kCleanupReceived>(pid);
   RestartMigratedProcess(pid);
 }
 
@@ -560,7 +560,7 @@ void Kernel::RestartMigratedProcess(const ProcessId& pid) {
 
   addressing_.OnRestarted(pid, record->migration_history.size());
   stats_.Add(StatId::kMigrations);
-  Emit<FrEvent::kRestarted>(pid, static_cast<std::uint64_t>(record->state));
+  events_.Emit<FrEvent::kRestarted>(pid, static_cast<std::uint64_t>(record->state));
   if (observer_ != nullptr) {
     observer_->OnMigrationRestart(machine_, pid, *record);
   }
@@ -633,7 +633,7 @@ void Kernel::ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDur
     }
     const MachineId source_machine = dest.source;
     const bool assembled = dest.assembled;
-    Emit<FrEvent::kWatchdogTimeout>(pid, deadline, source_machine);
+    events_.Emit<FrEvent::kWatchdogTimeout>(pid, deadline, source_machine);
     addressing_.OnPeerGiveUp(source_machine);
     if (assembled) {
       // Handoff silence after a complete transfer: a live source -- even one
@@ -642,9 +642,9 @@ void Kernel::ArmDestWatchdog(const ProcessId& pid, std::uint32_t attempt, SimDur
       // kernel holds the only complete copy.  Adopt it: restart locally.
       // (Sec. 1's crash-migration scenario, driven by the watchdog.)
       stats_.Add(StatId::kMigrationsAdopted);
-      Emit<FrEvent::kDestAdopted>(pid, source_machine);
-      if (flight_ != nullptr) {
-        flight_->Trigger("watchdog adopt");
+      events_.Emit<FrEvent::kDestAdopted>(pid, source_machine);
+      if (FlightRecorder* ring = tracer_.ring()) {
+        ring->Trigger("watchdog adopt");
       }
       DEMOS_LOG(kWarn, "migrate") << "m" << machine_ << ": adopting " << pid.ToString()
                                   << " -- source m" << source_machine
@@ -664,16 +664,16 @@ void Kernel::TimeoutMigrationAtSource(const ProcessId& pid, SimDuration deadline
   const MachineId destination = it->second.destination;
   const std::uint32_t attempt = it->second.attempt;
   stats_.Add(StatId::kMigrationsTimedOut);
-  Emit<FrEvent::kWatchdogTimeout>(pid, deadline, destination);
+  events_.Emit<FrEvent::kWatchdogTimeout>(pid, deadline, destination);
   addressing_.OnPeerGiveUp(destination);
   // Tell the destination -- if it ever comes back -- to discard the partial
   // image; the attempt epoch makes a late or duplicate cancel a no-op.
   ByteWriter w;
   w.Pid(pid);
   w.U32(attempt);
-  Emit<FrEvent::kCancelSent>(pid, destination);
-  if (flight_ != nullptr) {
-    flight_->Trigger("watchdog cancel");
+  events_.Emit<FrEvent::kCancelSent>(pid, destination);
+  if (FlightRecorder* ring = tracer_.ring()) {
+    ring->Trigger("watchdog cancel");
   }
   SendFromKernel(KernelAddress(destination), MsgType::kMigrateCancel, w.Take());
   AbortMigrationAtSource(pid,
@@ -689,7 +689,7 @@ void Kernel::HandleMigrateCancel(const Message& msg) {
     stats_.Add(StatId::kStaleMigrationMsgs);
     return;
   }
-  Emit<FrEvent::kCancelReceived>(pid, it->second.source);
+  events_.Emit<FrEvent::kCancelReceived>(pid, it->second.source);
   ReapMigrationDest(pid, "cancelled by the source");
 }
 
@@ -733,9 +733,9 @@ void Kernel::ReapMigrationDest(const ProcessId& pid, const char* why) {
     processes_.Erase(pid);
   }
   stats_.Add(StatId::kMigrationsReaped);
-  Emit<FrEvent::kDestReaped>(pid, dest.source);
-  if (flight_ != nullptr) {
-    flight_->Trigger("migration reap");
+  events_.Emit<FrEvent::kDestReaped>(pid, dest.source);
+  if (FlightRecorder* ring = tracer_.ring()) {
+    ring->Trigger("migration reap");
   }
   if (observer_ != nullptr) {
     observer_->OnMigrationAborted(machine_, pid);

@@ -19,7 +19,6 @@
 #include "src/base/ids.h"
 #include "src/base/stats.h"
 #include "src/net/transport.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 
@@ -44,7 +43,12 @@ class ReliableTransport final : public Transport {
   void Attach(MachineId node, DeliveryHandler handler) override;
   void Send(MachineId src, MachineId dst, PayloadRef payload) override;
 
+  // The channel's counters live only here; the engine's BuildSnapshot
+  // exports them.
   const StatSlab& stats() const { return stats_; }
+  // Its flight ring (tracer().set_ring) is optional.  The channel runs
+  // single-threaded on one EventQueue, so one ring covers every machine pair;
+  // the engine hands it the hub's harness slot.
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -52,12 +56,6 @@ class ReliableTransport final : public Transport {
   // dropped.  The kernel layer uses this as its dead-peer signal.
   using GiveUpHandler = std::function<void(MachineId src, MachineId dst, std::uint64_t seq)>;
   void set_on_give_up(GiveUpHandler handler) { on_give_up_ = std::move(handler); }
-
-  // Optional flight recorder (src/obs).  The channel runs single-threaded on
-  // one EventQueue, so one recorder covers every machine pair; the engine
-  // hands it the hub's harness slot.  Null detaches (default).  Its counters
-  // live only in stats(), which the engine's BuildSnapshot exports.
-  void SetFlightRecorder(FlightRecorder* flight) { flight_ = flight; }
 
  private:
   struct PairKey {
@@ -92,7 +90,7 @@ class ReliableTransport final : public Transport {
   // Catalog event (src/obs/events.h) about frame `seq` on the src->dst link.
   template <FrEvent E>
   void Emit(MachineId src, MachineId dst, std::uint64_t seq) {
-    EmitEvent<E>(tracer_, flight_, queue_.Now(), src, 0, ProcessId{}, dst, seq);
+    EmitEvent<E>(tracer_, queue_.Now(), src, 0, ProcessId{}, dst, seq);
   }
 
   EventQueue& queue_;
@@ -104,7 +102,6 @@ class ReliableTransport final : public Transport {
   StatSlab stats_;
   Tracer tracer_;
   GiveUpHandler on_give_up_;
-  FlightRecorder* flight_ = nullptr;
 };
 
 }  // namespace demos

@@ -76,7 +76,7 @@ class SimNetwork final : public Transport {
   // Catalog event (src/obs/events.h) on the transmitting machine's track.
   template <FrEvent E>
   void Emit(MachineId src, MachineId dst) {
-    EmitEvent<E>(tracer_, nullptr, queue_.Now(), src, 0, ProcessId{}, src, dst);
+    EmitEvent<E>(tracer_, queue_.Now(), src, 0, ProcessId{}, src, dst);
   }
 
   EventQueue& queue_;

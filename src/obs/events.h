@@ -1,16 +1,16 @@
 // The event catalog: one row per moment the kernel, the network layers or
-// the parallel runtime logs.  Every other vocabulary is generated from it --
-// the tracer's trace::k* names, the FrEvent enum the flight ring stores, the
-// export name and the two operand labels the dumps print -- so the tracer
-// and the flight recorder cannot drift apart.
+// the parallel runtime logs, and the one record (EventRecord) both sinks
+// store.  A record names its row by FrEvent; the export name, category and
+// the two operand labels the dumps print are read from the row only at
+// export, so the tracer and the flight recorder cannot drift apart.
 //
 // Kernel and network rows:  X(Id, "export name", category, sinks, "a", "b")
 //   export name  the trace event name, also the flight-dump name;
 //   category     the tracer track: Migration, Message or Net;
 //   sinks        Trace (tracer only), Ring (flight ring only) or Both;
-//   "a", "b"     labels of the two operands (trace arg0/arg1, ring a/b);
-//                "" marks an operand the row never sets.
-// One call, Emit<FrEvent::kId>(...), feeds both sinks (EmitEvent in trace.h).
+//   "a", "b"     labels of the two operands (EventRecord a/b, arg0/arg1
+//                in the Chrome trace); "" marks an operand the row never sets.
+// One call, EmitEvent<FrEvent::kId>(...) in trace.h, feeds both sinks.
 //
 // Runtime rows (mailbox, drain, park, quiescence, LBTS, harness) are written
 // straight into the flight ring by src/run and src/check:
@@ -23,6 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "src/base/ids.h"
 
 // clang-format off
 #define DEMOS_EVENT_CATALOG(X)                                                                     \
@@ -100,16 +102,6 @@ enum class FrEvent : std::uint16_t {
   kCount,
 };
 
-// Trace categories and one name per row, generated from the catalog.
-namespace trace {
-inline constexpr const char* kMigration = "migration";
-inline constexpr const char* kMessage = "msg";
-inline constexpr const char* kNet = "net";
-#define DEMOS_EVENT_TRACE_NAME(id, name, ...) inline constexpr const char* k##id = name;
-DEMOS_EVENT_CATALOG(DEMOS_EVENT_TRACE_NAME)
-#undef DEMOS_EVENT_TRACE_NAME
-}  // namespace trace
-
 struct EventInfo {
   const char* name;
   EventCategory category;
@@ -124,7 +116,7 @@ struct EventInfo {
 inline constexpr EventInfo kEventInfo[] = {
     {"none", EventCategory::kRuntime, EventSinks::kRing, "", ""},
 #define DEMOS_EVENT_INFO(id, name, category, sinks, a, b) \
-  {trace::k##id, EventCategory::k##category, EventSinks::k##sinks, a, b},
+  {name, EventCategory::k##category, EventSinks::k##sinks, a, b},
     DEMOS_EVENT_CATALOG(DEMOS_EVENT_INFO)
 #undef DEMOS_EVENT_INFO
 #define DEMOS_RUNTIME_EVENT_INFO(id, name, a, b) \
@@ -142,13 +134,28 @@ constexpr const EventInfo& EventInfoOf(FrEvent e) {
 }
 constexpr const char* FrEventName(FrEvent e) { return EventInfoOf(e).name; }
 
-// The tracer category string of a kernel/network row (its Chrome track).
+// The Chrome category string of a row; each category is one track.
 constexpr const char* EventCategoryName(EventCategory c) {
-  return c == EventCategory::kMigration ? trace::kMigration
-         : c == EventCategory::kMessage ? trace::kMessage
-         : c == EventCategory::kNet     ? trace::kNet
+  return c == EventCategory::kMigration ? "migration"
+         : c == EventCategory::kMessage ? "msg"
+         : c == EventCategory::kNet     ? "net"
                                         : "runtime";
 }
+
+// One logged moment, as both sinks hold it: the tracer in an unbounded
+// vector, the flight ring in a bounded array.  Each sink stamps its own clock
+// and slot: the tracer virtual microseconds and the emitting machine, the
+// ring its FrClockFn nanoseconds and its recorder slot.
+struct EventRecord {
+  std::uint64_t ts = 0;    // tracer: virtual us; ring: ns
+  std::uint64_t id = 0;    // correlation id: migration span or message trace id
+  std::uint64_t a = 0;     // operands, labelled by the row
+  std::uint64_t b = 0;
+  ProcessId pid;           // subject process, if any
+  std::uint32_t seq = 0;   // per-sink append order
+  FrEvent type = FrEvent::kNone;
+  MachineId machine = kNoMachine;  // tracer: emitting machine; ring: recorder slot
+};
 
 }  // namespace demos
 

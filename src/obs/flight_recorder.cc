@@ -16,16 +16,16 @@ std::uint64_t FrSteadyClock(void* /*ctx*/) {
 }
 
 FlightRecorder::FlightRecorder(std::uint16_t shard, std::size_t capacity)
-    : ring_(SpareArrays<FlightRecord>::Take(
+    : ring_(SpareArrays<EventRecord>::Take(
           std::bit_ceil(capacity < 2 ? std::size_t{2} : capacity))),
       mask_(ring_.size() - 1),
       clock_(&FrSteadyClock),
       shard_(shard) {}
 
-FlightRecorder::~FlightRecorder() { SpareArrays<FlightRecord>::Give(std::move(ring_)); }
+FlightRecorder::~FlightRecorder() { SpareArrays<EventRecord>::Give(std::move(ring_)); }
 
-std::vector<FlightRecord> FlightRecorder::SnapshotRecords() const {
-  std::vector<FlightRecord> out;
+std::vector<EventRecord> FlightRecorder::SnapshotRecords() const {
+  std::vector<EventRecord> out;
   const std::uint64_t retained = total_ < ring_.size() ? total_ : ring_.size();
   out.reserve(static_cast<std::size_t>(retained));
   const std::uint64_t first = total_ - retained;
@@ -54,18 +54,18 @@ void FlightRecorderHub::SetClockAll(FrClockFn fn, void* ctx) {
   }
 }
 
-std::vector<FlightRecord> FlightRecorderHub::Merged() const {
-  std::vector<FlightRecord> out;
+std::vector<EventRecord> FlightRecorderHub::Merged() const {
+  std::vector<EventRecord> out;
   for (const auto& r : recorders_) {
-    std::vector<FlightRecord> shard_records = r->SnapshotRecords();
+    std::vector<EventRecord> shard_records = r->SnapshotRecords();
     out.insert(out.end(), shard_records.begin(), shard_records.end());
   }
-  std::stable_sort(out.begin(), out.end(), [](const FlightRecord& x, const FlightRecord& y) {
-    if (x.t_ns != y.t_ns) {
-      return x.t_ns < y.t_ns;
+  std::stable_sort(out.begin(), out.end(), [](const EventRecord& x, const EventRecord& y) {
+    if (x.ts != y.ts) {
+      return x.ts < y.ts;
     }
-    if (x.shard != y.shard) {
-      return x.shard < y.shard;
+    if (x.machine != y.machine) {
+      return x.machine < y.machine;
     }
     return x.seq < y.seq;
   });
@@ -86,9 +86,9 @@ std::uint64_t FlightRecorderHub::TotalDropped() const {
 
 namespace {
 
-void WriteOneRecordText(const FlightRecord& r, std::ostream& os) {
+void WriteOneRecordText(const EventRecord& r, std::ostream& os) {
   const EventInfo& info = EventInfoOf(r.type);
-  os << r.t_ns << " s" << r.shard << " #" << r.seq << " " << info.name;
+  os << r.ts << " s" << r.machine << " #" << r.seq << " " << info.name;
   if (r.id != 0) {
     os << " id=0x" << std::hex << r.id << std::dec;
   }
@@ -103,7 +103,7 @@ void WriteOneRecordText(const FlightRecord& r, std::ostream& os) {
 
 }  // namespace
 
-void WriteFlightText(const std::vector<FlightRecord>& records, const char* reason,
+void WriteFlightText(const std::vector<EventRecord>& records, const char* reason,
                      std::ostream& os) {
   os << "flight recorder dump";
   if (reason != nullptr) {
@@ -111,20 +111,20 @@ void WriteFlightText(const std::vector<FlightRecord>& records, const char* reaso
   }
   os << "\n";
   std::map<std::uint16_t, std::size_t> per_shard;
-  for (const FlightRecord& r : records) {
-    ++per_shard[r.shard];
+  for (const EventRecord& r : records) {
+    ++per_shard[r.machine];
   }
   os << records.size() << " records across " << per_shard.size() << " shard(s):";
   for (const auto& [shard, n] : per_shard) {
     os << " s" << shard << "=" << n;
   }
   os << "\n---\n";
-  for (const FlightRecord& r : records) {
+  for (const EventRecord& r : records) {
     WriteOneRecordText(r, os);
   }
 }
 
-bool WriteFlightTextFile(const std::vector<FlightRecord>& records, const char* reason,
+bool WriteFlightTextFile(const std::vector<EventRecord>& records, const char* reason,
                          const std::string& path) {
   std::ofstream os(path);
   if (!os) {
@@ -134,37 +134,11 @@ bool WriteFlightTextFile(const std::vector<FlightRecord>& records, const char* r
   return static_cast<bool>(os);
 }
 
-void WriteFlightChromeTrace(const std::vector<FlightRecord>& records, std::ostream& os) {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const FlightRecord& r : records) {
-    const EventInfo& info = EventInfoOf(r.type);
-    os << (first ? "" : ",") << "{\"name\":\"" << info.name
-       << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << r.shard << ",\"tid\":" << r.shard
-       << ",\"ts\":" << static_cast<double>(r.t_ns) / 1000.0 << ",\"args\":{";
-    if (r.id != 0) {
-      os << "\"id\":\"0x" << std::hex << r.id << std::dec << "\",";
-    }
-    if (*info.label_a != '\0') {
-      os << "\"" << info.label_a << "\":" << r.a << ",";
-    }
-    if (*info.label_b != '\0') {
-      os << "\"" << info.label_b << "\":" << r.b << ",";
-    }
-    os << "\"seq\":" << r.seq << "}}";
-    first = false;
+std::vector<EventRecord> FlightRecordsInMicros(std::vector<EventRecord> records) {
+  for (EventRecord& r : records) {
+    r.ts /= 1000;
   }
-  os << "]}\n";
-}
-
-bool WriteFlightChromeTraceFile(const std::vector<FlightRecord>& records,
-                                const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    return false;
-  }
-  WriteFlightChromeTrace(records, os);
-  return static_cast<bool>(os);
+  return records;
 }
 
 }  // namespace demos

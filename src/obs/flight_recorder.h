@@ -11,10 +11,12 @@
 // a merged dump (human-readable text + Chrome trace), turning every red seed
 // into an artifact.
 //
-// The vocabulary is the event catalog in src/obs/events.h, shared with the
-// tracer: kernel and network moments flagged for the ring arrive through the
-// same EmitEvent call that feeds the tracer, and the runtime's own rows
-// (mailbox, drain, park, quiescence) are recorded here directly.
+// The ring holds the tracer's record, EventRecord (src/obs/events.h):
+// kernel and network moments flagged for the ring arrive through the same
+// EmitEvent call that feeds the tracer (a Tracer holds the ring it feeds),
+// and the runtime's own rows (mailbox, drain, park, quiescence) are recorded
+// here directly.  The Chrome dump is the tracer's writer, WriteChromeTrace,
+// over FlightRecordsInMicros; runtime rows land on its `runtime` track.
 //
 // Concurrency contract (mirrors MetricShard): each FlightRecorder has exactly
 // one writer, its owning shard thread, and Record() is plain stores into
@@ -44,19 +46,6 @@
 
 namespace demos {
 
-// One ring entry.  `type` names a row of the event catalog
-// (src/obs/events.h), which labels `a` and `b`; `id` is the subject a kernel
-// event correlates on (migration span, message trace id), 0 otherwise.
-struct FlightRecord {
-  std::uint64_t t_ns = 0;  // injectable clock; ns by convention
-  std::uint64_t id = 0;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  std::uint32_t seq = 0;   // per-recorder monotonic; total order within a shard
-  FrEvent type = FrEvent::kNone;
-  std::uint16_t shard = 0;
-};
-
 // Nanosecond clock used to stamp records.  Plain function pointer (not
 // std::function) so Record() stays branch-predictable and allocation-free.
 using FrClockFn = std::uint64_t (*)(void* ctx);
@@ -80,15 +69,19 @@ class FlightRecorder {
     clock_ctx_ = ctx;
   }
 
-  void Record(FrEvent type, std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t id = 0) {
-    FlightRecord& r = ring_[static_cast<std::size_t>(total_) & mask_];
-    r.t_ns = clock_(clock_ctx_);
+  // `id` and `pid` are the subject a kernel event correlates on (migration
+  // span, message trace id); runtime rows leave them empty.
+  void Record(FrEvent type, std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t id = 0,
+              const ProcessId& pid = {}) {
+    EventRecord& r = ring_[static_cast<std::size_t>(total_) & mask_];
+    r.ts = clock_(clock_ctx_);
     r.id = id;
     r.a = a;
     r.b = b;
+    r.pid = pid;
     r.seq = static_cast<std::uint32_t>(total_);
     r.type = type;
-    r.shard = shard_;
+    r.machine = shard_;
     ++total_;
   }
 
@@ -101,7 +94,7 @@ class FlightRecorder {
   }
 
   // The retained window, oldest first.  Owner thread or quiescence only.
-  std::vector<FlightRecord> SnapshotRecords() const;
+  std::vector<EventRecord> SnapshotRecords() const;
 
   void Clear() { total_ = 0; }
 
@@ -113,7 +106,7 @@ class FlightRecorder {
  private:
   friend class FlightRecorderHub;
 
-  std::vector<FlightRecord> ring_;
+  std::vector<EventRecord> ring_;
   std::size_t mask_;
   std::uint64_t total_ = 0;
   FrClockFn clock_;
@@ -146,8 +139,8 @@ class FlightRecorderHub {
   void ResetTrigger() { trigger_.store(nullptr, std::memory_order_release); }
 
   // Merge every shard's retained window into one timeline ordered by
-  // (t_ns, shard, seq).  Writers must be quiescent.
-  std::vector<FlightRecord> Merged() const;
+  // (ts, shard, seq).  Writers must be quiescent.
+  std::vector<EventRecord> Merged() const;
 
   std::uint64_t TotalDropped() const;
 
@@ -162,18 +155,16 @@ class FlightRecorderHub {
 // ---------------------------------------------------------------------------
 
 // Human-readable post-mortem: header (reason, per-shard totals/drops), then
-// one line per record: `t_ns s<shard> #<seq> <name>[ id=0x<hex>]` followed by
+// one line per record: `ts s<shard> #<seq> <name>[ id=0x<hex>]` followed by
 // `label=value` for each operand the catalog labels.
-void WriteFlightText(const std::vector<FlightRecord>& records, const char* reason,
+void WriteFlightText(const std::vector<EventRecord>& records, const char* reason,
                      std::ostream& os);
-bool WriteFlightTextFile(const std::vector<FlightRecord>& records, const char* reason,
+bool WriteFlightTextFile(const std::vector<EventRecord>& records, const char* reason,
                          const std::string& path);
 
-// Chrome trace_event JSON (chrome://tracing, perfetto.dev): instant events,
-// pid = shard, ts in microseconds, args keyed by the catalog labels.
-void WriteFlightChromeTrace(const std::vector<FlightRecord>& records, std::ostream& os);
-bool WriteFlightChromeTraceFile(const std::vector<FlightRecord>& records,
-                                const std::string& path);
+// Ring records restamped from nanoseconds to the microseconds the tracer's
+// Chrome writer (WriteChromeTrace, src/obs/trace_export.h) takes.
+std::vector<EventRecord> FlightRecordsInMicros(std::vector<EventRecord> records);
 
 // Default real-time clock: steady_clock nanoseconds (ctx ignored).
 std::uint64_t FrSteadyClock(void* ctx);

@@ -6,7 +6,7 @@ namespace demos {
 
 void Tracer::SortByTime() {
   std::stable_sort(events_.begin(), events_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
+                   [](const EventRecord& a, const EventRecord& b) { return a.ts < b.ts; });
 }
 
 }  // namespace demos

@@ -12,14 +12,14 @@
 //     correlated by a trace id stamped into the message header;
 //   * network-layer instants (drops, duplicates, retransmits).
 //
-// The vocabulary -- each event's name, category and operand labels -- is
-// the catalog in src/obs/events.h, shared with the flight recorder.  Kernel
-// and network code emit through EmitEvent (below), one call per moment for
-// both logs.  A disabled tracer records nothing and costs one branch per
-// call site.  Tracers merge cluster-wide (Tracer::Merge), and
-// src/obs/trace_export.h turns the merged stream into Chrome trace_event
-// JSON, per-migration span trees, per-message lifecycles, and derived
-// histograms.
+// The tracer and the flight recorder hold one record type, EventRecord
+// (src/obs/events.h), whose catalog row gives its name, category and operand
+// labels at export.  Kernel and network code emit through EmitEvent (below)
+// into one sink, a Tracer, which also holds the flight ring its ring rows go
+// to.  A disabled tracer records nothing and costs one branch per call site.
+// Tracers merge cluster-wide (Tracer::Merge), and src/obs/trace_export.h
+// turns the merged stream into Chrome trace_event JSON, per-migration span
+// trees, per-message lifecycles, and derived histograms.
 
 #ifndef DEMOS_OBS_TRACE_H_
 #define DEMOS_OBS_TRACE_H_
@@ -33,27 +33,6 @@
 #include "src/sim/event_queue.h"
 
 namespace demos {
-
-// Chrome trace_event phase letters (the subset this system emits).
-enum class TracePhase : char {
-  kInstant = 'i',   // a point in time
-  kBegin = 'b',     // async span begin (correlated by id)
-  kEnd = 'e',       // async span end
-  kComplete = 'X',  // a span with an explicit duration (exporter-synthesized)
-};
-
-struct TraceEvent {
-  SimTime ts = 0;        // virtual microseconds
-  SimDuration dur = 0;   // only for kComplete events
-  MachineId machine = kNoMachine;
-  TracePhase phase = TracePhase::kInstant;
-  const char* category = "";  // static string: trace::kMigration, ...
-  const char* name = "";      // static string: trace::kOfferSent, ...
-  std::uint64_t id = 0;       // correlation id: migration span or message trace id
-  ProcessId pid;              // subject process, if any
-  std::uint64_t arg0 = 0;     // operand a; labelled per row in src/obs/events.h
-  std::uint64_t arg1 = 0;     // operand b
-};
 
 // One (virtual, real) clock correspondence observed on a shard.  In the
 // parallel engine each shard's tracer stamps events with the shard's private
@@ -92,12 +71,17 @@ class Tracer {
     return ((std::uint64_t{machine_} + 1) << 40) | next_message_id_++;
   }
 
+  // The flight ring this tracer's ring rows go to (src/obs/flight_recorder.h),
+  // written from the tracer's own thread.  Not owned; null detaches.
+  void set_ring(FlightRecorder* ring) { ring_ = ring; }
+  FlightRecorder* ring() const { return ring_; }
+
   // The one append.  Kernel and network code reaches it through EmitEvent
   // below; the network records each event against the transmitting machine,
-  // not a fixed owner, so the event carries its own machine.
-  void RecordEvent(const TraceEvent& ev) {
+  // not a fixed owner, so the record carries its own machine.
+  void RecordEvent(const EventRecord& record) {
     if (enabled_) {
-      events_.push_back(ev);
+      events_.push_back(record);
     }
   }
 
@@ -110,7 +94,7 @@ class Tracer {
   }
   const std::vector<ClockSyncPoint>& sync_points() const { return syncs_; }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  const std::vector<EventRecord>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
   void Clear() { events_.clear(); }
@@ -129,31 +113,32 @@ class Tracer {
   bool enabled_ = false;
   MachineId machine_ = kNoMachine;
   std::uint64_t next_message_id_ = 1;
-  std::vector<TraceEvent> events_;
+  FlightRecorder* ring_ = nullptr;
+  std::vector<EventRecord> events_;
   std::vector<ClockSyncPoint> syncs_;
 };
 
-// Emit one catalog event (src/obs/events.h) into both sinks: the tracer when
-// it is enabled, and `ring` when the row goes to the flight ring and a
-// recorder is attached.  E is a template argument, so the row's name,
-// category and sinks are compile-time constants: a tracer-only row costs the
-// enabled() branch it always did, with no table load.  Message rows follow a
-// lifecycle id, so a message sent before tracing was on (id 0) is skipped.
+// Emit one catalog event (src/obs/events.h) into `sink`: the tracer's vector
+// when it is enabled, and its ring when the row goes to the flight ring and
+// a ring is attached.  E is a template argument, so the row's category and
+// sinks are compile-time constants: a tracer-only row costs the enabled()
+// branch it always did, with no table load.  Message rows follow a lifecycle
+// id, so a message sent before tracing was on (id 0) is skipped.
 template <FrEvent E>
-inline void EmitEvent(Tracer& tracer, FlightRecorder* ring, SimTime now, MachineId machine,
-                      std::uint64_t id, const ProcessId& pid, std::uint64_t a, std::uint64_t b) {
+inline void EmitEvent(Tracer& sink, SimTime now, MachineId machine, std::uint64_t id,
+                      const ProcessId& pid, std::uint64_t a, std::uint64_t b) {
   constexpr EventInfo kInfo = EventInfoOf(E);
   static_assert(E != FrEvent::kNone && kInfo.category != EventCategory::kRuntime,
                 "runtime rows go straight to FlightRecorder::Record");
   if constexpr (kInfo.traced()) {
-    if (tracer.enabled() && (kInfo.category != EventCategory::kMessage || id != 0)) {
-      tracer.RecordEvent(TraceEvent{now, 0, machine, TracePhase::kInstant,
-                                    EventCategoryName(kInfo.category), kInfo.name, id, pid, a, b});
+    if (sink.enabled() && (kInfo.category != EventCategory::kMessage || id != 0)) {
+      sink.RecordEvent(
+          EventRecord{now, id, a, b, pid, static_cast<std::uint32_t>(sink.size()), E, machine});
     }
   }
   if constexpr (kInfo.ringed()) {
-    if (ring != nullptr) {
-      ring->Record(E, a, b, id);
+    if (FlightRecorder* ring = sink.ring()) {
+      ring->Record(E, a, b, id, pid);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "src/obs/trace_export.h"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -12,21 +13,6 @@
 namespace demos {
 
 namespace {
-
-// Events sorted by (ts, original order): the merge of per-kernel tracers
-// interleaves machines arbitrarily, but pairing logic wants a timeline.
-std::vector<TraceEvent> Sorted(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
-  return sorted;
-}
-
-bool IsName(const TraceEvent& ev, const char* name) {
-  // Names are interned static strings, but merged tracers may cross library
-  // boundaries, so compare content rather than pointers.
-  return std::string_view(ev.name) == name;
-}
 
 void SetPhase(MigrationSpan& span, MigrationPhaseKind kind, SimTime start, SimTime end,
               std::uint64_t bytes = 0) {
@@ -80,13 +66,11 @@ const char* MigrationPhaseName(MigrationPhaseKind kind) {
   }
 }
 
-std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& events) {
-  const std::vector<TraceEvent> sorted = Sorted(events);
-
+std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<EventRecord>& events) {
   // Group by correlation id, preserving time order within each group.
-  std::map<std::uint64_t, std::vector<const TraceEvent*>> by_id;
-  for (const TraceEvent& ev : sorted) {
-    if (std::string_view(ev.category) == trace::kMigration) {
+  std::map<std::uint64_t, std::vector<const EventRecord*>> by_id;
+  for (const EventRecord& ev : events) {
+    if (EventInfoOf(ev.type).category == EventCategory::kMigration) {
       by_id[ev.id].push_back(&ev);
     }
   }
@@ -96,15 +80,15 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
     // Split the group into migration instances.  A process migrates strictly
     // sequentially, so a new kRequestSent (or an orphan kMigrationBegin)
     // opens a new instance.
-    std::vector<std::vector<const TraceEvent*>> instances;
-    for (const TraceEvent* ev : group) {
-      const bool opens = IsName(*ev, trace::kRequestSent) ||
-                         (IsName(*ev, trace::kMigrationBegin) &&
+    std::vector<std::vector<const EventRecord*>> instances;
+    for (const EventRecord* ev : group) {
+      const bool opens = ev->type == FrEvent::kRequestSent ||
+                         (ev->type == FrEvent::kMigrationBegin &&
                           (instances.empty() || std::any_of(instances.back().begin(),
                                                             instances.back().end(),
-                                                            [](const TraceEvent* e) {
-                                                              return IsName(*e,
-                                                                            trace::kMigrationBegin);
+                                                            [](const EventRecord* e) {
+                                                              return e->type ==
+                                                                     FrEvent::kMigrationBegin;
                                                             })));
       if (opens || instances.empty()) {
         instances.emplace_back();
@@ -115,55 +99,55 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
     for (const auto& instance : instances) {
       MigrationSpan span;
       span.id = id;
-      // Raw instants indexed by name for pairing (first occurrence wins; a
+      // Instants indexed by catalog row for pairing (first occurrence wins; a
       // well-formed instance has each step at most once).
-      std::unordered_map<std::string_view, const TraceEvent*> at;
-      const TraceEvent* section_req[3] = {nullptr, nullptr, nullptr};
-      const TraceEvent* section_got[3] = {nullptr, nullptr, nullptr};
-      for (const TraceEvent* ev : instance) {
+      std::array<const EventRecord*, static_cast<std::size_t>(FrEvent::kCount)> at{};
+      const EventRecord* section_req[3] = {nullptr, nullptr, nullptr};
+      const EventRecord* section_got[3] = {nullptr, nullptr, nullptr};
+      for (const EventRecord* ev : instance) {
         if (ev->pid.valid()) {
           span.pid = ev->pid;
         }
-        if (IsName(*ev, trace::kPullRequested) && ev->arg0 < 3) {
-          if (section_req[ev->arg0] == nullptr) {
-            section_req[ev->arg0] = ev;
+        if (ev->type == FrEvent::kPullRequested && ev->a < 3) {
+          if (section_req[ev->a] == nullptr) {
+            section_req[ev->a] = ev;
           }
           continue;
         }
-        if (IsName(*ev, trace::kSectionReceived) && ev->arg0 < 3) {
-          if (section_got[ev->arg0] == nullptr) {
-            section_got[ev->arg0] = ev;
+        if (ev->type == FrEvent::kSectionReceived && ev->a < 3) {
+          if (section_got[ev->a] == nullptr) {
+            section_got[ev->a] = ev;
           }
           continue;
         }
-        at.emplace(ev->name, ev);
+        const EventRecord*& slot = at[static_cast<std::size_t>(ev->type)];
+        if (slot == nullptr) {
+          slot = ev;
+        }
       }
 
-      auto find = [&](const char* name) -> const TraceEvent* {
-        auto it = at.find(name);
-        return it == at.end() ? nullptr : it->second;
-      };
+      auto find = [&](FrEvent e) { return at[static_cast<std::size_t>(e)]; };
 
-      const TraceEvent* request_sent = find(trace::kRequestSent);
-      const TraceEvent* begin = find(trace::kMigrationBegin);
-      const TraceEvent* offer_sent = find(trace::kOfferSent);
-      const TraceEvent* offer_received = find(trace::kOfferReceived);
-      const TraceEvent* accept_sent = find(trace::kAcceptSent);
-      const TraceEvent* accept_received = find(trace::kAcceptReceived);
-      const TraceEvent* done_sent = find(trace::kTransferDoneSent);
-      const TraceEvent* done_received = find(trace::kTransferDoneReceived);
-      const TraceEvent* cleanup_sent = find(trace::kCleanupSent);
-      const TraceEvent* restarted = find(trace::kRestarted);
-      const TraceEvent* aborted = find(trace::kMigrationAborted);
-      const TraceEvent* pending = find(trace::kPendingForwarded);
+      const EventRecord* request_sent = find(FrEvent::kRequestSent);
+      const EventRecord* begin = find(FrEvent::kMigrationBegin);
+      const EventRecord* offer_sent = find(FrEvent::kOfferSent);
+      const EventRecord* offer_received = find(FrEvent::kOfferReceived);
+      const EventRecord* accept_sent = find(FrEvent::kAcceptSent);
+      const EventRecord* accept_received = find(FrEvent::kAcceptReceived);
+      const EventRecord* done_sent = find(FrEvent::kTransferDoneSent);
+      const EventRecord* done_received = find(FrEvent::kTransferDoneReceived);
+      const EventRecord* cleanup_sent = find(FrEvent::kCleanupSent);
+      const EventRecord* restarted = find(FrEvent::kRestarted);
+      const EventRecord* aborted = find(FrEvent::kMigrationAborted);
+      const EventRecord* pending = find(FrEvent::kPendingForwarded);
 
-      const TraceEvent* first = instance.front();
-      const TraceEvent* last = instance.back();
+      const EventRecord* first = instance.front();
+      const EventRecord* last = instance.back();
       span.start = request_sent != nullptr ? request_sent->ts : first->ts;
       span.end = last->ts;
       if (begin != nullptr) {
         span.source = begin->machine;
-        span.destination = static_cast<MachineId>(begin->arg0);
+        span.destination = static_cast<MachineId>(begin->a);
       }
       if (offer_received != nullptr) {
         span.destination = offer_received->machine;
@@ -176,7 +160,7 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
         span.end = aborted->ts;
       }
       if (pending != nullptr) {
-        span.pending_forwarded = pending->arg0;
+        span.pending_forwarded = pending->a;
       }
 
       if (request_sent != nullptr && begin != nullptr) {
@@ -191,8 +175,8 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
       for (int s = 0; s < 3; ++s) {
         if (section_req[s] != nullptr && section_got[s] != nullptr) {
           SetPhase(span, SectionPhase(static_cast<std::uint64_t>(s)), section_req[s]->ts,
-                   section_got[s]->ts, section_got[s]->arg1);
-          span.bytes_moved += section_got[s]->arg1;
+                   section_got[s]->ts, section_got[s]->b);
+          span.bytes_moved += section_got[s]->b;
         }
       }
       if (done_sent != nullptr && done_received != nullptr) {
@@ -213,12 +197,11 @@ std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& ev
   return spans;
 }
 
-std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& events) {
-  const std::vector<TraceEvent> sorted = Sorted(events);
+std::vector<MessageTrace> BuildMessageTraces(const std::vector<EventRecord>& events) {
   std::map<std::uint64_t, MessageTrace> by_id;
   std::vector<std::uint64_t> order;
-  for (const TraceEvent& ev : sorted) {
-    if (std::string_view(ev.category) != trace::kMessage || ev.id == 0) {
+  for (const EventRecord& ev : events) {
+    if (EventInfoOf(ev.type).category != EventCategory::kMessage || ev.id == 0) {
       continue;
     }
     auto [it, inserted] = by_id.try_emplace(ev.id);
@@ -227,19 +210,19 @@ std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& even
       t.id = ev.id;
       order.push_back(ev.id);
     }
-    if (IsName(ev, trace::kMsgSend) || IsName(ev, trace::kLinkUpdateSent)) {
+    if (ev.type == FrEvent::kMsgSend || ev.type == FrEvent::kLinkUpdateSent) {
       t.sent = ev.ts;
-      t.type = ev.arg0;
+      t.type = ev.a;
       t.origin = ev.machine;
-    } else if (IsName(ev, trace::kMsgForward)) {
-      t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(ev.arg0));
-    } else if (IsName(ev, trace::kMsgBounce)) {
+    } else if (ev.type == FrEvent::kMsgForward) {
+      t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(ev.a));
+    } else if (ev.type == FrEvent::kMsgBounce) {
       t.bounces++;
-    } else if (IsName(ev, trace::kMsgDeliver) || IsName(ev, trace::kLinkUpdateApplied)) {
+    } else if (ev.type == FrEvent::kMsgDeliver || ev.type == FrEvent::kLinkUpdateApplied) {
       t.delivered = ev.ts;
       t.was_delivered = true;
-      if (IsName(ev, trace::kMsgDeliver)) {
-        t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(ev.arg0));
+      if (ev.type == FrEvent::kMsgDeliver) {
+        t.hops = std::max<std::uint32_t>(t.hops, static_cast<std::uint32_t>(ev.a));
       }
     }
   }
@@ -251,7 +234,7 @@ std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& even
   return out;
 }
 
-std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<TraceEvent>& events) {
+std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<EventRecord>& events) {
   std::map<std::string, HistogramSnapshot> out;
   for (const MigrationSpan& span : BuildMigrationSpans(events)) {
     if (span.completed) {
@@ -268,14 +251,10 @@ std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<Trace
   // Link-update lag: from the forwarding kernel emitting the LINK_UPDATE to
   // the sender's kernel patching the link table (Sec. 5's lazy update).
   std::unordered_map<std::uint64_t, SimTime> update_sent;
-  const std::vector<TraceEvent> sorted = Sorted(events);
-  for (const TraceEvent& ev : sorted) {
-    if (std::string_view(ev.category) != trace::kMessage) {
-      continue;
-    }
-    if (IsName(ev, trace::kLinkUpdateSent)) {
+  for (const EventRecord& ev : events) {
+    if (ev.type == FrEvent::kLinkUpdateSent) {
       update_sent.emplace(ev.id, ev.ts);
-    } else if (IsName(ev, trace::kLinkUpdateApplied)) {
+    } else if (ev.type == FrEvent::kLinkUpdateApplied) {
       auto it = update_sent.find(ev.id);
       if (it != update_sent.end()) {
         out[stat::kLinkUpdateLagUs].Record(ev.ts - it->second);
@@ -301,15 +280,9 @@ namespace {
 // Synthetic Chrome "process" hosting the reconstructed migration span trees.
 constexpr int kMigrationsPid = 10000;
 
-int CategoryTid(std::string_view category) {
-  if (category == trace::kMigration) {
-    return 1;
-  }
-  if (category == trace::kMessage) {
-    return 2;
-  }
-  return 3;  // net and anything else
-}
+// One track per category: migration 1, messages 2, net 3, runtime 4.
+int CategoryTid(EventCategory category) { return static_cast<int>(category) + 1; }
+constexpr const char* kTrackNames[] = {"migration", "messages", "net", "runtime"};
 
 void WriteMeta(std::ostream& os, bool& first, int pid, int tid, const char* what,
                const std::string& value) {
@@ -318,20 +291,18 @@ void WriteMeta(std::ostream& os, bool& first, int pid, int tid, const char* what
   first = false;
 }
 
+// A reconstructed migration span: a duration ('X') event.
 void WriteCompleteEvent(std::ostream& os, bool& first, int pid, int tid, const std::string& name,
-                        const char* category, SimTime ts, SimDuration dur,
-                        const std::string& extra_args) {
+                        SimTime ts, SimDuration dur, const std::string& extra_args) {
   os << (first ? "" : ",\n") << "  {\"ph\":\"X\",\"name\":\"" << name << "\",\"cat\":\""
-     << category << "\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << ts
-     << ",\"dur\":" << dur << ",\"args\":{" << extra_args << "}}";
+     << EventCategoryName(EventCategory::kMigration) << "\",\"pid\":" << pid << ",\"tid\":" << tid
+     << ",\"ts\":" << ts << ",\"dur\":" << dur << ",\"args\":{" << extra_args << "}}";
   first = false;
 }
 
 }  // namespace
 
-void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
-  const std::vector<TraceEvent> sorted = Sorted(events);
-
+void WriteChromeTrace(const std::vector<EventRecord>& events, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
 
@@ -339,51 +310,37 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
   // event category.
   std::set<MachineId> machines;
   std::set<std::pair<MachineId, int>> tracks;
-  for (const TraceEvent& ev : sorted) {
+  for (const EventRecord& ev : events) {
     if (ev.machine != kNoMachine) {
       machines.insert(ev.machine);
-      tracks.insert({ev.machine, CategoryTid(ev.category)});
+      tracks.insert({ev.machine, CategoryTid(EventInfoOf(ev.type).category)});
     }
   }
   for (MachineId m : machines) {
     WriteMeta(os, first, m, 0, "process_name", "machine m" + std::to_string(m));
   }
   for (const auto& [m, tid] : tracks) {
-    const char* name = tid == 1 ? "migration" : tid == 2 ? "messages" : "net";
-    WriteMeta(os, first, m, tid, "thread_name", name);
+    WriteMeta(os, first, m, tid, "thread_name", kTrackNames[tid - 1]);
   }
 
-  // Raw events on per-machine tracks.
-  for (const TraceEvent& ev : sorted) {
-    const int tid = CategoryTid(ev.category);
-    const char ph = ev.phase == TracePhase::kBegin    ? 'b'
-                    : ev.phase == TracePhase::kEnd    ? 'e'
-                    : ev.phase == TracePhase::kComplete ? 'X'
-                                                        : 'i';
-    os << (first ? "" : ",\n") << "  {\"ph\":\"" << ph << "\",\"name\":\"" << ev.name
-       << "\",\"cat\":\"" << ev.category << "\",\"pid\":" << ev.machine << ",\"tid\":" << tid
-       << ",\"ts\":" << ev.ts;
-    if (ev.phase == TracePhase::kComplete) {
-      os << ",\"dur\":" << ev.dur;
-    }
-    if (ev.phase == TracePhase::kInstant) {
-      os << ",\"s\":\"t\"";
-    }
-    if (ev.phase == TracePhase::kBegin || ev.phase == TracePhase::kEnd) {
-      os << ",\"id\":\"" << JsonHexId(ev.id) << "\"";
-    }
-    os << ",\"args\":{\"id\":\"" << JsonHexId(ev.id) << "\"";
+  // Records as instants on per-machine tracks.
+  for (const EventRecord& ev : events) {
+    const EventInfo& info = EventInfoOf(ev.type);
+    os << (first ? "" : ",\n") << "  {\"ph\":\"i\",\"name\":\"" << info.name
+       << "\",\"cat\":\"" << EventCategoryName(info.category) << "\",\"pid\":" << ev.machine
+       << ",\"tid\":" << CategoryTid(info.category) << ",\"ts\":" << ev.ts
+       << ",\"s\":\"t\",\"args\":{\"id\":\"" << JsonHexId(ev.id) << "\"";
     if (ev.pid.valid()) {
       os << ",\"process\":\"" << ev.pid.ToString() << "\"";
     }
-    os << ",\"arg0\":" << ev.arg0 << ",\"arg1\":" << ev.arg1 << "}}";
+    os << ",\"arg0\":" << ev.a << ",\"arg1\":" << ev.b << "}}";
     first = false;
   }
 
   // Reconstructed migration span trees on a synthetic process: the root span
   // on top, the 8 protocol phases nested beneath it (same tid, contained
   // time ranges -- Chrome renders containment as nesting).
-  const std::vector<MigrationSpan> spans = BuildMigrationSpans(sorted);
+  const std::vector<MigrationSpan> spans = BuildMigrationSpans(events);
   if (!spans.empty()) {
     WriteMeta(os, first, kMigrationsPid, 0, "process_name", "migrations");
     int tid = 0;
@@ -396,16 +353,14 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
                                     std::to_string(span.bytes_moved) + ",\"pending_forwarded\":" +
                                     std::to_string(span.pending_forwarded) + ",\"completed\":" +
                                     (span.completed ? "true" : "false");
-      WriteCompleteEvent(os, first, kMigrationsPid, tid,
-                         "migrate " + span.pid.ToString(), trace::kMigration, span.start,
-                         std::max<SimDuration>(span.duration(), 1), root_args);
+      WriteCompleteEvent(os, first, kMigrationsPid, tid, "migrate " + span.pid.ToString(),
+                         span.start, std::max<SimDuration>(span.duration(), 1), root_args);
       for (const MigrationPhaseSpan& phase : span.phases) {
         if (!phase.valid) {
           continue;
         }
         WriteCompleteEvent(os, first, kMigrationsPid, tid, MigrationPhaseName(phase.kind),
-                           trace::kMigration, phase.start,
-                           std::max<SimDuration>(phase.duration(), 1),
+                           phase.start, std::max<SimDuration>(phase.duration(), 1),
                            "\"bytes\":" + std::to_string(phase.bytes));
       }
     }
@@ -414,7 +369,7 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
   os << "\n]}\n";
 }
 
-bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::string& path) {
+bool WriteChromeTraceFile(const std::vector<EventRecord>& events, const std::string& path) {
   std::ofstream file(path);
   if (!file) {
     return false;
@@ -427,7 +382,7 @@ bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::stri
 // Summary tables.
 // ---------------------------------------------------------------------------
 
-void WriteTraceSummary(const std::vector<TraceEvent>& events, std::ostream& os) {
+void WriteTraceSummary(const std::vector<EventRecord>& events, std::ostream& os) {
   const std::vector<MigrationSpan> spans = BuildMigrationSpans(events);
   const std::vector<MessageTrace> messages = BuildMessageTraces(events);
 
@@ -478,8 +433,8 @@ void WriteTraceSummary(const std::vector<TraceEvent>& events, std::ostream& os) 
   }
 }
 
-std::vector<TraceEvent> NormalizeShardClocks(const std::vector<TraceEvent>& events,
-                                             const std::vector<ClockSyncPoint>& syncs) {
+std::vector<EventRecord> NormalizeShardClocks(const std::vector<EventRecord>& events,
+                                              const std::vector<ClockSyncPoint>& syncs) {
   // Per-machine sync polylines, sorted along the virtual axis.
   std::map<MachineId, std::vector<ClockSyncPoint>> lines;
   for (const ClockSyncPoint& s : syncs) {
@@ -522,9 +477,9 @@ std::vector<TraceEvent> NormalizeShardClocks(const std::vector<TraceEvent>& even
     return static_cast<double>(line.back().real_ns);
   };
 
-  std::vector<TraceEvent> out;
+  std::vector<EventRecord> out;
   out.reserve(events.size());
-  for (TraceEvent ev : events) {
+  for (EventRecord ev : events) {
     auto it = lines.find(ev.machine);
     if (it != lines.end()) {
       const double real_ns = to_real_ns(it->second, ev.ts);
@@ -534,24 +489,24 @@ std::vector<TraceEvent> NormalizeShardClocks(const std::vector<TraceEvent>& even
     out.push_back(ev);
   }
   std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
+                   [](const EventRecord& a, const EventRecord& b) { return a.ts < b.ts; });
   return out;
 }
 
-std::vector<TraceEvent> FilterTrace(const std::vector<TraceEvent>& events,
-                                    const std::vector<std::uint64_t>& ids,
-                                    const std::vector<ProcessId>& pids) {
+std::vector<EventRecord> FilterTrace(const std::vector<EventRecord>& events,
+                                     const std::vector<std::uint64_t>& ids,
+                                     const std::vector<ProcessId>& pids) {
   std::set<std::uint64_t> keep_ids(ids.begin(), ids.end());
   std::set<std::uint64_t> keep_spans;
   for (const ProcessId& pid : pids) {
     keep_spans.insert(MigrationSpanId(pid));
   }
-  std::vector<TraceEvent> out;
-  for (const TraceEvent& ev : events) {
+  std::vector<EventRecord> out;
+  for (const EventRecord& ev : events) {
     const bool suspect_msg = keep_ids.count(ev.id) != 0;
     const bool suspect_pid =
         keep_spans.count(MigrationSpanId(ev.pid)) != 0 && ev.pid.valid();
-    const bool migration_context = ev.category == trace::kMigration;
+    const bool migration_context = EventInfoOf(ev.type).category == EventCategory::kMigration;
     if (suspect_msg || suspect_pid || migration_context) {
       out.push_back(ev);
     }

@@ -4,8 +4,15 @@
 // The kernels record *instants* (cheap, single-push); this layer pairs them
 // into spans after the fact.  Pairing is keyed on the correlation id carried
 // by every event -- MigrationSpanId(pid) for migration events,
-// Message::trace_id for message events -- so concurrent migrations and
-// interleaved forwarding chains reconstruct independently.
+// Message::trace_id for message events -- and on the event's catalog row, so
+// concurrent migrations and interleaved forwarding chains reconstruct
+// independently.
+//
+// Every function here takes records in time order and does not sort them.
+// Every producer yields that order: Engine::TotalTrace sorts its merge, a
+// single tracer records in clock order, NormalizeShardClocks sorts its
+// output, FilterTrace keeps its input's order, and a flight hub's Merged()
+// sorts by (ts, slot, seq).
 
 #ifndef DEMOS_OBS_TRACE_EXPORT_H_
 #define DEMOS_OBS_TRACE_EXPORT_H_
@@ -78,30 +85,32 @@ struct MessageTrace {
   SimDuration Latency() const { return was_delivered ? delivered - sent : 0; }
 };
 
-// Pair migration instants into span trees.  Input need not be sorted.
-std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<TraceEvent>& events);
+// Pair migration instants into span trees.
+std::vector<MigrationSpan> BuildMigrationSpans(const std::vector<EventRecord>& events);
 
 // Pair message-lifecycle instants into per-message records (send order).
-std::vector<MessageTrace> BuildMessageTraces(const std::vector<TraceEvent>& events);
+std::vector<MessageTrace> BuildMessageTraces(const std::vector<EventRecord>& events);
 
 // The derived histograms by name (those with at least one sample):
 //   stat::kMigrationTotalUs, phase_<name>_us (8x), stat::kForwardHops,
 //   stat::kLinkUpdateLagUs.
-std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<TraceEvent>& events);
+std::map<std::string, HistogramSnapshot> BuildTraceStats(const std::vector<EventRecord>& events);
 
 // Chrome trace_event JSON ({"traceEvents":[...]}) loadable in chrome://tracing
-// or Perfetto.  Virtual microseconds map 1:1 to trace microseconds.  Raw
-// events land on one track per (machine, category); reconstructed migrations
+// or Perfetto, for tracer and flight-ring records alike (ring records go
+// through FlightRecordsInMicros first).  Record microseconds map 1:1 to trace
+// microseconds.  Records land as instants on one track per (machine,
+// category): migration, messages, net, runtime.  Reconstructed migrations
 // additionally render as nested duration ('X') span trees on a synthetic
 // "migrations" process so each migration reads as a bar with 8 sub-bars.
-void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os);
+void WriteChromeTrace(const std::vector<EventRecord>& events, std::ostream& os);
 
 // Compact human-readable report: per-migration phase table and the lifecycle
 // of every forwarded or bounced message.
-void WriteTraceSummary(const std::vector<TraceEvent>& events, std::ostream& os);
+void WriteTraceSummary(const std::vector<EventRecord>& events, std::ostream& os);
 
 // Convenience: WriteChromeTrace to a file path.  Returns false on I/O error.
-bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::string& path);
+bool WriteChromeTraceFile(const std::vector<EventRecord>& events, const std::string& path);
 
 // Rebuild a shared time axis for a parallel-engine trace.  Each event's ts is
 // its shard's private virtual clock; `syncs` carries the per-shard
@@ -111,17 +120,17 @@ bool WriteChromeTraceFile(const std::vector<TraceEvent>& events, const std::stri
 // points (extrapolated 1:1 in virtual us beyond the ends), then rebased so
 // the earliest sync is t=0.  Events of machines with no sync points keep
 // their timestamps (a sequential trace passes through unchanged).  Output is
-// sorted by the normalized time.
-std::vector<TraceEvent> NormalizeShardClocks(const std::vector<TraceEvent>& events,
-                                             const std::vector<ClockSyncPoint>& syncs);
+// sorted by the normalized time; the input need not be.
+std::vector<EventRecord> NormalizeShardClocks(const std::vector<EventRecord>& events,
+                                              const std::vector<ClockSyncPoint>& syncs);
 
 // Trim a cluster timeline to the events relevant to a failure: keeps events
 // whose correlation id is one of `ids` (message lifecycles), whose pid is one
 // of `pids` (their migration spans included), and -- so the repro has
 // context -- every migration-category event.  Order is preserved.
-std::vector<TraceEvent> FilterTrace(const std::vector<TraceEvent>& events,
-                                    const std::vector<std::uint64_t>& ids,
-                                    const std::vector<ProcessId>& pids);
+std::vector<EventRecord> FilterTrace(const std::vector<EventRecord>& events,
+                                     const std::vector<std::uint64_t>& ids,
+                                     const std::vector<ProcessId>& pids);
 
 }  // namespace demos
 

@@ -386,7 +386,7 @@ Tracer ParallelCluster::TotalTraceNormalized() const {
   Tracer merged = TotalTrace();
   Tracer normalized;
   normalized.Enable();
-  for (const TraceEvent& ev : NormalizeShardClocks(merged.events(), merged.sync_points())) {
+  for (const EventRecord& ev : NormalizeShardClocks(merged.events(), merged.sync_points())) {
     normalized.RecordEvent(ev);
   }
   return normalized;

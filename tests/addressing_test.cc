@@ -96,8 +96,9 @@ class AddressingTest : public ::testing::Test {
   Rng rng_{7};
   StatSlab stats_;
   Tracer tracer_{kHere};
+  KernelEvents events_{tracer_, queue_, kHere};
   CapturingOutput out_;
-  Addressing addressing_{kHere, config_, queue_, table_, rng_, stats_, tracer_, out_};
+  Addressing addressing_{kHere, config_, queue_, table_, rng_, stats_, events_, out_};
 };
 
 TEST_F(AddressingTest, GaveUpMarkerRefusesTheNextSendLocally) {

@@ -7,7 +7,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 
 #include "src/base/stats.h"
 #include "src/check/invariants.h"
@@ -20,14 +19,10 @@
 namespace demos {
 namespace {
 
-int TraceCount(const Kernel& kernel, const char* name) {
-  int count = 0;
-  for (const TraceEvent& ev : kernel.tracer().events()) {
-    if (std::string_view(ev.name) == name) {
-      ++count;
-    }
-  }
-  return count;
+int TraceCount(const Kernel& kernel, FrEvent type) {
+  const std::vector<EventRecord>& events = kernel.tracer().events();
+  return static_cast<int>(std::count_if(events.begin(), events.end(),
+                                        [type](const EventRecord& ev) { return ev.type == type; }));
 }
 
 class FaultTest : public ::testing::Test {
@@ -401,14 +396,14 @@ TEST_F(FaultTest, DestinationDiesPermanentlyMidTransferSourceRollsBack) {
   EXPECT_EQ(cluster.kernel(0).migrate_done_log()[0].status, StatusCode::kPeerTimeout);
   EXPECT_EQ(cluster.kernel(0).migrate_done_log()[0].final_home, 0);
   EXPECT_EQ(cluster.kernel(0).stats().Get(stat::kMigrationsTimedOut), 1);
-  EXPECT_GE(TraceCount(cluster.kernel(0), trace::kWatchdogTimeout), 1);
-  EXPECT_GE(TraceCount(cluster.kernel(0), trace::kCancelSent), 1);
+  EXPECT_GE(TraceCount(cluster.kernel(0), FrEvent::kWatchdogTimeout), 1);
+  EXPECT_GE(TraceCount(cluster.kernel(0), FrEvent::kCancelSent), 1);
 
   // The reliable channel gave up on the corpse -- a give_up on the m0 -> m1
   // link -- and fed the suspect list.
-  const std::vector<TraceEvent>& rel_events = cluster.reliable()->tracer().events();
-  EXPECT_TRUE(std::any_of(rel_events.begin(), rel_events.end(), [](const TraceEvent& ev) {
-    return std::string_view(ev.name) == trace::kGiveUp && ev.machine == 0 && ev.arg0 == 1;
+  const std::vector<EventRecord>& rel_events = cluster.reliable()->tracer().events();
+  EXPECT_TRUE(std::any_of(rel_events.begin(), rel_events.end(), [](const EventRecord& ev) {
+    return ev.type == FrEvent::kGiveUp && ev.machine == 0 && ev.a == 1;
   }));
   EXPECT_TRUE(cluster.kernel(0).addressing().IsPeerSuspect(1));
 
@@ -457,7 +452,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyMidTransferDestinationReaps) {
   EXPECT_FALSE(cluster.kernel(1).HasMigrationInProgress());
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsReaped), 1);
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsAdopted), 0);
-  EXPECT_EQ(TraceCount(cluster.kernel(1), trace::kDestReaped), 1);
+  EXPECT_EQ(TraceCount(cluster.kernel(1), FrEvent::kDestReaped), 1);
   EXPECT_TRUE(cluster.kernel(1).addressing().IsPeerSuspect(0));
 
   cluster.SetObserver(nullptr);
@@ -490,7 +485,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyAfterTransferDestinationAdopts) {
   // then kill the source before the cleanup handshake can land.
   ASSERT_TRUE(testutil::RunUntil(
       cluster,
-      [&] { return TraceCount(cluster.kernel(1), trace::kTransferDoneSent) > 0; },
+      [&] { return TraceCount(cluster.kernel(1), FrEvent::kTransferDoneSent) > 0; },
       2'000'000, /*step_us=*/50));
   CrashController crash(&cluster);
   crash.Crash(0);  // permanent
@@ -501,7 +496,7 @@ TEST_F(FaultTest, SourceDiesPermanentlyAfterTransferDestinationAdopts) {
   // on a machine that will never run again -- so ask the live kernel.)
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsAdopted), 1);
   EXPECT_EQ(cluster.kernel(1).stats().Get(stat::kMigrationsReaped), 0);
-  EXPECT_EQ(TraceCount(cluster.kernel(1), trace::kDestAdopted), 1);
+  EXPECT_EQ(TraceCount(cluster.kernel(1), FrEvent::kDestAdopted), 1);
   ProcessRecord* record = cluster.kernel(1).FindProcess(counter->pid);
   ASSERT_NE(record, nullptr);
   ByteReader r(record->memory.ReadData(0, 8));
@@ -550,10 +545,10 @@ TEST_F(FaultTest, WatchdogTimeoutsCarryTheArmedDeadlineInBothLogs) {
   const std::uint64_t deadline = config.kernel.migration_deadlines.transfer_progress_us;
   for (MachineId m : {MachineId{0}, MachineId{3}}) {
     int timeouts = 0;
-    for (const TraceEvent& ev : cluster.kernel(m).tracer().events()) {
-      if (std::string_view(ev.name) == trace::kWatchdogTimeout) {
+    for (const EventRecord& ev : cluster.kernel(m).tracer().events()) {
+      if (ev.type == FrEvent::kWatchdogTimeout) {
         ++timeouts;
-        EXPECT_EQ(ev.arg0, deadline) << "m" << m;
+        EXPECT_EQ(ev.a, deadline) << "m" << m;
       }
     }
     EXPECT_EQ(timeouts, 1) << "m" << m;

@@ -11,11 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/base/stats.h"
@@ -87,20 +89,15 @@ TEST(EventCatalog, EveryRowHasAUniqueNameAndLabels) {
       EXPECT_STRNE(EventCategoryName(info.category), "runtime") << info.name;
     }
   }
-  // The generated trace names are the catalog names.
-  EXPECT_STREQ(trace::kWatchdogTimeout, FrEventName(FrEvent::kWatchdogTimeout));
-  EXPECT_STREQ(trace::kMsgSend, "send");
+  EXPECT_STREQ(FrEventName(FrEvent::kMsgSend), "send");
   // An out-of-range type decodes to the "none" row, never to garbage.
   EXPECT_STREQ(FrEventName(static_cast<FrEvent>(0xFFFF)), "none");
 }
 
-// A lossy, traced migration run with the flight recorder on: for every row
-// that goes to both sinks, the tracer and the ring hold the same count per
-// machine (kernel rows) or in total (network rows, which the tracer files
-// under the sending machine and the ring under the channel's slot), and
-// every operand either sink holds is one the catalog labels.
-TEST(EventCatalog, TracerAndRingAgreePerMachine) {
-  testutil::RegisterPrograms();
+// A lossy, traced run with the flight recorder on the cluster's virtual
+// clock: a counter migrates m0 -> m1 -> m2 with stale-address traffic from
+// m2 in between, over a reliable layer that drops 10% of packets.
+ClusterConfig LossyRingConfig() {
   ClusterConfig config;
   config.machines = 3;
   config.EnableTracing();
@@ -110,7 +107,11 @@ TEST(EventCatalog, TracerAndRingAgreePerMachine) {
   config.reliable.retransmit_timeout_us = 2'000;
   config.network.drop_probability = 0.1;
   config.network.seed = 7;
-  Cluster cluster(config);
+  return config;
+}
+
+void RunLossyMigrations(Cluster& cluster) {
+  testutil::RegisterPrograms();
   auto counter = cluster.kernel(0).SpawnProcess("counter");
   ASSERT_TRUE(counter.ok());
   cluster.RunUntilIdle();
@@ -121,55 +122,75 @@ TEST(EventCatalog, TracerAndRingAgreePerMachine) {
   cluster.RunUntilIdle();
   testutil::MigrateAndSettle(cluster, counter->pid, 1, 2);
   cluster.RunUntilIdle();
+}
 
-  const int harness_slot = config.machines;
-  std::map<std::pair<FrEvent, int>, int> ring;
-  std::map<std::pair<FrEvent, int>, int> traced;
-  for (const FlightRecord& r : cluster.flight_recorder()->Merged()) {
+// The lossy run above.  Every record either sink holds is a row that sink
+// takes, with only the operands the row labels.  For every row that goes to
+// both sinks, the tracer and the ring hold the same records in the same order
+// on (type, id, pid, a, b): per machine for kernel rows, and for network rows,
+// which the tracer files under the sending machine and the ring under the
+// channel's slot, across the reliable channel.
+TEST(EventCatalog, TracerAndRingAgreePerMachine) {
+  const ClusterConfig config = LossyRingConfig();
+  Cluster cluster(config);
+  RunLossyMigrations(cluster);
+
+  const auto check_labels = [](const EventRecord& r) {
     const EventInfo& info = EventInfoOf(r.type);
     EXPECT_TRUE(*info.label_a != '\0' || r.a == 0) << info.name << " a=" << r.a;
     EXPECT_TRUE(*info.label_b != '\0' || r.b == 0) << info.name << " b=" << r.b;
-    const bool net = info.category == EventCategory::kNet;
-    ++ring[{r.type, net ? harness_slot : static_cast<int>(r.shard)}];
-  }
-  std::map<std::string, FrEvent> by_name;
-  for (int i = 1; i < static_cast<int>(FrEvent::kCount); ++i) {
-    by_name[FrEventName(static_cast<FrEvent>(i))] = static_cast<FrEvent>(i);
+  };
+  const std::vector<EventRecord> ring = cluster.flight_recorder()->Merged();
+  for (const EventRecord& r : ring) {
+    EXPECT_TRUE(EventInfoOf(r.type).ringed()) << FrEventName(r.type);
+    check_labels(r);
   }
   const Tracer total = cluster.TotalTrace();
-  for (const TraceEvent& ev : total.events()) {
-    auto it = by_name.find(ev.name);
-    ASSERT_NE(it, by_name.end()) << "trace event outside the catalog: " << ev.name;
-    const EventInfo& info = EventInfoOf(it->second);
-    EXPECT_TRUE(info.traced()) << ev.name;
-    EXPECT_STREQ(ev.category, EventCategoryName(info.category)) << ev.name;
-    EXPECT_TRUE(*info.label_a != '\0' || ev.arg0 == 0) << ev.name << " arg0=" << ev.arg0;
-    EXPECT_TRUE(*info.label_b != '\0' || ev.arg1 == 0) << ev.name << " arg1=" << ev.arg1;
-    const bool net = info.category == EventCategory::kNet;
-    ++traced[{it->second, net ? harness_slot : static_cast<int>(ev.machine)}];
+  for (const EventRecord& r : total.events()) {
+    EXPECT_TRUE(r.type != FrEvent::kNone && EventInfoOf(r.type).traced()) << FrEventName(r.type);
+    check_labels(r);
   }
 
-  int compared = 0;
-  for (int i = 1; i < static_cast<int>(FrEvent::kCount); ++i) {
-    const FrEvent e = static_cast<FrEvent>(i);
-    const EventInfo& info = EventInfoOf(e);
-    if (!info.traced() || !info.ringed()) {
-      continue;
+  using Key = std::tuple<FrEvent, std::uint64_t, ProcessId, std::uint64_t, std::uint64_t>;
+  const auto both_sink_rows = [](const std::vector<EventRecord>& records) {
+    std::vector<Key> out;
+    for (const EventRecord& r : records) {
+      const EventInfo& info = EventInfoOf(r.type);
+      if (info.traced() && info.ringed()) {
+        out.emplace_back(r.type, r.id, r.pid, r.a, r.b);
+      }
     }
-    for (int slot = 0; slot <= harness_slot; ++slot) {
-      const int in_ring = ring.count({e, slot}) != 0 ? ring.at({e, slot}) : 0;
-      const int in_trace = traced.count({e, slot}) != 0 ? traced.at({e, slot}) : 0;
-      EXPECT_EQ(in_ring, in_trace) << info.name << " on slot " << slot;
-      compared += in_ring;
+    return out;
+  };
+  const int harness_slot = config.machines;
+  std::size_t compared = 0;
+  for (int slot = 0; slot <= harness_slot; ++slot) {
+    const Tracer& tracer = slot < harness_slot
+                               ? cluster.kernel(static_cast<MachineId>(slot)).tracer()
+                               : cluster.reliable()->tracer();
+    const std::vector<Key> in_ring =
+        both_sink_rows(cluster.flight_recorder()->recorder(slot).SnapshotRecords());
+    const std::vector<Key> in_trace = both_sink_rows(tracer.events());
+    ASSERT_EQ(in_ring.size(), in_trace.size()) << "slot " << slot;
+    for (std::size_t i = 0; i < in_ring.size(); ++i) {
+      EXPECT_TRUE(in_ring[i] == in_trace[i])
+          << "slot " << slot << " record " << i << ": ring has "
+          << FrEventName(std::get<0>(in_ring[i])) << ", tracer has "
+          << FrEventName(std::get<0>(in_trace[i]));
     }
+    compared += in_ring.size();
   }
+  EXPECT_GT(compared, 0u);
+
   // The run exercised both halves: migration edges and network retransmits.
-  auto in_ring = [&](FrEvent e, int slot) { return ring[std::make_pair(e, slot)]; };
+  const auto in_ring = [&ring](FrEvent e, int slot) {
+    return std::count_if(ring.begin(), ring.end(),
+                         [&](const EventRecord& r) { return r.type == e && r.machine == slot; });
+  };
   EXPECT_GT(in_ring(FrEvent::kMigrationBegin, 0), 0);
   EXPECT_GT(in_ring(FrEvent::kRestarted, 2), 0);
   EXPECT_GT(in_ring(FrEvent::kRetransmit, harness_slot), 0);
   EXPECT_GT(in_ring(FrEvent::kCleanupReceived, 1), 0);  // ring-only row
-  EXPECT_GT(compared, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -321,12 +342,12 @@ TEST(FlightRecorder, WrapAroundKeepsNewestWindow) {
   EXPECT_EQ(rec.total(), 20u);
   EXPECT_EQ(rec.dropped(), 12u);
 
-  const std::vector<FlightRecord> window = rec.SnapshotRecords();
+  const std::vector<EventRecord> window = rec.SnapshotRecords();
   ASSERT_EQ(window.size(), 8u);
   for (std::size_t i = 0; i < window.size(); ++i) {
     EXPECT_EQ(window[i].a, 12 + i) << "oldest-first, seq " << window[i].seq;
     EXPECT_EQ(window[i].seq, 12 + i);
-    EXPECT_EQ(window[i].shard, 3);
+    EXPECT_EQ(window[i].machine, 3);
   }
 }
 
@@ -362,16 +383,40 @@ TEST(FlightRecorderHub, MergedOrdersByTimeShardSeq) {
   hub.recorder(0).Record(FrEvent::kParkEnd, 1);      // t=2
   hub.recorder(1).Record(FrEvent::kDrainBatch, 4);   // t=3
 
-  const std::vector<FlightRecord> merged = hub.Merged();
+  const std::vector<EventRecord> merged = hub.Merged();
   ASSERT_EQ(merged.size(), 4u);
   for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_LE(merged[i - 1].t_ns, merged[i].t_ns);
+    EXPECT_LE(merged[i - 1].ts, merged[i].ts);
   }
-  EXPECT_EQ(merged[0].shard, 0);
-  EXPECT_EQ(merged[1].shard, 1);
+  EXPECT_EQ(merged[0].machine, 0);
+  EXPECT_EQ(merged[1].machine, 1);
   EXPECT_EQ(merged[2].type, FrEvent::kParkEnd);
 }
 
+// The text dump of the lossy run, byte for byte against
+// tests/golden/flight_text.txt.  A change meant to move the dump rewrites the
+// file from the copy this test leaves in the test temp directory.
+TEST(FlightRecorder, TextDumpMatchesGolden) {
+  Cluster cluster(LossyRingConfig());
+  RunLossyMigrations(cluster);
+  std::ostringstream dump;
+  WriteFlightText(cluster.flight_recorder()->Merged(), "golden run", dump);
+
+  const std::string golden = std::string(DEMOS_TEST_GOLDEN_DIR) + "/flight_text.txt";
+  std::ifstream file(golden);
+  ASSERT_TRUE(file) << "missing " << golden;
+  std::ostringstream expected;
+  expected << file.rdbuf();
+  if (dump.str() != expected.str()) {
+    const std::string actual = ::testing::TempDir() + "flight_text.actual.txt";
+    std::ofstream(actual) << dump.str();
+    ADD_FAILURE() << "flight text dump differs from " << golden << "; this run's dump is in "
+                  << actual;
+  }
+}
+
+// The ring's two dumps: the text post-mortem, and the Chrome trace through
+// the tracer's one writer.  Both are byte-identical across builds.
 TEST(FlightRecorder, DumpsAreDeterministic) {
   auto build = [] {
     std::uint64_t tick = 1000;
@@ -383,8 +428,8 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
     hub.Trigger("invariant failure");
     return hub.Merged();
   };
-  const std::vector<FlightRecord> a = build();
-  const std::vector<FlightRecord> b = build();
+  const std::vector<EventRecord> a = build();
+  const std::vector<EventRecord> b = build();
 
   std::ostringstream text_a;
   std::ostringstream text_b;
@@ -392,21 +437,32 @@ TEST(FlightRecorder, DumpsAreDeterministic) {
   WriteFlightText(b, "invariant failure", text_b);
   EXPECT_EQ(text_a.str(), text_b.str());
   EXPECT_NE(text_a.str().find("invariant failure"), std::string::npos);
-  EXPECT_NE(text_a.str().find(FrEventName(FrEvent::kBackpressure)), std::string::npos);
-
-  std::ostringstream trace_a;
-  std::ostringstream trace_b;
-  WriteFlightChromeTrace(a, trace_a);
-  WriteFlightChromeTrace(b, trace_b);
-  EXPECT_EQ(trace_a.str(), trace_b.str());
-  EXPECT_NE(trace_a.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace_a.str().find("\"deadline_us\":30000"), std::string::npos);
-
   // Operands print as the catalog's label=value, the subject id in hex.
   EXPECT_NE(text_a.str().find("watchdog_timeout id=0x2a deadline_us=30000 peer=1"),
             std::string::npos)
       << text_a.str();
   EXPECT_NE(text_a.str().find("backpressure dst_shard=0 spins=17"), std::string::npos);
+
+  std::ostringstream trace_a;
+  std::ostringstream trace_b;
+  WriteChromeTrace(FlightRecordsInMicros(a), trace_a);
+  WriteChromeTrace(FlightRecordsInMicros(b), trace_b);
+  EXPECT_EQ(trace_a.str(), trace_b.str());
+  const std::string trace = trace_a.str();
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  // The runtime row lands on slot 1's runtime track (tid 4).
+  EXPECT_NE(trace.find("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":4,"
+                       "\"args\":{\"name\":\"runtime\"}}"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"name\":\"backpressure\",\"cat\":\"runtime\",\"pid\":1,\"tid\":4,"),
+            std::string::npos)
+      << trace;
+  // The watchdog row carries its operands as the tracer's arg0/arg1.
+  const std::size_t watchdog = trace.find("\"name\":\"watchdog_timeout\"");
+  ASSERT_NE(watchdog, std::string::npos) << trace;
+  const std::string line = trace.substr(watchdog, trace.find('\n', watchdog) - watchdog);
+  EXPECT_NE(line.find("\"arg0\":30000,\"arg1\":1"), std::string::npos) << line;
 }
 
 // ---------------------------------------------------------------------------
@@ -620,12 +676,11 @@ TEST(MetricsSampler, CollectsPeriodicSamplesAndRunsCollector) {
 // Clock normalization.
 // ---------------------------------------------------------------------------
 
-TraceEvent EventAt(MachineId machine, SimTime ts, const char* name) {
-  TraceEvent ev;
+EventRecord EventAt(MachineId machine, SimTime ts, FrEvent type) {
+  EventRecord ev;
   ev.ts = ts;
   ev.machine = machine;
-  ev.category = trace::kMessage;
-  ev.name = name;
+  ev.type = type;
   return ev;
 }
 
@@ -637,17 +692,17 @@ TEST(NormalizeShardClocks, RebasesSkewedShardsOntoOneAxis) {
       {/*machine=*/0, /*virt_us=*/0, /*real_ns=*/1'000'000},
       {/*machine=*/1, /*virt_us=*/0, /*real_ns=*/2'000'000},
   };
-  const std::vector<TraceEvent> events = {
-      EventAt(0, 100, "a"),
-      EventAt(1, 100, "b"),
+  const std::vector<EventRecord> events = {
+      EventAt(0, 100, FrEvent::kMsgSend),
+      EventAt(1, 100, FrEvent::kMsgDeliver),
   };
-  const std::vector<TraceEvent> out = NormalizeShardClocks(events, syncs);
+  const std::vector<EventRecord> out = NormalizeShardClocks(events, syncs);
   ASSERT_EQ(out.size(), 2u);
   // Epoch = shard 0's first sync; 1:1 extrapolation past the single point.
   EXPECT_EQ(out[0].ts, 100u);
-  EXPECT_STREQ(out[0].name, "a");
+  EXPECT_EQ(out[0].type, FrEvent::kMsgSend);
   EXPECT_EQ(out[1].ts, 1100u);
-  EXPECT_STREQ(out[1].name, "b");
+  EXPECT_EQ(out[1].type, FrEvent::kMsgDeliver);
 }
 
 TEST(NormalizeShardClocks, InterpolatesBetweenSyncPoints) {
@@ -657,16 +712,16 @@ TEST(NormalizeShardClocks, InterpolatesBetweenSyncPoints) {
       {0, 0, 1'000'000},
       {0, 1000, 3'000'000},
   };
-  const std::vector<TraceEvent> events = {EventAt(0, 500, "mid")};
-  const std::vector<TraceEvent> out = NormalizeShardClocks(events, syncs);
+  const std::vector<EventRecord> events = {EventAt(0, 500, FrEvent::kMsgForward)};
+  const std::vector<EventRecord> out = NormalizeShardClocks(events, syncs);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].ts, 1000u);  // (2'000'000ns - epoch) / 1000
 }
 
 TEST(NormalizeShardClocks, MachinesWithoutSyncsPassThrough) {
   const std::vector<ClockSyncPoint> syncs = {{0, 0, 5'000'000}};
-  const std::vector<TraceEvent> events = {EventAt(7, 42, "lonely")};
-  const std::vector<TraceEvent> out = NormalizeShardClocks(events, syncs);
+  const std::vector<EventRecord> events = {EventAt(7, 42, FrEvent::kMsgBounce)};
+  const std::vector<EventRecord> out = NormalizeShardClocks(events, syncs);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].ts, 42u);
 }
@@ -718,15 +773,15 @@ TEST_F(ObservabilityIntegrationTest, ParallelRunPopulatesMetricsAndRecorder) {
   // The always-on recorder saw mailbox traffic but nothing latched a trigger.
   ASSERT_NE(cluster.flight_recorder(), nullptr);
   EXPECT_FALSE(cluster.flight_recorder()->triggered());
-  const std::vector<FlightRecord> merged = cluster.flight_recorder()->Merged();
+  const std::vector<EventRecord> merged = cluster.flight_recorder()->Merged();
   EXPECT_FALSE(merged.empty());
   for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_LE(merged[i - 1].t_ns, merged[i].t_ns);
+    EXPECT_LE(merged[i - 1].ts, merged[i].ts);
   }
 
   // Normalized trace: non-empty, time-sorted, every shard present.
   const Tracer normalized = cluster.TotalTraceNormalized();
-  const std::vector<TraceEvent>& events = normalized.events();
+  const std::vector<EventRecord>& events = normalized.events();
   ASSERT_FALSE(events.empty());
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].ts, events[i].ts);
@@ -765,7 +820,7 @@ TEST_F(ObservabilityIntegrationTest, FailingChaosSeedCarriesDeterministicFlightD
   ASSERT_FALSE(a.flight.empty());
   ASSERT_NE(a.flight_trigger, nullptr);
   EXPECT_STREQ(a.flight_trigger, "invariant failure");
-  EXPECT_TRUE(std::any_of(a.flight.begin(), a.flight.end(), [](const FlightRecord& r) {
+  EXPECT_TRUE(std::any_of(a.flight.begin(), a.flight.end(), [](const EventRecord& r) {
     return r.type == FrEvent::kInvariantFail;
   }));
 

@@ -168,9 +168,9 @@ void PrintFailure(const Options& opts, const demos::ChaosScenario& scenario,
 // Trim the cluster timeline to the violation's cast of characters and write a
 // Chrome trace (chrome://tracing, perfetto.dev).
 void WriteTrimmedTrace(const demos::ChaosResult& result, const std::string& path) {
-  const std::vector<demos::TraceEvent> trimmed =
+  const std::vector<demos::EventRecord> trimmed =
       demos::FilterTrace(result.trace, result.suspect_trace_ids, result.suspect_pids);
-  const std::vector<demos::TraceEvent>& events = trimmed.empty() ? result.trace : trimmed;
+  const std::vector<demos::EventRecord>& events = trimmed.empty() ? result.trace : trimmed;
   if (demos::WriteChromeTraceFile(events, path)) {
     std::printf("trace: %s (%zu events)\n", path.c_str(), events.size());
   } else {
@@ -191,7 +191,8 @@ void WriteFlightDumps(const demos::ChaosResult& result, const std::string& stem)
   } else {
     std::fprintf(stderr, "failed to write flight dump to %s.flightrec.txt\n", stem.c_str());
   }
-  if (!demos::WriteFlightChromeTraceFile(result.flight, stem + ".flightrec.trace.json")) {
+  if (!demos::WriteChromeTraceFile(demos::FlightRecordsInMicros(result.flight),
+                                   stem + ".flightrec.trace.json")) {
     std::fprintf(stderr, "failed to write flight trace to %s.flightrec.trace.json\n", stem.c_str());
   }
 }
